@@ -37,8 +37,6 @@ import sys
 DIFFERENTIAL_FLAGS = (
     ("depa_agrees", True,
      "array-native DePa backend == union-find referee"),
-    ("depa_parallel_agrees", True,
-     "depa process pool == union-find referee"),
     ("serve_depa_agrees", True,
      "depa-negotiated serve session == local lattice2d replay"),
     ("predict_sound", True,
@@ -52,7 +50,6 @@ DIFFERENTIAL_FLAGS = (
 #: ``events_per_sec.<key>`` series whose presence proves the leg ran:
 #: (key, required)
 REQUIRED_SERIES = (
-    ("depa_parallel", True),
     ("serve_depa_1s", True),
     ("predict", True),
     ("compressed", True),

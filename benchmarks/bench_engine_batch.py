@@ -6,19 +6,12 @@ per-event observer calls by at least 2x on the standard 100k-access
 ``racegen`` bulk workload -- and it must do so while changing *zero*
 verdicts, which the differential harness checks on the same run.
 
-The multi-process tier rides the same record: ``parallel`` (4 shard
-workers over shared memory, whole-batch feed) must beat ``batched``
-outright, with the race multiset and the parent-vs-worker routing
-counters in exact agreement.
-
 The array-native tier rides it too: ``depa`` (the numpy segment kernel
 over the DePa detector's flat columns) must clear a 2.8x hysteresis
 floor over ``batched`` on the best-of ratio, with the 4x target
 asserted only on the median of the interleaved repeats -- one noisy
 run cannot flip the gate either way.  The union-find kernel acts as
-referee (``differential.depa_agrees``) on every run, and the
-depa-native process pool (``depa_parallel``) rides the same record
-with its own referee (``differential.depa_parallel_agrees``).
+referee (``differential.depa_agrees``) on every run.
 
 The measured record is written to ``BENCH_engine.json`` at the repo
 root so the perf trajectory accumulates across revisions.
@@ -62,23 +55,6 @@ def test_batched_beats_replay(record):
 
 
 @pytest.mark.shape
-def test_parallel_beats_batched(record):
-    """The multi-core tier must pay for itself even on one core.
-
-    The worker kernel skips the per-event structural checks (the
-    parent pre-validates the whole batch vectorized), which is where
-    the margin comes from when no second core exists; real parallelism
-    only widens it.  On a runner that genuinely has a single CPU the
-    worker pool is pure scheduling overhead, so the ratio is recorded
-    but not asserted (mirroring check_bench_regression's gate).
-    """
-    cpus = record["cpu_count"]
-    if not isinstance(cpus, int) or cpus < 2:
-        pytest.skip(f"cpu_count={cpus!r}: no second core to parallelise on")
-    assert record["speedup_parallel_vs_batched"] > 1.0, record["seconds"]
-
-
-@pytest.mark.shape
 def test_depa_beats_batched_with_hysteresis(record):
     """The array-native backend's acceptance bar, with hysteresis.
 
@@ -88,21 +64,6 @@ def test_depa_beats_batched_with_hysteresis(record):
     which a single outlier sample cannot move."""
     assert record["speedup_depa_vs_batched"] >= 2.8, record["seconds"]
     assert record["speedup_depa_vs_batched_median"] >= 4.0, record
-
-
-@pytest.mark.shape
-def test_depa_parallel_beats_depa(record):
-    """The depa-native pool must pay for itself over serial depa.
-
-    Same single-core softening as the lattice2d parallel gate: the
-    ratio is recorded but not asserted when there is no second core
-    (the depa workers have no validation work to shed, so a 1-core
-    pool is pure scheduling overhead)."""
-    assert "depa_parallel" in record["events_per_sec"]  # key always emitted
-    cpus = record["cpu_count"]
-    if not isinstance(cpus, int) or cpus < 2:
-        pytest.skip(f"cpu_count={cpus!r}: no second core to parallelise on")
-    assert record["speedup_depa_parallel_vs_depa"] >= 1.0, record["seconds"]
 
 
 @pytest.mark.shape
@@ -150,16 +111,12 @@ def test_fast_paths_change_no_verdicts(record):
     """Throughput without soundness is worthless: all paths agree."""
     races = record["races"]
     assert races["batched"] == races["per_event"] == races["sharded"]
-    assert races["parallel"] == races["per_event"]
     assert races["depa"] == races["per_event"]
-    assert races["depa_parallel"] == races["per_event"]
     assert races["per_event"] > 0  # the workload seeds real races
     diff = record["differential"]
     assert diff["divergences"] == 0
     assert diff["depa_agrees"] is True
     assert diff["sharded_agrees"] is True
-    assert diff["parallel_agrees"] is True
-    assert diff["depa_parallel_agrees"] is True
     assert len(set(diff["races"].values())) == 1  # trio agrees on the count
 
 

@@ -6,7 +6,7 @@ run overwrote it). The gated series:
 
 * ``events_per_sec.batched`` -- the serial fast path every other tier
   is measured against; its shape tests already pin the *ratios*
-  (parallel > batched, batched >= 2x per-event), so one absolute
+  (batched >= 2x per-event and replay), so one absolute
   anchor suffices for the engine;
 * ``events_per_sec.serve_4s`` -- the serving layer's 4-session
   loopback throughput, the steady-state shape of a real deployment.
@@ -17,15 +17,10 @@ run overwrote it). The gated series:
   ``batched`` (2.8x floor, 4x on the multi-run median), this gate pins
   the absolute number.  Skipped (with a note) when the baseline
   predates the backend.
-* ``events_per_sec.depa_parallel`` -- the depa-native process pool --
-  and ``events_per_sec.serve_depa_1s`` -- a depa-negotiated serve
-  session's loopback throughput.  Both self-introducing: skipped (with
-  a note) when the baseline predates them, matching the convention
-  every tier above followed.  The fresh
-  ``speedup_depa_parallel_vs_depa`` ratio is additionally gated >= 1.0,
-  with the same ``cpu_count`` < 2 softening as the lattice2d pool
-  (depa workers shed no validation work, so a single-core pool is pure
-  scheduling overhead).
+* ``events_per_sec.serve_depa_1s`` -- a depa-negotiated serve
+  session's loopback throughput.  Self-introducing: skipped (with a
+  note) when the baseline predates it, matching the convention every
+  tier above followed.
 * ``events_per_sec.predict`` -- the sound race-prediction engine (shb
   vector clocks plus candidate-pair windows).  Skipped (with a note)
   when the baseline predates prediction, so the gate can introduce
@@ -37,8 +32,8 @@ run overwrote it). The gated series:
   location-sharded gateway's single-session loopback throughput over 2
   and 4 engine worker processes (``docs/SCALE_OUT.md``).  Both
   self-introducing (skipped with a note when the baseline predates the
-  multi-node tier).  No speedup floor: the bench host is single-core,
-  so worker processes measure routing overhead, not parallelism.  The
+  multi-node tier).  No speedup floor: on a single-core bench host the
+  worker processes measure routing overhead, not parallelism.  The
   fresh record must instead carry
   ``differential.serve_multinode_agrees`` == true -- a gateway that
   changed race verdicts is a correctness bug, not a perf trade.
@@ -54,12 +49,6 @@ run overwrote it). The gated series:
   costs, gated *lower-is-better* with a generous 2x ceiling (these are
   millisecond-scale timings, noisy on shared runners).  Skipped when
   the baseline predates the checkpoint benchmark.
-* ``speedup_parallel_vs_batched`` -- the multi-process tier must keep
-  paying for itself (> 1.0x) in the fresh record.  Skipped (with a
-  note) when the fresh run recorded ``cpu_count`` < 2 or no
-  ``cpu_count`` at all: on a single-core runner the worker pool is
-  pure scheduling overhead and the ratio says nothing about the
-  kernel.
 
 Usage::
 
@@ -84,7 +73,6 @@ GATES = (
     (("events_per_sec", "batched"), True),
     (("events_per_sec", "serve_4s"), False),
     (("events_per_sec", "depa"), False),
-    (("events_per_sec", "depa_parallel"), False),
     (("events_per_sec", "serve_depa_1s"), False),
     (("events_per_sec", "serve_multinode_2w"), False),
     (("events_per_sec", "serve_multinode_4w"), False),
@@ -95,10 +83,6 @@ GATES = (
 #: floor for the fresh ``compression_ratio`` (RPR2TRZ vs raw RPR2TRC
 #: bytes on the loops workload; the paper-facing 3x size claim)
 COMPRESSION_FLOOR = 3.0
-
-#: floor for the fresh ``speedup_parallel_vs_batched`` ratio (only
-#: enforced when the fresh run had at least 2 CPUs to parallelise on)
-PARALLEL_FLOOR = 1.0
 
 #: multiple of the baseline a lower-is-better series may grow to
 LOWER_CEILING = 2.0
@@ -187,65 +171,10 @@ def main(argv) -> int:
             f"({ratio:.2f}x of baseline, ceiling {LOWER_CEILING:.1f}x) "
             f"-> {'OK' if ok else 'REGRESSION'}"
         )
-    failed = _check_parallel_ratio(fresh_rec) or failed
-    failed = _check_depa_parallel_ratio(fresh_rec) or failed
     failed = _check_predict_sound(fresh_rec) or failed
     failed = _check_compressed(fresh_rec) or failed
     failed = _check_multinode_agrees(fresh_rec) or failed
     return 1 if failed else 0
-
-
-def _check_parallel_ratio(fresh_rec) -> bool:
-    """Gate the fresh parallel-over-batched ratio; returns True on
-    failure.  Skipped on single-core runners (see module docstring)."""
-    name = "speedup_parallel_vs_batched"
-    cpus = fresh_rec.get("cpu_count")
-    if not isinstance(cpus, int) or cpus < 2:
-        print(
-            f"{name}: fresh run recorded cpu_count={cpus!r}; skipping "
-            "this gate (no second core to parallelise on)"
-        )
-        return False
-    try:
-        ratio = float(fresh_rec[name])
-    except (KeyError, TypeError, ValueError):
-        print(f"{name}: missing from the fresh record", file=sys.stderr)
-        return True
-    ok = ratio > PARALLEL_FLOOR
-    print(
-        f"{name}: fresh {ratio:.3f}x (floor {PARALLEL_FLOOR:.1f}x, "
-        f"cpu_count {cpus}) -> {'OK' if ok else 'REGRESSION'}"
-    )
-    return not ok
-
-
-def _check_depa_parallel_ratio(fresh_rec) -> bool:
-    """Gate the fresh depa-pool-over-serial-depa ratio; returns True on
-    failure.  Self-introducing (skipped when the fresh record predates
-    the depa pool) and skipped on single-core runners, like the
-    lattice2d parallel gate."""
-    name = "speedup_depa_parallel_vs_depa"
-    if name not in fresh_rec:
-        print(f"{name}: not in the fresh record; skipping this gate")
-        return False
-    cpus = fresh_rec.get("cpu_count")
-    if not isinstance(cpus, int) or cpus < 2:
-        print(
-            f"{name}: fresh run recorded cpu_count={cpus!r}; skipping "
-            "this gate (no second core to parallelise on)"
-        )
-        return False
-    try:
-        ratio = float(fresh_rec[name])
-    except (TypeError, ValueError):
-        print(f"{name}: unreadable in the fresh record", file=sys.stderr)
-        return True
-    ok = ratio >= PARALLEL_FLOOR
-    print(
-        f"{name}: fresh {ratio:.3f}x (floor {PARALLEL_FLOOR:.1f}x, "
-        f"cpu_count {cpus}) -> {'OK' if ok else 'REGRESSION'}"
-    )
-    return not ok
 
 
 def _check_predict_sound(fresh_rec) -> bool:

@@ -8,7 +8,6 @@ Usage examples::
     repro-race run prog.py --dot out.dot  # export the task graph
     repro-race record prog.py --compact -o t.rtrc   # engine trace format
     repro-race replay t.rtrc --shards 4   # batched/sharded fast path
-    repro-race replay t.rtrc --jobs 4     # multi-process shard workers
     repro-race compress t.rtrc -o t.rpr2trz         # block-dedup container
     repro-race replay t.rpr2trz           # memoized, never decompresses
     repro-race decompress t.rpr2trz -o back.rtrc    # byte-identical
@@ -138,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sound race prediction: replay under the shb engine and "
         "report every racing pair feasible in some reordering of the "
         "trace, not just the observed interleaving (see "
-        "docs/PREDICTION.md); mutually exclusive with --backend, a "
-        "non-default --detector, and --jobs",
+        "docs/PREDICTION.md); mutually exclusive with --backend and a "
+        "non-default --detector",
     )
     p_rep.add_argument("--max-races", type=int, default=20)
     p_rep.add_argument(
@@ -154,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8192,
         help="compact traces only: events per ingested batch",
-    )
-    p_rep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="compact traces only: detect with this many shard worker "
-        "processes; workers mmap the trace directly (lattice2d kernel; "
-        "default: 1, in-process)",
     )
 
     p_cz = sub.add_parser(
@@ -223,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_be = sub.add_parser(
         "bench-engine",
         help="measure the ingestion paths (replay / per-event / batched / "
-        "sharded / parallel) on a racegen bulk workload",
+        "sharded / depa / compressed) on a racegen bulk workload",
     )
     p_be.add_argument("--accesses", type=int, default=100_000)
     p_be.add_argument("--fanout", type=int, default=8)
@@ -236,12 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_be.add_argument("--shards", type=int, default=4)
     p_be.add_argument("--batch-size", type=int, default=8192)
     p_be.add_argument("--repeats", type=int, default=3)
-    p_be.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        help="worker processes for the parallel contender (default: 4)",
-    )
     p_be.add_argument(
         "--loop-fanout", type=int, default=4,
         help="workers in the repetitive loops workload the compressed "
@@ -279,14 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_st.add_argument("--batch-size", type=int, default=8192)
     p_st.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="detect with this many shard worker processes; their "
-        "per-worker counters are merged into the printed snapshot "
-        "(lattice2d kernel; default: 1, in-process)",
-    )
-    p_st.add_argument(
         "--format",
         choices=("table", "json", "prom"),
         default="table",
@@ -323,17 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds of session silence before disconnect (default: 30)",
     )
     p_sv.add_argument(
-        "--jobs", type=int, default=1,
-        help="serve all sessions from one shared multi-process engine "
-        "with this many shard workers instead of one isolated engine "
-        "per session (default: 1, isolated)",
-    )
-    p_sv.add_argument(
         "--checkpoint-dir", metavar="DIR",
         help="enable durable sessions: clients that RESUME with a "
         "token get periodic background checkpoints here and can "
-        "reconnect after a crash without losing detection state "
-        "(incompatible with --jobs > 1)",
+        "reconnect after a crash without losing detection state",
     )
     p_sv.add_argument(
         "--checkpoint-interval", type=int, default=32, metavar="N",
@@ -345,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve sessions in sound race-prediction mode (shb): "
         "stream one report per feasibly-reorderable racing pair "
-        "instead of observed-order races (incompatible with --jobs > 1 "
-        "and --checkpoint-dir; see docs/PREDICTION.md)",
+        "instead of observed-order races (incompatible with "
+        "--checkpoint-dir; see docs/PREDICTION.md)",
     )
     p_sv.add_argument(
         "--backend", default="lattice2d", metavar="NAME",
@@ -364,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve as a location-sharded gateway over N engine worker "
         "processes (multi-node scale-out; accesses route to worker "
         "lid %% N and a killed worker is respawned with its sessions "
-        "migrated -- see docs/SCALE_OUT.md); incompatible with --jobs, "
-        "--predict, and a non-default --backend (default: 1, single "
+        "migrated -- see docs/SCALE_OUT.md); incompatible with "
+        "--predict and a non-default --backend (default: 1, single "
         "node)",
     )
     p_sv.add_argument(
@@ -548,56 +518,6 @@ def _load_batch(path: str):
     return batch_from_events(load_events(path))
 
 
-def _check_jobs(args) -> None:
-    """Shared validation for the ``--jobs`` flag on replay/stats."""
-    if args.jobs < 1:
-        raise ReproError(f"need at least one worker, got {args.jobs}")
-    if args.jobs > 1 and args.shards > 1:
-        raise ReproError(
-            "--shards and --jobs are mutually exclusive: --jobs already "
-            "partitions the shadow map across its worker processes"
-        )
-    if args.jobs > 1 and args.detector != "lattice2d":
-        raise ReproError(
-            "--jobs runs the fixed lattice2d worker kernel; drop "
-            f"--detector {args.detector} or use --jobs 1"
-        )
-    if args.jobs > 1 and getattr(args, "backend", None) not in (
-        None, "lattice2d",
-    ):
-        raise ReproError(
-            "--jobs runs the fixed lattice2d worker kernel; drop "
-            f"--backend {args.backend} or use --jobs 1"
-        )
-
-
-def _replay_parallel(args) -> int:
-    from repro.engine.parallel import ParallelShardedEngine
-    from repro.engine.tracefile import is_compressed_tracefile
-
-    with ParallelShardedEngine(args.jobs) as engine:
-        if is_compressed_tracefile(args.trace):
-            # The workers mmap raw column files; a compressed trace is
-            # expanded once in the parent and shipped whole.
-            from repro.engine.tracefile import read_trace
-
-            batch, _interner = read_trace(args.trace)
-            engine.ingest(batch)
-            feed = "decompressed, multi-process"
-        else:
-            engine.ingest_trace(args.trace)
-            feed = "mmap, multi-process"
-        races = engine.races()
-        events = engine.events_ingested
-    print(
-        f"lattice2d x{args.jobs} workers: replayed {events} events "
-        f"({feed}), {len(races)} race(s)"
-    )
-    for report in races[: args.max_races]:
-        print(f"  {report}")
-    return 1 if races else 0
-
-
 def _replay_compact(args) -> int:
     from repro.engine.ingest import BatchEngine, ShardedBatchEngine
     from repro.engine.tracefile import is_compressed_tracefile, read_trace
@@ -617,15 +537,6 @@ def _replay_compact(args) -> int:
                 f"detector; drop --detector {args.detector} or drop "
                 "--predict"
             )
-        if args.jobs > 1:
-            raise ReproError(
-                "--jobs runs the fixed lattice2d worker kernel; drop "
-                "--predict (or use --shards to partition prediction "
-                "in-process)"
-            )
-    _check_jobs(args)
-    if args.jobs > 1:
-        return _replay_parallel(args)
     if args.backend is not None and args.detector != "lattice2d":
         raise ReproError(
             "--backend picks the engine's own detector; drop "
@@ -775,27 +686,16 @@ def _stats(args) -> int:
         from repro.compress import read_tracez
 
         ctrace, interner = read_tracez(args.trace)
-        batch = ctrace.decompress() if args.jobs > 1 else None
+        batch = None
     else:
         batch, interner = _load_batch(args.trace)
     factory = DETECTOR_FACTORIES[args.detector]
     if args.shards < 1:
         raise ReproError(f"need at least one shard, got {args.shards}")
-    _check_jobs(args)
     tracer = PhaseTracer(enabled=True, registry=registry)
     previous_tracer = set_tracer(tracer)
-    parallel_engine = None
     try:
-        if args.jobs > 1:
-            from repro.engine.parallel import ParallelShardedEngine
-
-            # Whole-batch feed: one shared-memory publish, then collect
-            # merges each worker's counters into this registry.
-            engine = parallel_engine = ParallelShardedEngine(
-                args.jobs, interner=interner, registry=registry
-            )
-            engine.ingest(batch)
-        elif args.shards > 1:
+        if args.shards > 1:
             engine = ShardedBatchEngine(
                 args.shards, detector_factory=factory, interner=interner,
                 registry=registry,
@@ -823,8 +723,6 @@ def _stats(args) -> int:
         races = engine.races()
     finally:
         set_tracer(previous_tracer)
-        if parallel_engine is not None:
-            parallel_engine.close()
     if args.format == "json":
         print(to_json(registry, tracer=tracer))
     elif args.format == "prom":
@@ -853,8 +751,6 @@ def _stats(args) -> int:
 def _bench_engine(args) -> int:
     from repro.engine.benchlib import format_record, run_engine_benchmark
 
-    if args.jobs < 1:
-        raise ReproError(f"need at least one worker, got {args.jobs}")
     record = run_engine_benchmark(
         accesses=args.accesses,
         fanout=args.fanout,
@@ -863,7 +759,6 @@ def _bench_engine(args) -> int:
         shards=args.shards,
         batch_size=args.batch_size,
         repeats=args.repeats,
-        jobs=args.jobs,
         loop_fanout=args.loop_fanout,
         loop_pattern=args.loop_pattern,
     )
@@ -875,12 +770,11 @@ def _bench_engine(args) -> int:
     diff = record["differential"]
     print(
         f"batched vs per-event: {record['speedup_batched_vs_per_event']}x; "
-        f"parallel({record['jobs']} workers) vs batched: "
-        f"{record['speedup_parallel_vs_batched']}x; "
+        f"depa vs batched: {record['speedup_depa_vs_batched']}x; "
         f"differential: {diff['divergences']} divergence(s) across "
         f"{', '.join(diff['detectors'])}; sharded agrees: "
-        f"{diff['sharded_agrees']}; parallel agrees: "
-        f"{diff['parallel_agrees']}; predict sound: "
+        f"{diff['sharded_agrees']}; depa agrees: "
+        f"{diff['depa_agrees']}; predict sound: "
         f"{diff['predict_sound']}; compressed agrees: "
         f"{diff['compressed_agrees']} "
         f"({record['compression_ratio']}x smaller, "
@@ -919,7 +813,6 @@ def _serve(args) -> int:
         queue_high_water=args.queue_high_water,
         max_frame=args.max_frame,
         idle_timeout=args.idle_timeout,
-        jobs=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         predict=args.predict,
@@ -966,7 +859,7 @@ def _serve(args) -> int:
             print(
                 f"serving RPRSERVE on {config.host}:{port} "
                 f"(credit window {config.credit_window}, "
-                f"jobs {config.jobs}, backend {config.backend}"
+                f"backend {config.backend}"
                 f"{durability}{mode}); SIGTERM drains"
             )
             await server.serve_forever()
@@ -988,11 +881,6 @@ def _serve_cluster(args) -> int:
         start_metrics_http,
     )
 
-    if args.jobs > 1:
-        raise ReproError(
-            "--workers shards across processes already; it cannot be "
-            "combined with --jobs > 1"
-        )
     if args.predict:
         raise ReproError(
             "the gateway serves observed-order detection only: "
@@ -1264,11 +1152,6 @@ def _dispatch(args) -> int:
 
         if is_tracefile(args.trace):
             return _replay_compact(args)
-        if args.jobs > 1:
-            raise ReproError(
-                "--jobs needs a compact trace (record with --compact); "
-                f"{args.trace} is a JSONL trace"
-            )
         from repro.forkjoin.replay import replay_events
         from repro.trace import load_events
 

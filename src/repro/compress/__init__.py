@@ -30,11 +30,7 @@ from repro.compress.blocks import (
     CompressedTrace,
     compress,
 )
-from repro.compress.container import (
-    MappedCompressedTrace,
-    read_tracez,
-    write_tracez,
-)
+from repro.compress.container import read_tracez, write_tracez
 from repro.compress.memo import BlockMemo
 
 __all__ = [
@@ -43,6 +39,5 @@ __all__ = [
     "compress",
     "read_tracez",
     "write_tracez",
-    "MappedCompressedTrace",
     "BlockMemo",
 ]

@@ -61,7 +61,6 @@ __all__ = [
     "ZVERSION",
     "write_tracez",
     "read_tracez",
-    "MappedCompressedTrace",
 ]
 
 ZVERSION = 1
@@ -260,68 +259,3 @@ def read_tracez(
         )
     ctrace = CompressedTrace(block_width, blocks, rules)
     return ctrace, interner
-
-
-class MappedCompressedTrace:
-    """A compressed trace file opened for detection, with the same
-    surface as :class:`~repro.engine.tracefile.MappedTrace` where that
-    makes sense: ``n_events``/``len``, ``interner``, ``batch()``, and
-    context-manager close.
-
-    Compressed containers are small by construction (that is the
-    point), so unlike the raw format there is nothing to be gained by
-    keeping the file mapped -- the container is fully validated and
-    materialized into its unique blocks eagerly, and ``ctrace`` exposes
-    the compressed form for the memoized ingest path.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        with open(path, "rb") as handle:
-            self.ctrace, self.interner = read_tracez(handle)
-        self.n_events = self.ctrace.n_events
-        self.block_width = self.ctrace.block_width
-        self._closed = False
-
-    def __len__(self) -> int:
-        return self.n_events
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def batch(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> EventBatch:
-        """Materialize events ``[start, stop)`` as an
-        :class:`EventBatch` (decompresses; bounds-checked)."""
-        if stop is None:
-            stop = self.n_events
-        if not 0 <= start <= stop <= self.n_events:
-            raise TraceError(
-                f"bad trace slice [{start}:{stop}) of "
-                f"{self.n_events} events"
-            )
-        if self._closed:
-            raise TraceError(f"mapped trace {self.path!r} is closed")
-        full = self.ctrace.decompress()
-        return EventBatch(
-            full.ops[start:stop], full.a[start:stop], full.b[start:stop]
-        )
-
-    def close(self) -> None:
-        self._closed = True
-
-    def __enter__(self) -> "MappedCompressedTrace":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return (
-            f"MappedCompressedTrace({self.path!r}, "
-            f"n_events={self.n_events}, {state})"
-        )

@@ -12,9 +12,6 @@ Five pieces, layered so each is useful alone:
   instances;
 * :mod:`repro.engine.vectorized` -- the numpy segment kernel behind
   the ``depa`` backend: whole batch columns per precedence query;
-* :mod:`repro.engine.parallel` -- :class:`ParallelShardedEngine`, the
-  same location partitioning over a persistent pool of worker
-  *processes* fed through shared memory and mapped trace files;
 * :mod:`repro.engine.tracefile` -- the compact binary record/replay
   format (capture a workload once, replay it into any detector),
   with ``mmap``-backed zero-copy reads;
@@ -55,16 +52,12 @@ from repro.engine.differential import (
     DifferentialReport,
     Divergence,
     cross_check_backend,
-    cross_check_parallel,
     cross_check_sharded,
     replay_differential,
 )
 from repro.engine.ingest import BACKENDS, BatchEngine, ShardedBatchEngine
-from repro.engine.parallel import ParallelShardedEngine
 from repro.engine.tracefile import (
-    MappedTrace,
     is_tracefile,
-    map_trace,
     read_trace,
     record_trace,
     write_trace,
@@ -86,18 +79,14 @@ __all__ = [
     "BACKENDS",
     "BatchEngine",
     "ShardedBatchEngine",
-    "ParallelShardedEngine",
     "DEFAULT_DETECTORS",
     "DifferentialReport",
     "Divergence",
     "replay_differential",
     "cross_check_backend",
     "cross_check_sharded",
-    "cross_check_parallel",
     "is_tracefile",
     "read_trace",
     "record_trace",
     "write_trace",
-    "map_trace",
-    "MappedTrace",
 ]

@@ -31,21 +31,7 @@ The measured contenders, slowest to fastest:
   predict_sound``;
 * ``sharded``   -- :class:`~repro.engine.ingest.ShardedBatchEngine`
   (measures the lifecycle-replication overhead sharding pays for its
-  partitioning; it is not expected to win on one core);
-* ``parallel``  -- :class:`~repro.engine.parallel.ParallelShardedEngine`
-  with ``jobs`` worker processes over shared memory.  The pool is built
-  once and reset between repeats (resetting is bookkeeping, not
-  ingestion), and each timed run ships the whole batch in one payload
-  -- the engine's intended feed.  Its per-shard kernel drops the
-  per-event checks the parent pre-validates, which is why it can beat
-  ``batched`` even on a single core.
-* ``depa_parallel`` -- the same process pool running the array-native
-  ``depa`` kernel in every worker (``backend="depa"``): each worker
-  reconstructs the depa columns from the shared-memory payload and
-  runs the vectorized segment kernel over its sub-stream.  Timed
-  interleaved with ``depa`` so the ``speedup_depa_parallel_vs_depa``
-  ratio is drift-free; cross-checked against the serial lattice2d
-  referee every run (``differential.depa_parallel_agrees``).
+  partitioning; it is not expected to win on one core).
 
 Every run also differentially cross-checks verdicts across the paths
 (and across the lattice2d/fasttrack/spbags trio) before reporting, so
@@ -60,7 +46,7 @@ import io
 import os
 import statistics
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.compress import compress as compress_trace, write_tracez
 from repro.core.detector import RaceDetector2D
@@ -69,13 +55,11 @@ from repro.engine.differential import (
     DEFAULT_DETECTORS,
     cross_check_backend,
     cross_check_compressed,
-    cross_check_parallel,
     cross_check_predict,
     cross_check_sharded,
     replay_differential,
 )
 from repro.engine.ingest import BatchEngine, ShardedBatchEngine
-from repro.engine.parallel import ParallelShardedEngine
 from repro.engine.tracefile import write_trace
 from repro.obs.registry import NULL_REGISTRY
 from repro.events import (
@@ -164,20 +148,11 @@ def drive_per_event(events: Sequence[Event], detector: Any) -> None:
             detector.on_step(ev.task)
 
 
-def _best_of(
-    repeats: int,
-    fn: Callable[[], Any],
-    pre: Optional[Callable[[], Any]] = None,
-) -> float:
+def _best_of(repeats: int, fn: Callable[[], Any]) -> float:
     """Min wall time over ``repeats`` timed runs, after one untimed
     warm-up run and with the cyclic GC paused (timeit's discipline --
     a collection triggered mid-run would bill one contender for
-    whatever garbage the process accumulated beforehand).  ``pre`` runs
-    untimed before every run -- the reset hook for contenders that
-    reuse state across repeats (the parallel engine's persistent
-    pool)."""
-    if pre is not None:
-        pre()
+    whatever garbage the process accumulated beforehand)."""
     fn()
     was_enabled = gc.isenabled()
     gc.collect()
@@ -185,8 +160,6 @@ def _best_of(
     try:
         best = float("inf")
         for _ in range(max(1, repeats)):
-            if pre is not None:
-                pre()
             start = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - start)
@@ -245,7 +218,6 @@ def run_engine_benchmark(
     shards: int = 4,
     batch_size: int = 8192,
     repeats: int = 3,
-    jobs: int = 4,
     loop_fanout: int = 4,
     loop_pattern: int = 64,
     detectors: Sequence[str] = DEFAULT_DETECTORS,
@@ -254,7 +226,7 @@ def run_engine_benchmark(
 
     The returned dict is what ``BENCH_engine.json`` stores: workload
     shape, per-path wall seconds and events/sec, the batched-over-
-    per-event and parallel-over-batched speedups, race counts, and the
+    per-event and depa-over-batched speedups, race counts, and the
     differential verdicts.
     """
     body = build_workload(
@@ -332,40 +304,6 @@ def run_engine_benchmark(
         "sharded": _best_of(repeats, run_sharded),
     }
 
-    # The parallel engine keeps a persistent worker pool, so the pool
-    # is built (and torn down) outside the timed region and reset
-    # between repeats.  It ingests the whole batch in one payload: one
-    # shared-memory publish per run is the engine's intended feed, and
-    # slicing it into per-8192 round trips would bench the IPC, not the
-    # kernel.  Metrics stay ON (default registry), matching the batched
-    # headline; the parallel engine's counters are per-batch, not
-    # per-event, so they cost one increment per run.
-    with ParallelShardedEngine(jobs, interner=interner) as par_engine:
-
-        def run_parallel():
-            par_engine.ingest(batch)
-            return par_engine.races()
-
-        # Repeats are nearly free once the pool exists (reset is one
-        # queue round trip), so take the min over a few extra samples:
-        # the contender's number should reflect the kernel, not one
-        # noisy scheduling of 5 processes on a shared box.
-        timings["parallel"] = _best_of(
-            max(repeats, 5), run_parallel, pre=par_engine.reset
-        )
-    # The depa-native pool: same discipline (persistent pool, reset
-    # between repeats, whole batch in one payload).
-    with ParallelShardedEngine(
-        jobs, interner=interner, backend="depa"
-    ) as depa_pool:
-
-        def run_depa_parallel():
-            depa_pool.ingest(batch)
-            return depa_pool.races()
-
-        timings["depa_parallel"] = _best_of(
-            max(repeats, 5), run_depa_parallel, pre=depa_pool.reset
-        )
     n = len(batch)
 
     # -- the compressed path ------------------------------------------------
@@ -440,12 +378,6 @@ def run_engine_benchmark(
     shard_agree, _, sharded_races = cross_check_sharded(
         batch, interner, num_shards=shards, batch_size=batch_size
     )
-    parallel_agree, _, parallel_races = cross_check_parallel(
-        batch, interner, num_workers=jobs
-    )
-    depa_par_agree, _, depa_par_races = cross_check_parallel(
-        batch, interner, num_workers=jobs, backend="depa"
-    )
     predict_sound, predicted_races, _ = cross_check_predict(
         batch, interner, batch_size=batch_size
     )
@@ -465,7 +397,6 @@ def run_engine_benchmark(
         },
         "batch_size": batch_size,
         "shards": shards,
-        "jobs": jobs,
         "cpu_count": os.cpu_count(),
         "workload_loops": {
             "generator": "racegen.loop_program",
@@ -509,16 +440,10 @@ def run_engine_benchmark(
         "speedup_batched_vs_replay": round(
             timings["replay"] / timings["batched"], 3
         ),
-        "speedup_parallel_vs_batched": round(
-            timings["batched"] / timings["parallel"], 3
-        ),
         "speedup_depa_vs_batched": round(
             timings["batched"] / timings["depa"], 3
         ),
         "speedup_depa_vs_batched_median": round(depa_ratio_median, 3),
-        "speedup_depa_parallel_vs_depa": round(
-            timings["depa"] / timings["depa_parallel"], 3
-        ),
         # How much the per-batch counters cost when metrics are live,
         # and what a disabled (null) registry costs relative to that.
         # Both engines run the same kernels; the ratio should hug 1.0.
@@ -533,8 +458,6 @@ def run_engine_benchmark(
             "depa": len(depa_races),
             "predict": len(predicted_races),
             "sharded": len(sharded_races),
-            "parallel": len(parallel_races),
-            "depa_parallel": len(depa_par_races),
             "compressed": len(compressed_races),
         },
         "differential": {
@@ -543,8 +466,6 @@ def run_engine_benchmark(
             "divergences": len(diff.divergences),
             "depa_agrees": depa_agree,
             "sharded_agrees": shard_agree,
-            "parallel_agrees": parallel_agree,
-            "depa_parallel_agrees": depa_par_agree,
             "predict_sound": predict_sound,
             "compressed_agrees": compressed_agrees,
         },
@@ -559,15 +480,11 @@ def _versions() -> Dict[str, Any]:
     them)."""
     import platform
 
-    try:
-        import numpy
+    import numpy
 
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is baked in
-        numpy_version = None
     return {
         "python": platform.python_version(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
     }
 
 

@@ -18,10 +18,6 @@ Two comparisons are provided:
   reference detector, compared on the multiset of flagged accesses
   (per-shard streams renumber ``op_index``, so positions are compared
   by ``(task, loc, kind)``).
-* :func:`cross_check_parallel` -- the multi-process engine vs the same
-  unsharded reference, on the race multiset *and* the per-shard routing
-  counters (the parent's routing decisions vs what each worker's kernel
-  actually consumed).
 * :func:`cross_check_predict` -- the sound-prediction engine
   (``BatchEngine(predict=True)``) vs the observed-order backends.
   Prediction enumerates racing *pairs* across feasible reorderings, so
@@ -60,7 +56,6 @@ __all__ = [
     "DifferentialReport",
     "replay_differential",
     "cross_check_sharded",
-    "cross_check_parallel",
     "cross_check_backend",
     "cross_check_predict",
     "cross_check_compressed",
@@ -393,45 +388,3 @@ def cross_check_compressed(
         agree = False
     return agree, ref_races, by_path
 
-
-def cross_check_parallel(
-    batch: EventBatch,
-    interner: Optional[LocationInterner] = None,
-    *,
-    num_workers: int = 4,
-    batch_size: Optional[int] = None,
-    backend: str = "lattice2d",
-) -> Tuple[bool, List[Any], List[Any]]:
-    """Multi-process engine vs the serial fast path on one trace.
-
-    Replays ``batch`` through a plain :class:`BatchEngine` and a
-    :class:`~repro.engine.parallel.ParallelShardedEngine` and demands
-    both (a) the same multiset of flagged accesses and (b) exact
-    agreement between the parent's per-shard routing counters and the
-    access counts each worker's kernel reports having consumed.
-    ``backend`` selects the worker kernel (``"lattice2d"`` or
-    ``"depa"``); the reference stays the serial lattice2d engine either
-    way, so a depa pool is checked against the exact union-find answer.
-    Returns ``(agree, reference_races, parallel_races)``.
-    """
-    from repro.engine.parallel import ParallelShardedEngine
-
-    ref = BatchEngine(interner=interner)
-    with ParallelShardedEngine(
-        num_workers, interner=interner, backend=backend
-    ) as par:
-        if batch_size is None:
-            ref.ingest(batch)
-            par.ingest(batch)
-        else:
-            ref.ingest_all(batch.slices(batch_size))
-            par.ingest_all(batch.slices(batch_size))
-        ref_races = ref.races()
-        par_races = par.races()
-        routing_agrees = (
-            par.routing_counts() == par.worker_access_counts()
-        )
-    agree = routing_agrees and (
-        _flag_multiset(ref_races) == _flag_multiset(par_races)
-    )
-    return agree, ref_races, par_races

@@ -35,10 +35,7 @@ from array import array
 from dataclasses import replace
 from typing import Any, Callable, Iterable, List, Optional
 
-try:  # numpy accelerates the shard split; everything degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.core.detector import RaceDetector2D
 from repro.core.reports import AccessKind, RaceReport
@@ -627,14 +624,14 @@ def split_batch(batch: EventBatch, n_shards: int) -> List[EventBatch]:
 
     The shard-index column is computed once, vectorized, and each
     sub-batch is materialized with bulk ``array`` copies -- no
-    per-event Python dispatch.  Falls back to a plain loop for tiny
-    batches or when numpy is unavailable.  This is both the in-process
+    per-event Python dispatch.  Tiny batches, where the array overhead
+    loses, take a plain loop instead.  This is both the in-process
     routing step of :class:`ShardedBatchEngine` and the network-level
     routing step of the :mod:`repro.serve.cluster` gateway.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be positive, got {n_shards}")
-    if _np is None or len(batch) < 128:
+    if len(batch) < 128:
         return _split_batch_py(batch, n_shards)
     ops_np = _np.frombuffer(batch.ops, dtype=_np.uint8)
     a_np = _np.frombuffer(batch.a, dtype=_np.int32)
@@ -657,7 +654,7 @@ def split_batch(batch: EventBatch, n_shards: int) -> List[EventBatch]:
 
 
 def _split_batch_py(batch: EventBatch, n_shards: int) -> List[EventBatch]:
-    """Per-event fallback split (small batches, no numpy)."""
+    """Per-event split for small batches."""
     subs = [EventBatch() for _ in range(n_shards)]
     appends = [
         (sub.ops.append, sub.a.append, sub.b.append) for sub in subs
@@ -805,10 +802,6 @@ class ShardedBatchEngine:
         :func:`split_batch` -- the same routine the cluster gateway
         uses to route column slices over the network)."""
         return split_batch(batch, self.num_shards)
-
-    def _split_py(self, batch: EventBatch) -> List[EventBatch]:
-        """Per-event fallback split (small batches, no numpy)."""
-        return _split_batch_py(batch, self.num_shards)
 
     def ingest(self, batch: EventBatch) -> int:
         """Route one batch: accesses to their shard, lifecycle to all."""

@@ -28,12 +28,7 @@ Reading is zero-copy-friendly: :func:`read_trace` ``mmap``\\ s real
 files, so each column is materialized with exactly one copy (straight
 from the page cache into its ``array``), and a foreign-endian payload
 is ``byteswap()``\\ ed *in place* on that single materialized array --
-never via an intermediate bytes object.  :func:`map_trace` goes one
-step further and hands out a :class:`MappedTrace`: the column
-offset/length layout plus zero-copy ``memoryview`` slices over the
-mapping, which is what the parallel engine ships to its shard workers
-(each worker re-maps the file and reads only the slices it owns,
-through the shared page cache, with no parent-side materialization).
+never via an intermediate bytes object.
 """
 
 from __future__ import annotations
@@ -58,8 +53,6 @@ __all__ = [
     "record_trace",
     "is_tracefile",
     "is_compressed_tracefile",
-    "map_trace",
-    "MappedTrace",
 ]
 
 MAGIC = b"RPR2TRC\x01"
@@ -289,166 +282,6 @@ def _read_trace_stream(
         av.byteswap()
         bv.byteswap()
     return EventBatch(ops, av, bv), interner
-
-
-class MappedTrace:
-    """A trace file mapped read-only, exposing its column layout.
-
-    Instead of materializing arrays, this keeps the file ``mmap``\\ ed
-    and hands out zero-copy :func:`memoryview` slices over the raw
-    columns.  The parallel engine uses the offset attributes to let
-    each shard worker re-map the file itself and read only the event
-    range it owns -- through the shared page cache, with nothing
-    materialized in the parent.
-
-    Attributes
-    ----------
-    path:         the mapped file
-    n_events:     events in the trace (also ``len(self)``)
-    endian:       payload byte-order flag (0=little, 1=big)
-    native:       whether the payload matches this host's byte order
-    interner:     decoded location table
-    ops_offset / a_offset / b_offset:
-                  absolute byte offsets of the three columns
-
-    Use as a context manager, or :meth:`close` explicitly; column
-    views must be released before closing.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._fp: Optional[IO[bytes]] = open(path, "rb")
-        try:
-            self._mm: Optional[_mmap.mmap] = _mmap.mmap(
-                self._fp.fileno(), 0, access=_mmap.ACCESS_READ
-            )
-        except ValueError:
-            self._fp.close()
-            self._fp = None
-            self._mm = None
-            raise TraceError("truncated engine trace header") from None
-        try:
-            view = memoryview(self._mm)
-            try:
-                self.endian, self.n_events, table_len = _check_header(
-                    bytes(view[: _HEADER.size])
-                )
-                _check_bound(
-                    self.n_events, table_len, len(self._mm) - _HEADER.size
-                )
-                self.ops_offset = _HEADER.size + table_len
-                self.a_offset = self.ops_offset + self.n_events * _OPS_SIZE
-                self.b_offset = self.a_offset + self.n_events * _INT_SIZE
-                self.interner = _decode_table(
-                    bytes(view[_HEADER.size : self.ops_offset])
-                )
-            finally:
-                view.release()
-        except BaseException:
-            self.close()
-            raise
-        self.native = self.endian == _native_flag()
-
-    def __len__(self) -> int:
-        return self.n_events
-
-    @property
-    def closed(self) -> bool:
-        return self._mm is None
-
-    def columns(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> Tuple[memoryview, memoryview, memoryview]:
-        """Zero-copy views over events ``[start, stop)`` of each column
-        (ops, a, b).  Release them before :meth:`close`."""
-        if stop is None:
-            stop = self.n_events
-        if not 0 <= start <= stop <= self.n_events:
-            raise TraceError(
-                f"bad trace slice [{start}:{stop}) of "
-                f"{self.n_events} events"
-            )
-        if self._mm is None:
-            raise TraceError(f"mapped trace {self.path!r} is closed")
-        mv = memoryview(self._mm)
-        try:
-            # Slices take their own buffer on the mmap, so the parent
-            # view can be released immediately.
-            return (
-                mv[self.ops_offset + start : self.ops_offset + stop],
-                mv[
-                    self.a_offset + start * _INT_SIZE
-                    : self.a_offset + stop * _INT_SIZE
-                ],
-                mv[
-                    self.b_offset + start * _INT_SIZE
-                    : self.b_offset + stop * _INT_SIZE
-                ],
-            )
-        finally:
-            mv.release()
-
-    def batch(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> EventBatch:
-        """Materialize events ``[start, stop)`` as an
-        :class:`EventBatch` (one copy per column, byteswapped in place
-        when the payload is foreign-endian)."""
-        ops_v, a_v, b_v = self.columns(start, stop)
-        try:
-            ops = array("B")
-            av = array("i")
-            bv = array("i")
-            ops.frombytes(ops_v)
-            av.frombytes(a_v)
-            bv.frombytes(b_v)
-        finally:
-            ops_v.release()
-            a_v.release()
-            b_v.release()
-        if not self.native:
-            av.byteswap()
-            bv.byteswap()
-        return EventBatch(ops, av, bv)
-
-    def close(self) -> None:
-        if self._mm is not None:
-            self._mm.close()
-            self._mm = None
-        if self._fp is not None:
-            self._fp.close()
-            self._fp = None
-
-    def __enter__(self) -> "MappedTrace":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else "open"
-        return (
-            f"MappedTrace({self.path!r}, n_events={self.n_events}, "
-            f"{state})"
-        )
-
-
-def map_trace(path: str):
-    """Map a trace file without materializing its raw columns.
-
-    The same magic-sniffing dispatch as :func:`read_trace`: raw
-    ``RPR2TRC`` files yield a :class:`MappedTrace`, compressed
-    ``RPR2TRZ`` files a
-    :class:`~repro.compress.container.MappedCompressedTrace` (same
-    ``n_events`` / ``interner`` / ``batch()`` / context-manager
-    surface), and unknown magic raises
-    :class:`~repro.errors.TraceError` via the header check."""
-    if is_compressed_tracefile(path):
-        from repro.compress.container import MappedCompressedTrace
-
-        return MappedCompressedTrace(path)
-    return MappedTrace(path)
 
 
 def record_trace(body, *args, path: Union[str, IO[bytes]]) -> int:

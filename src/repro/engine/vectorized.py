@@ -54,17 +54,13 @@ a held view would make ``array`` refuse to grow.  Cells are pre-grown
 once per batch (to the batch's largest location id), so the cell views
 stay valid across every segment and scalar span of the call.
 
-Without numpy, or for tiny batches where the array overhead loses,
-everything falls back to the detector's scalar methods with identical
-results.
+For tiny batches, where the array overhead loses, everything goes
+through the detector's scalar methods with identical results.
 """
 
 from __future__ import annotations
 
-try:  # optional: the scalar fallback keeps the backend available
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.core.reports import AccessKind, RaceReport
 from repro.detectors.depa import DePaDetector
@@ -79,9 +75,7 @@ from repro.engine.batch import (
 )
 from repro.errors import ProgramError
 
-__all__ = ["ingest_depa", "HAVE_NUMPY"]
-
-HAVE_NUMPY = _np is not None
+__all__ = ["ingest_depa"]
 
 #: segments shorter than this go through the scalar methods -- numpy
 #: call overhead dominates below a few dozen events.
@@ -370,7 +364,7 @@ def ingest_depa(det: DePaDetector, batch: EventBatch) -> str:
     """Ingest one batch; returns the dispatch path actually taken
     (``"vectorized"`` or ``"generic"`` for the scalar fallback)."""
     n = len(batch)
-    if _np is None or n < _SCALAR_CUTOFF:
+    if n < _SCALAR_CUTOFF:
         _scalar_span(det, batch, 0, n)
         return "generic"
     ops = _np.frombuffer(batch.ops, dtype=_np.uint8)

@@ -109,7 +109,7 @@ class RaceClient:
     :class:`~repro.compress.CompressedTrace` frames the server ingests
     via its memoized kernel without expanding.  Like a requested
     backend, the feature is a requirement -- a server that cannot
-    grant it (pre-v4, shared pool, prediction) fails the connect with
+    grant it (pre-v4, prediction) fails the connect with
     a typed error rather than silently receiving raw batches.
 
     Passing ``session="some-token"`` makes the session *durable*

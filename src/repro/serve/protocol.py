@@ -81,8 +81,7 @@ incompatible with its configuration) is refused with a typed
 Compression negotiation (v4): a v4 client HELLO carries u32 feature
 flags; :data:`FLAG_CBATCH` requests permission to send CBATCH frames.
 The server's v4 reply echoes the bit only if it can honour it (a
-shared multi-process pool or a prediction server cannot ingest
-compressed traces and answers with a typed ``ERR_COMPRESS`` ERROR
+prediction server cannot ingest compressed traces and answers with a typed ``ERR_COMPRESS`` ERROR
 frame instead -- a requested feature is negotiated exactly like a
 requested backend, never silently dropped).  A v2/v3 HELLO has no
 flags field and a v4 reply to it carries none, so the exchange stays
@@ -130,10 +129,7 @@ import zlib
 from array import array
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-try:  # numpy vectorizes column validation; everything degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.core.reports import AccessKind, RaceReport
 from repro.engine.batch import OP_READ, OP_WRITE, EventBatch
@@ -796,50 +792,25 @@ def validate_batch_columns(
     table) -- the structural stream itself (fork ids, use-after-halt,
     join discipline) is validated by the engine kernels, which raise
     :class:`~repro.errors.DetectorError` exactly as they do for local
-    ingestion.  Vectorized under numpy; a bulk ``min``/``max`` scan
-    otherwise.
+    ingestion.  Vectorized under numpy.
     """
-    n = len(batch)
-    if n == 0:
+    if len(batch) == 0:
         return
-    if _np is not None:
-        ops_np = _np.frombuffer(batch.ops, dtype=_np.uint8)
-        b_np = _np.frombuffer(batch.b, dtype=_np.int32)
-        if ops_np.max() > OP_WRITE:
+    ops_np = _np.frombuffer(batch.ops, dtype=_np.uint8)
+    b_np = _np.frombuffer(batch.b, dtype=_np.int32)
+    if ops_np.max() > OP_WRITE:
+        raise ProtocolError(f"unknown opcode {int(ops_np.max())} in BATCH")
+    access = ops_np >= OP_READ  # OP_READ or OP_WRITE
+    if access.any():
+        lids = b_np[access]
+        lo = int(lids.min())
+        if lo < 0:
+            raise ProtocolError(f"negative location id {lo} in BATCH access")
+        if table_size is not None and int(lids.max()) >= table_size:
             raise ProtocolError(
-                f"unknown opcode {int(ops_np.max())} in BATCH"
+                f"access names location id {int(lids.max())} but "
+                f"the session table has {table_size} entries"
             )
-        access = ops_np >= OP_READ  # OP_READ or OP_WRITE
-        if access.any():
-            lids = b_np[access]
-            lo = int(lids.min())
-            if lo < 0:
-                raise ProtocolError(
-                    f"negative location id {lo} in BATCH access"
-                )
-            if table_size is not None and int(lids.max()) >= table_size:
-                raise ProtocolError(
-                    f"access names location id {int(lids.max())} but "
-                    f"the session table has {table_size} entries"
-                )
-        return
-    if max(batch.ops) > OP_WRITE:
-        raise ProtocolError(
-            f"unknown opcode {max(batch.ops)} in BATCH"
-        )
-    # Structural events carry b = -1 (or a fork child id); only access
-    # slots are constrained, so the cheap whole-column bound uses -1 as
-    # the structural floor.
-    if min(batch.b) < -1:
-        raise ProtocolError("negative location id in BATCH access")
-    if table_size is not None:
-        read_op, write_op = OP_READ, OP_WRITE
-        for op, b in zip(batch.ops, batch.b):
-            if (op == read_op or op == write_op) and b >= table_size:
-                raise ProtocolError(
-                    f"access names location id {b} but the session "
-                    f"table has {table_size} entries"
-                )
 
 
 # -- CREDIT / ERROR / BYE -----------------------------------------------------

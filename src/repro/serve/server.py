@@ -20,10 +20,8 @@ protocol (:mod:`repro.serve.protocol`).  Each accepted connection is a
   (:meth:`~repro.engine.ingest.BatchEngine.ingest_compressed`) without
   ever being expanded;
 * the worker feeds each batch to the session's engine -- an isolated
-  :class:`~repro.engine.ingest.BatchEngine` per session by default, or
-  one *shared* :class:`~repro.engine.parallel.ParallelShardedEngine`
-  when the server runs with ``jobs > 1`` -- and streams any newly
-  detected races back as RACES frames;
+  :class:`~repro.engine.ingest.BatchEngine` per session -- and streams
+  any newly detected races back as RACES frames;
 * after each processed batch the server returns credit, **unless** the
   session's queue sits at or above its high-water mark: the grant is
   withheld (a *credit stall*) until the queue drains, so a client can
@@ -60,7 +58,6 @@ import os
 import signal
 import threading
 import time
-from collections import Counter as _Counter
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import count
@@ -94,18 +91,15 @@ class ServeConfig:
     ``credit_window`` bounds the BATCH frames a session may have
     outstanding (and therefore the server's queue growth);
     ``queue_high_water`` is the depth at which credit grants are
-    withheld until the ingest worker catches up.  ``jobs > 1``
-    replaces the per-session engines with one shared multi-process
-    :class:`~repro.engine.parallel.ParallelShardedEngine` (see
-    ``docs/SERVING.md`` for when that trade is right).
+    withheld until the ingest worker catches up.  Multi-process
+    detection is the gateway's job (:mod:`repro.serve.cluster`, the
+    CLI's ``serve --workers``), not this server's.
 
     ``checkpoint_dir`` turns on session durability: a session that
     opens with a RESUME token gets a periodic background checkpoint
     (every ``checkpoint_interval`` applied batches, plus one at
     teardown), each acknowledged to the client with an ACK frame so it
-    can trim its replay buffer.  Durable sessions are per-session
-    engines only -- combining ``checkpoint_dir`` with ``jobs > 1`` is
-    rejected at construction.
+    can trim its replay buffer.
 
     ``predict`` switches every session engine into sound
     race-*prediction* mode (``BatchEngine(predict=True)``): clients
@@ -113,8 +107,7 @@ class ServeConfig:
     instead of one per observed-order flagged access (see
     ``docs/PREDICTION.md``).  Prediction is per-session only, and the
     checkpoint format captures the union-find engine's state, so
-    ``predict`` is rejected in combination with ``jobs > 1`` or
-    ``checkpoint_dir``.
+    ``predict`` is rejected in combination with ``checkpoint_dir``.
 
     ``backend`` names the engine backend sessions get by default (one
     of :data:`~repro.engine.ingest.BACKENDS`); a v3 client may request
@@ -133,7 +126,6 @@ class ServeConfig:
     idle_timeout: float = 30.0
     hello_timeout: float = 10.0
     drain_timeout: float = 10.0
-    jobs: int = 1
     checkpoint_dir: Optional[str] = None
     checkpoint_interval: int = 32  #: applied batches between checkpoints
     predict: bool = False  #: serve shb prediction instead of observed races
@@ -271,8 +263,6 @@ class _SessionEngine:
     raises after that.
     """
 
-    shared = False
-
     def __init__(
         self,
         registry: MetricsRegistry,
@@ -358,94 +348,6 @@ class _SessionEngine:
         self._engine = None
 
 
-class _SharedParallelEngine:
-    """The ``--jobs`` mode: every session feeds one multi-process
-    engine (single-tenant aggregate detection; races detected for any
-    session's batch are streamed to the session that sent it).
-
-    Ingestion is serialised under a thread lock -- the underlying
-    engine is not concurrency-safe -- and new races are recovered as a
-    multiset difference because the shard-ordered merge interleaves
-    fresh reports with old ones.
-    """
-
-    shared = True
-
-    def __init__(
-        self,
-        jobs: int,
-        registry: MetricsRegistry,
-        backend: str = "lattice2d",
-    ) -> None:
-        from repro.engine.parallel import ParallelShardedEngine
-
-        self._engine = ParallelShardedEngine(
-            jobs, registry=registry, backend=backend
-        )
-        self._lock = threading.Lock()
-        self._seen: _Counter = _Counter()
-        self._events = 0
-        self._races = 0
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def session_view(self) -> "_SharedEngineView":
-        return _SharedEngineView(self)
-
-    def ingest(self, batch: EventBatch) -> List:
-        with self._lock:
-            if self._closed:
-                raise ServeError("shared engine is closed")
-            self._engine.ingest(batch)
-            # peek_races() keeps the run open (no collect); the delta is
-            # a multiset difference because the shard-ordered merge
-            # interleaves fresh reports with earlier ones.
-            now = _Counter(self._engine.peek_races())
-            fresh = now - self._seen
-            self._seen = now
-            self._events += len(batch)
-            new = list(fresh.elements())
-            self._races += len(new)
-            return new
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self._closed = True
-                self._engine.close()
-
-
-class _SharedEngineView:
-    """Per-session facade over the shared engine: tracks this session's
-    own event/race totals for its BYE summary, while ``close()`` only
-    detaches (the pool outlives sessions)."""
-
-    shared = True
-
-    def __init__(self, owner: _SharedParallelEngine) -> None:
-        self._owner: Optional[_SharedParallelEngine] = owner
-        self.events_ingested = 0
-        self.races_reported = 0
-
-    @property
-    def closed(self) -> bool:
-        return self._owner is None
-
-    def ingest(self, batch: EventBatch) -> List:
-        if self._owner is None:
-            raise ServeError("session engine is closed")
-        new = self._owner.ingest(batch)
-        self.events_ingested += len(batch)
-        self.races_reported += len(new)
-        return new
-
-    def close(self) -> None:
-        self._owner = None
-
-
 class _Session:
     """Book-keeping for one live connection."""
 
@@ -515,24 +417,10 @@ class RaceServer:
                 f"credit window must be positive, got "
                 f"{self.config.credit_window}"
             )
-        if self.config.jobs < 1:
-            raise ServeError(
-                f"need at least one job, got {self.config.jobs}"
-            )
         if self.config.checkpoint_interval < 1:
             raise ServeError(
                 f"checkpoint interval must be positive, got "
                 f"{self.config.checkpoint_interval}"
-            )
-        if self.config.checkpoint_dir is not None and self.config.jobs > 1:
-            raise ServeError(
-                "checkpointing requires per-session engines: "
-                "checkpoint_dir cannot be combined with jobs > 1"
-            )
-        if self.config.predict and self.config.jobs > 1:
-            raise ServeError(
-                "prediction runs per-session engines: predict cannot "
-                "be combined with jobs > 1"
             )
         if self.config.predict and self.config.checkpoint_dir is not None:
             raise ServeError(
@@ -564,7 +452,6 @@ class RaceServer:
         self._sessions: Dict[int, _Session] = {}
         self._handlers: set = set()
         self._ids = count(1)
-        self._shared_engine: Optional[_SharedParallelEngine] = None
         self._closing = False
         self._closed_event: Optional[asyncio.Event] = None
         self.port: Optional[int] = None
@@ -578,19 +465,9 @@ class RaceServer:
         if self.config.checkpoint_dir is not None:
             os.makedirs(self.config.checkpoint_dir, exist_ok=True)
         self._closed_event = asyncio.Event()
-        if self.config.jobs > 1:
-            self._shared_engine = _SharedParallelEngine(
-                self.config.jobs, self.registry, self.config.backend
-            )
-        try:
-            self._server = await asyncio.start_server(
-                self._handle, self.config.host, self.config.port
-            )
-        except OSError:
-            if self._shared_engine is not None:
-                self._shared_engine.close()
-                self._shared_engine = None
-            raise
+        self._server = await asyncio.start_server(
+            self._handle, self.config.host, self.config.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
@@ -627,9 +504,6 @@ class RaceServer:
                 task.cancel()
             if pending:
                 await asyncio.wait(pending)
-        if self._shared_engine is not None:
-            self._shared_engine.close()
-            self._shared_engine = None
         if self._closed_event is not None:
             self._closed_event.set()
 
@@ -679,7 +553,11 @@ class RaceServer:
                 return
             if not await self._handshake(session, reader):
                 return
-            session.engine = self._make_engine(session.backend)
+            session.engine = _SessionEngine(
+                self.registry,
+                predict=self.config.predict,
+                backend=session.backend,
+            )
             session.credits = self.config.credit_window
             self._m.credit_outstanding.inc(session.credits)
             consumer = asyncio.ensure_future(self._consume(session))
@@ -719,15 +597,6 @@ class RaceServer:
                 pass
             if task is not None:
                 self._handlers.discard(task)
-
-    def _make_engine(self, backend: str):
-        if self._shared_engine is not None:
-            # The handshake refused any request that disagrees with the
-            # shared pool's backend, so the view always matches.
-            return self._shared_engine.session_view()
-        return _SessionEngine(
-            self.registry, predict=self.config.predict, backend=backend
-        )
 
     # -- durability ----------------------------------------------------------
 
@@ -833,14 +702,6 @@ class RaceServer:
                 f"expected one of {BACKENDS}",
             )
             return False
-        if self._shared_engine is not None and backend != self.config.backend:
-            await self._send_error(
-                session, wire.ERR_BACKEND,
-                f"this server runs one shared {self.config.backend!r} "
-                f"pool (jobs > 1); it cannot give this session a "
-                f"{backend!r} engine",
-            )
-            return False
         if self.config.predict and backend != "lattice2d":
             await self._send_error(
                 session, wire.ERR_BACKEND,
@@ -852,14 +713,6 @@ class RaceServer:
             # Compression is negotiated exactly like a backend: a
             # request the server cannot honour is a typed refusal,
             # never a silent downgrade the client discovers mid-stream.
-            if self._shared_engine is not None:
-                await self._send_error(
-                    session, wire.ERR_COMPRESS,
-                    "this server runs one shared multi-process pool "
-                    "(jobs > 1); compressed ingestion requires "
-                    "per-session engines",
-                )
-                return False
             if self.config.predict:
                 await self._send_error(
                     session, wire.ERR_COMPRESS,

@@ -4,7 +4,8 @@ For shard counts 1, 2, 3 and 8 the sharded engine must produce exactly
 the race reports and shadow occupancy of the unsharded engine on the
 same trace, and its routing counters must account for every ingested
 event exactly once (accesses against their owner shard, replicated
-lifecycle events once).
+lifecycle events once).  Random spawn-sync programs ride the same
+check as a property sweep, under both the lattice2d and depa backends.
 """
 
 from __future__ import annotations
@@ -12,12 +13,18 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.batch import BatchBuilder
 from repro.engine.ingest import BatchEngine, ShardedBatchEngine
 from repro.forkjoin.interpreter import run
 from repro.obs.registry import MetricsRegistry
 from repro.workloads.racegen import bulk_access_program
+from tests.engine.test_property_differential import (
+    _cilk_program,
+    spawn_sync_cases,
+)
 
 pytestmark = pytest.mark.engine
 
@@ -94,3 +101,32 @@ def test_batch_size_does_not_matter(shards, reference):
     assert _flag_multiset(one_shot.races()) == _flag_multiset(
         sliced.races()
     ) == _flag_multiset(ref.races())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=spawn_sync_cases(max_leaves=8),
+    shards=st.sampled_from(SHARD_COUNTS),
+    backend=st.sampled_from(("lattice2d", "depa")),
+    slice_size=st.sampled_from((None, 5)),
+)
+def test_random_spawn_sync_programs(case, shards, backend, slice_size):
+    """Random spawn-sync programs as one more input: whole or sliced
+    into odd payloads, under either backend, the sharded engine flags
+    exactly the accesses the serial lattice2d engine flags."""
+    tree, plan = case
+    builder = BatchBuilder()
+    run(_cilk_program(tree, plan), observers=[builder])
+    batch = builder.batch
+    ref = BatchEngine(registry=MetricsRegistry())
+    ref.ingest(batch)
+    engine = ShardedBatchEngine(
+        shards, backend=backend, registry=MetricsRegistry()
+    )
+    if slice_size is None:
+        engine.ingest(batch)
+    else:
+        engine.ingest_all(batch.slices(slice_size))
+    races = engine.races()
+    assert _flag_multiset(races) == _flag_multiset(ref.races())
+    assert len(races) == len(ref.races())

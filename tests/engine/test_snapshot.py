@@ -23,7 +23,6 @@ from repro.engine import snapshot as snap
 from repro.engine.benchlib import build_workload, capture
 from repro.engine.faults import corrupt_flip, corrupt_truncate
 from repro.engine.ingest import BatchEngine
-from repro.engine.parallel import ParallelShardedEngine
 from repro.errors import CheckpointError
 
 pytestmark = pytest.mark.engine
@@ -177,43 +176,3 @@ class TestCorruptionRefusal:
         corrupt_flip(path, rng)
         with pytest.raises(CheckpointError):
             snap.load_checkpoint(path)
-
-
-class TestParallelCheckpoint:
-    def test_parallel_round_trip(self, workload, tmp_path):
-        batch, interner = workload
-        pieces = list(batch.slices(4096))
-        cut = len(pieces) // 2
-        ckdir = str(tmp_path / "pool")
-
-        with ParallelShardedEngine(2, interner=interner) as engine:
-            engine.ingest_all(pieces[:cut])
-            manifest = engine.save_checkpoint(ckdir, meta={"cut": cut})
-            assert manifest["num_workers"] == 2
-            engine.ingest_all(pieces[cut:])
-            expected = sorted(
-                (r.task, r.loc, r.kind.value) for r in engine.races()
-            )
-
-        with ParallelShardedEngine.restore(ckdir) as restored:
-            restored.ingest_all(pieces[cut:])
-            got = sorted(
-                (r.task, r.loc, r.kind.value) for r in restored.races()
-            )
-        assert got == expected and len(got) > 0
-
-    def test_parallel_segment_corruption_rejected(self, workload, tmp_path):
-        batch, interner = workload
-        ckdir = str(tmp_path / "pool")
-        with ParallelShardedEngine(2, interner=interner) as engine:
-            engine.ingest(batch)
-            engine.save_checkpoint(ckdir)
-        victim = os.path.join(ckdir, "shard-0.ckpt")
-        assert os.path.exists(victim)
-        corrupt_flip(victim, random.Random(11))
-        with pytest.raises(CheckpointError):
-            ParallelShardedEngine.restore(ckdir)
-
-    def test_parallel_missing_manifest_rejected(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            ParallelShardedEngine.restore(str(tmp_path / "nothing"))

@@ -8,7 +8,6 @@ from repro.engine.batch import BatchBuilder
 from repro.engine.tracefile import (
     MAGIC,
     is_tracefile,
-    map_trace,
     read_trace,
     record_trace,
     write_trace,
@@ -56,80 +55,6 @@ class TestRoundTrip:
         engine = BatchEngine(interner=interner)
         engine.ingest(batch)
         assert [r.loc for r in engine.races()] == [("racy", 1)]
-
-
-class TestMappedTrace:
-    def test_whole_batch_matches_read_trace(self, tmp_path):
-        batch, interner = capture(BODY)
-        path = str(tmp_path / "t.rtrc")
-        write_trace(path, batch, interner)
-        with map_trace(path) as mapped:
-            assert len(mapped) == len(batch)
-            assert mapped.interner.locations() == interner.locations()
-            back = mapped.batch()
-        assert back.ops.tobytes() == batch.ops.tobytes()
-        assert back.a.tobytes() == batch.a.tobytes()
-        assert back.b.tobytes() == batch.b.tobytes()
-
-    def test_slices_reassemble_the_trace(self, tmp_path):
-        """Offset/length slices -- the parallel-worker feed -- cover the
-        trace exactly, with no overlap and no gap."""
-        batch, interner = capture(BODY)
-        path = str(tmp_path / "t.rtrc")
-        write_trace(path, batch, interner)
-        with map_trace(path) as mapped:
-            n = len(mapped)
-            cuts = [0, n // 3, n // 2, n]
-            pieces = [
-                mapped.batch(lo, hi) for lo, hi in zip(cuts, cuts[1:])
-            ]
-        assert b"".join(p.ops.tobytes() for p in pieces) == batch.ops.tobytes()
-        assert b"".join(p.a.tobytes() for p in pieces) == batch.a.tobytes()
-        assert b"".join(p.b.tobytes() for p in pieces) == batch.b.tobytes()
-
-    def test_columns_are_zero_copy_views(self, tmp_path):
-        batch, interner = capture(BODY)
-        path = str(tmp_path / "t.rtrc")
-        write_trace(path, batch, interner)
-        mapped = map_trace(path)
-        ops_v, a_v, b_v = mapped.columns(1, 4)
-        assert isinstance(ops_v, memoryview)
-        assert bytes(ops_v) == batch.ops.tobytes()[1:4]
-        assert bytes(a_v) == batch.a.tobytes()[4:16]
-        ops_v.release()
-        a_v.release()
-        b_v.release()
-        mapped.close()
-        assert mapped.closed
-
-    def test_bad_slice_rejected(self, tmp_path):
-        batch, interner = capture(BODY)
-        path = str(tmp_path / "t.rtrc")
-        write_trace(path, batch, interner)
-        with map_trace(path) as mapped:
-            with pytest.raises(ProgramError, match="bad trace slice"):
-                mapped.columns(0, len(mapped) + 1)
-            with pytest.raises(ProgramError, match="bad trace slice"):
-                mapped.columns(3, 2)
-
-    def test_corrupt_files_rejected(self, tmp_path):
-        empty = tmp_path / "empty.rtrc"
-        empty.write_bytes(b"")
-        with pytest.raises(ProgramError, match="truncated"):
-            map_trace(str(empty))
-        bad = tmp_path / "bad.rtrc"
-        bad.write_bytes(b"X" * 64)
-        with pytest.raises(ProgramError, match="magic"):
-            map_trace(str(bad))
-
-    def test_use_after_close_rejected(self, tmp_path):
-        batch, interner = capture(BODY)
-        path = str(tmp_path / "t.rtrc")
-        write_trace(path, batch, interner)
-        mapped = map_trace(path)
-        mapped.close()
-        with pytest.raises(ProgramError, match="closed"):
-            mapped.columns()
 
 
 class TestSniffAndErrors:

@@ -183,8 +183,8 @@ class TestDefaultRegistry:
 
 
 class TestExportMerge:
-    """The picklable wire format the parallel engine ships between
-    worker and parent registries."""
+    """The picklable wire format for folding one process's registry
+    into another's."""
 
     def _populated(self):
         reg = MetricsRegistry()

@@ -100,14 +100,6 @@ class TestCompressedRoundTrip:
 
 
 class TestCompressedNegotiation:
-    def test_shared_pool_refuses_compression(self, loop_workload):
-        with make_server(jobs=2) as srv:
-            with pytest.raises(RemoteError) as exc_info:
-                RaceClient(
-                    "127.0.0.1", srv.port, compress=True
-                ).connect()
-            assert exc_info.value.code == wire.ERR_COMPRESS
-
     def test_predict_server_refuses_compression(self):
         with make_server(predict=True) as srv:
             with pytest.raises(RemoteError) as exc_info:

@@ -135,7 +135,6 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.port == 7521
         assert args.credit_window == 8
-        assert args.jobs == 1
         assert args.metrics_port is None
 
     def test_submit_defaults(self):

@@ -253,12 +253,6 @@ class TestHostileSequencing:
 
 
 class TestDurableConfig:
-    def test_checkpoint_dir_with_jobs_rejected(self, tmp_path):
-        with pytest.raises(ServeError, match="jobs"):
-            ServerThread(
-                ServeConfig(checkpoint_dir=str(tmp_path), jobs=2)
-            ).start()
-
     def test_bad_checkpoint_interval_rejected(self, tmp_path):
         with pytest.raises(ServeError, match="interval"):
             ServerThread(

@@ -314,29 +314,6 @@ class TestBackpressure:
             assert counter_value(registry, "serve_queue_depth") == 0
 
 
-class TestSharedParallelMode:
-    def test_jobs_mode_matches_local_replay(self, small_workload):
-        batch, _ = small_workload
-        local = local_race_multiset(batch)
-        with make_server(jobs=2) as srv:
-            summary = submit_batch(
-                "127.0.0.1", srv.port, batch, batch_size=1024
-            )
-        assert summary.events == len(batch)
-        assert race_multiset(summary.reports) == local
-
-    def test_jobs_mode_is_single_tenant(self, small_workload):
-        """The shared engine is one logical stream: a second session
-        replaying the same program collides with the first session's
-        thread ids and is rejected as a detector error."""
-        batch, _ = small_workload
-        with make_server(jobs=2) as srv:
-            submit_batch("127.0.0.1", srv.port, batch, batch_size=1024)
-            with pytest.raises(RemoteError) as exc_info:
-                submit_batch("127.0.0.1", srv.port, batch, batch_size=1024)
-            assert exc_info.value.code == wire.ERR_DETECTOR
-
-
 class TestBackendNegotiation:
     def test_depa_session_matches_local_replay(self, small_workload):
         """A v3 HELLO requesting depa gets a depa engine and streams
@@ -389,34 +366,6 @@ class TestBackendNegotiation:
                     "127.0.0.1", srv.port, backend="quantum"
                 ).connect()
             assert exc_info.value.code == wire.ERR_BACKEND
-
-    def test_shared_pool_refuses_mismatched_backend(self, small_workload):
-        """jobs > 1 serves one pool of one backend; a session asking
-        for a different one is refused, a matching ask is granted."""
-        batch, _ = small_workload
-        with make_server(jobs=2) as srv:
-            with pytest.raises(RemoteError) as exc_info:
-                RaceClient(
-                    "127.0.0.1", srv.port, backend="depa"
-                ).connect()
-            assert exc_info.value.code == wire.ERR_BACKEND
-            with RaceClient(
-                "127.0.0.1", srv.port, backend="lattice2d"
-            ) as client:
-                client.send_batches(batch, 1024)
-                client.finish()
-            assert client.negotiated_backend == "lattice2d"
-
-    def test_depa_shared_pool_round_trips(self, small_workload):
-        batch, _ = small_workload
-        local = local_race_multiset(batch)
-        with make_server(jobs=2, backend="depa") as srv:
-            with RaceClient(
-                "127.0.0.1", srv.port, backend="depa"
-            ) as client:
-                client.send_batches(batch, 1024)
-                summary = client.finish()
-        assert race_multiset(summary.reports) == local
 
     def test_predict_server_refuses_depa_request(self):
         with make_server(predict=True) as srv:
@@ -520,10 +469,6 @@ class TestConfigValidation:
         with pytest.raises(ServeError, match="credit window"):
             ServerThread(ServeConfig(credit_window=0)).start()
 
-    def test_bad_jobs_rejected(self):
-        with pytest.raises(ServeError, match="job"):
-            ServerThread(ServeConfig(jobs=0)).start()
-
     def test_client_refuses_oversized_batch(self, small_workload):
         batch, _ = small_workload
         with make_server(max_frame=4096) as srv:
@@ -557,10 +502,6 @@ class TestPredictMode:
             (r.task, r.loc, r.kind) for r in summary.reports
         )
         assert observed <= predicted
-
-    def test_predict_rejects_shared_parallel_mode(self):
-        with pytest.raises(ServeError, match="jobs"):
-            ServerThread(ServeConfig(predict=True, jobs=2)).start()
 
     def test_predict_rejects_checkpointing(self, tmp_path):
         with pytest.raises(ServeError, match="checkpoint"):

@@ -83,6 +83,27 @@ class TestCommands:
                 ["run", program_file, "--detector", "magic"]
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "t.rtrc"],
+            ["stats", "t.rtrc"],
+            ["serve"],
+            ["bench-engine"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_process_pool_option_is_gone(self, argv, capsys):
+        """There is no process-pool tier: its ``jobs`` option is unknown
+        to every command (``serve --workers`` is the one multi-process
+        path)."""
+        option = "--" + "jobs"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, option, "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {option} 2" in err
+
     def test_record_then_replay(self, program_file, tmp_path, capsys):
         trace = str(tmp_path / "run.jsonl")
         assert main(["record", program_file, "-o", trace]) == 0
@@ -134,8 +155,6 @@ class TestCommands:
             ["replay", trace, "--backend", "depa", "--detector", "fasttrack"]
         ) == 2
         assert "--backend" in capsys.readouterr().err
-        assert main(["replay", trace, "--backend", "depa", "--jobs", "2"]) == 2
-        assert "lattice2d" in capsys.readouterr().err
 
     def test_replay_predict(self, program_file, tmp_path, capsys):
         trace = str(tmp_path / "run.rtrc")
@@ -165,42 +184,6 @@ class TestCommands:
             ["replay", trace, "--predict", "--detector", "fasttrack"]
         ) == 2
         assert "--detector" in capsys.readouterr().err
-        assert main(["replay", trace, "--predict", "--jobs", "2"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_replay_compact_parallel(self, program_file, tmp_path, capsys):
-        trace = str(tmp_path / "run.rtrc")
-        main(["record", program_file, "--compact", "-o", trace])
-        capsys.readouterr()
-        assert main(["replay", trace, "--jobs", "2"]) == 1
-        out = capsys.readouterr().out
-        assert "x2 workers" in out and "1 race(s)" in out
-
-    def test_replay_jobs_misuse_errors(self, program_file, tmp_path, capsys):
-        compact = str(tmp_path / "run.rtrc")
-        jsonl = str(tmp_path / "run.jsonl")
-        main(["record", program_file, "--compact", "-o", compact])
-        main(["record", program_file, "-o", jsonl])
-        capsys.readouterr()
-        assert main(["replay", compact, "--jobs", "2", "--shards", "2"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-        assert main(
-            ["replay", compact, "--jobs", "2", "--detector", "fasttrack"]
-        ) == 2
-        assert "lattice2d" in capsys.readouterr().err
-        assert main(["replay", jsonl, "--jobs", "2"]) == 2
-        assert "compact" in capsys.readouterr().err
-
-    def test_stats_jobs_merges_worker_counters(
-        self, program_file, tmp_path, capsys
-    ):
-        trace = str(tmp_path / "run.rtrc")
-        main(["record", program_file, "--compact", "-o", trace])
-        capsys.readouterr()
-        assert main(["stats", trace, "--jobs", "2"]) == 1
-        out = capsys.readouterr().out
-        assert "engine_worker_events_total" in out
-        assert 'shard="1"' in out
 
     def test_diff_agrees_on_both_formats(self, program_file, tmp_path, capsys):
         compact = str(tmp_path / "run.rtrc")
@@ -232,7 +215,6 @@ class TestCommands:
                 "--accesses-per-task", "30",
                 "--repeats", "1",
                 "--shards", "2",
-                "--jobs", "2",
                 "--json", str(out_json),
             ]
         ) == 0

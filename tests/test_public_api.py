@@ -66,7 +66,6 @@ def test_version():
         "repro.engine.tracefile",
         "repro.engine.differential",
         "repro.engine.benchlib",
-        "repro.engine.parallel",
         "repro.engine.snapshot",
         "repro.engine.faults",
         "repro.serve",
