@@ -73,6 +73,22 @@ class LocationInterner:
         self._ids: Dict[Hashable, int] = {}
         self._locs: List[Hashable] = []
 
+    @classmethod
+    def from_locations(cls, locs: Iterable[Hashable]) -> "LocationInterner":
+        """An interner holding ``locs`` as ids ``0..n-1``, built in one
+        C-level ``dict(zip(...))`` pass.
+
+        Raises :class:`ValueError` if two locations are equal (so ``1``,
+        ``True`` and ``1.0`` collide, as they do under :meth:`intern`)
+        and :class:`TypeError` if one is unhashable.
+        """
+        self = cls()
+        self._locs = list(locs)
+        self._ids = dict(zip(self._locs, range(len(self._locs))))
+        if len(self._ids) != len(self._locs):
+            raise ValueError("duplicate locations")
+        return self
+
     def __len__(self) -> int:
         return len(self._locs)
 

@@ -457,13 +457,13 @@ def engine_from_blob(
 
         interner = None
         if head.get("interner") is not None:
-            interner = LocationInterner()
-            for encoded in head["interner"]:
-                interner.intern(decode_location(encoded))
-            if len(interner) != len(head["interner"]):
+            locs = map(decode_location, head["interner"])
+            try:
+                interner = LocationInterner.from_locations(locs)
+            except ValueError:
                 raise CheckpointError(
                     "duplicate locations in checkpoint interner table"
-                )
+                ) from None
         engine = BatchEngine(det, interner=interner, registry=registry)
         engine.events_ingested = head["events_ingested"]
     except CheckpointError:

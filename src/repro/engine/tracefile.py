@@ -38,11 +38,11 @@ import mmap as _mmap
 import struct
 import sys
 from array import array
-from typing import IO, Optional, Tuple, Union
+from typing import IO, Any, Dict, List, Optional, Tuple, Union
 
 from repro.engine.batch import EventBatch, LocationInterner
 from repro.errors import TraceError
-from repro.trace import decode_location, encode_location
+from repro.trace import encode_location
 
 __all__ = [
     "MAGIC",
@@ -133,21 +133,76 @@ def _encode_table(interner: LocationInterner) -> bytes:
     ).encode("utf-8")
 
 
+def _corrupt_table(why: str) -> TraceError:
+    return TraceError(f"corrupt engine trace location table: {why}")
+
+
+class _Label:
+    """A decoded ``{"s": x}`` entry, boxed until its container is seen.
+
+    ``json`` hands objects to the hook innermost first, so a bare ``x``
+    could not tell ``{"s": {"s": x}}`` from ``{"s": x}``.  A box inside
+    a list (a table entry or a ``"t"`` element) unboxes to ``x``; a box
+    as the value of ``"s"`` or ``"t"`` is an object nested where the
+    codec never writes one, and is refused.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+
+def _unbox(items: List[Any]) -> List[Any]:
+    return [x.value if type(x) is _Label else x for x in items]
+
+
 def _decode_table(raw_table: bytes) -> LocationInterner:
+    """Decode a location table in one C-level ``json`` pass.
+
+    The ``object_hook`` turns the tagged codec of
+    :func:`repro.trace.encode_location` back into locations as the
+    scanner meets them: ``{"t": [...]}`` becomes a tuple and
+    ``{"s": x}`` becomes ``x``.  The interner is then one
+    ``dict(zip(...))``, whose length catches duplicates on the decoded
+    values (``1``/``True``/``1.0``, ``"a"``/``{"s": "a"}``).  Every
+    malformed table raises :class:`TraceError`.
+    """
+    # Checked on the raw bytes: the hook would turn a top-level
+    # ``{"t": [...]}`` or ``{"s": [...]}`` into a tuple or a list.
+    if raw_table.lstrip()[:1] != b"[":
+        raise _corrupt_table("not a list")
+    labels: List[_Label] = []
+
+    def hook(obj: Dict[str, Any]) -> Any:
+        if "t" in obj:
+            items = obj["t"]
+            if type(items) is list:
+                return tuple(_unbox(items) if labels else items)
+            if type(items) is str:
+                return tuple(items)  # one location per character
+            raise _corrupt_table(f"bad tuple encoding {obj!r}")
+        if "s" in obj:
+            value = obj["s"]
+            if type(value) is tuple or type(value) is _Label:
+                raise _corrupt_table(f"nested object in {obj!r}")
+            label = _Label(value)
+            labels.append(label)
+            return label
+        raise _corrupt_table(f"bad location encoding {obj!r}")
+
     try:
-        table = json.loads(raw_table.decode("utf-8"))
-    except ValueError as exc:
-        raise TraceError(
-            f"corrupt engine trace location table: {exc}"
-        ) from None
-    if not isinstance(table, list):
-        raise TraceError("corrupt engine trace location table: not a list")
-    interner = LocationInterner()
-    for encoded in table:
-        interner.intern(decode_location(encoded))
-    if len(interner) != len(table):
-        raise TraceError("duplicate locations in trace table")
-    return interner
+        locs = json.loads(raw_table.decode("utf-8"), object_hook=hook)
+    except (ValueError, RecursionError) as exc:
+        raise _corrupt_table(str(exc)) from None
+    if labels:
+        locs = _unbox(locs)
+    try:
+        return LocationInterner.from_locations(locs)
+    except TypeError:
+        raise _corrupt_table("unhashable location") from None
+    except ValueError:
+        raise TraceError("duplicate locations in trace table") from None
 
 
 def _try_mmap(fp: IO[bytes]) -> Optional[Tuple[_mmap.mmap, int]]:

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compress import CompressedTrace, compress, read_tracez, write_tracez
+from repro.compress import container
 from repro.compress.container import _ZHEADER, ZVERSION
 from repro.engine.batch import BatchBuilder, EventBatch, LocationInterner
 from repro.engine.ingest import BatchEngine, ShardedBatchEngine
@@ -35,6 +36,10 @@ from repro.obs.registry import MetricsRegistry
 from tests.engine.test_property_differential import (
     _cilk_program,
     spawn_sync_cases,
+)
+from tests.engine.test_property_tracefile import (
+    DUPLICATE_TABLES,
+    MALFORMED_ENTRIES,
 )
 
 pytestmark = pytest.mark.engine
@@ -266,3 +271,39 @@ class TestCorruptionRejection:
         buf.seek(0)
         with pytest.raises(TraceError):
             read_tracez(buf)
+
+
+class TestLocationTable:
+    """RPR2TRZ shares the RPR2TRC table decoder: a CRC-clean container
+    whose table is malformed gets the same typed errors."""
+
+    @staticmethod
+    def _container(monkeypatch, table: bytes) -> bytes:
+        monkeypatch.setattr(container, "_encode_table", lambda _: table)
+        batch = EventBatch(
+            array("B", [5] * 4), array("i", [0] * 4), array("i", [0] * 4)
+        )
+        buf = io.BytesIO()
+        write_tracez(
+            buf, compress(batch, 4, registry=MetricsRegistry()),
+            LocationInterner(),
+        )
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("table", MALFORMED_ENTRIES)
+    def test_malformed_entry_is_a_trace_error(self, monkeypatch, table):
+        blob = self._container(monkeypatch, table)
+        with pytest.raises(TraceError, match="location table"):
+            read_tracez(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("table", DUPLICATE_TABLES)
+    def test_equal_decoded_locations_are_duplicates(self, monkeypatch, table):
+        blob = self._container(monkeypatch, table)
+        with pytest.raises(TraceError, match="duplicate locations"):
+            read_tracez(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("table", [b'{"s":[1,2]}', b'{"t":[1]}'])
+    def test_top_level_must_be_a_list(self, monkeypatch, table):
+        blob = self._container(monkeypatch, table)
+        with pytest.raises(TraceError, match="not a list"):
+            read_tracez(io.BytesIO(blob))

@@ -14,12 +14,15 @@ from __future__ import annotations
 import io
 import struct
 from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.batch import EventBatch, LocationInterner
+from repro.compress import compress, read_tracez, write_tracez
+from repro.engine.batch import BatchBuilder, EventBatch, LocationInterner
+from repro.engine.ingest import BatchEngine
 from repro.engine.tracefile import (
     _HEADER,
     MAGIC,
@@ -27,7 +30,10 @@ from repro.engine.tracefile import (
     read_trace,
     write_trace,
 )
-from repro.errors import ProgramError
+from repro.errors import ProgramError, TraceError
+from repro.forkjoin import fork, join, write
+from repro.forkjoin.interpreter import run
+from repro.obs.registry import MetricsRegistry
 
 pytestmark = pytest.mark.engine
 
@@ -190,3 +196,175 @@ class TestCorruptionRejection:
         lying = blob[:16] + struct.pack("<Q", 2**48) + blob[24:]
         with pytest.raises(ProgramError, match="claims"):
             read_trace(io.BytesIO(lying))
+
+
+def _with_table(table: bytes) -> bytes:
+    """An event-free RPR2TRC trace carrying ``table`` verbatim."""
+    return _HEADER.pack(MAGIC, 0, VERSION, 0, len(table)) + table
+
+
+#: malformed tables: each is a TraceError naming the location table,
+#: including an object nested as the value of "t" or "s", which the
+#: codec never writes
+MALFORMED_ENTRIES = [
+    b"[[1]]",
+    b'[{"t":5}]',
+    b'[{"t":[[1]]}]',
+    b'[{"x":1}]',
+    b"[{}]",
+    b'[{"s":[1,2]}]',
+    b'[{"s":{"s":"a"}}]',
+    b'[{"s":{"t":[1]}}]',
+    b'[{"t":[{"s":{"s":"a"}}]}]',
+    b'[{"t":{"t":[1]}}]',
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deeply-nested"),
+]
+
+#: tables whose entries decode to equal locations
+DUPLICATE_TABLES = [
+    b"[1,true]",
+    b"[1,1.0]",
+    b'["a","\\u0061"]',
+    b'["a",{"s":"a"}]',
+    b'[{"t":[1,"x"]},{"t":[true,"x"]}]',
+]
+
+
+class TestTableRules:
+    """The exact shape and duplicate rules of the location table."""
+
+    @pytest.mark.parametrize("table", MALFORMED_ENTRIES)
+    def test_malformed_entry_is_a_trace_error(self, table):
+        with pytest.raises(TraceError, match="location table"):
+            read_trace(io.BytesIO(_with_table(table)))
+
+    @pytest.mark.parametrize("table", DUPLICATE_TABLES)
+    def test_equal_decoded_locations_are_duplicates(self, table):
+        with pytest.raises(TraceError, match="duplicate locations"):
+            read_trace(io.BytesIO(_with_table(table)))
+
+    @pytest.mark.parametrize(
+        "table", [b'{"s":[1,2]}', b'{"t":[1]}', b'"x"', b"7", b"  {}"]
+    )
+    def test_top_level_must_be_a_list(self, table):
+        with pytest.raises(TraceError, match="not a list"):
+            read_trace(io.BytesIO(_with_table(table)))
+
+    @pytest.mark.parametrize(
+        "table, locations",
+        [
+            (b" [1]", [1]),
+            (
+                b'[{"t":[]},{"t":[{"t":["a",{"s":"b"}]}]}]',
+                [(), (("a", "b"),)],
+            ),
+            (
+                b'[{"s":"obj"},{"t":"ab"},{"s":"c","x":1}]',
+                ["obj", ("a", "b"), "c"],
+            ),
+            (
+                b'[2,1.5,-0.0,true,null,"\\u00e9"]',
+                [2, 1.5, -0.0, True, None, "\u00e9"],
+            ),
+        ],
+    )
+    def test_accepted_tables_decode_exactly(self, table, locations):
+        _, interner = read_trace(io.BytesIO(_with_table(table)))
+        assert _typed(interner.locations()) == _typed(locations)
+
+
+class _Opaque:
+    """A location the JSON codec cannot represent: stored as str()."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __str__(self) -> str:
+        return f"<opaque {self.text}>"
+
+
+def _stored(loc):
+    """What the tagged codec brings back for ``loc``."""
+    if isinstance(loc, tuple):
+        return tuple(_stored(x) for x in loc)
+    if isinstance(loc, _Opaque):
+        return str(loc)
+    return loc
+
+
+def _typed(value):
+    """``value`` with every type spelled out, so ``True != 1``."""
+    if isinstance(value, (list, tuple)):
+        return (type(value), [_typed(x) for x in value])
+    return (type(value), value)
+
+
+_LEAVES = st.one_of(
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\u2028", "é", "\x00", "{\"t\":[1]}"]),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.builds(_Opaque, st.text(max_size=4)),
+)
+_NESTED = st.recursive(
+    _LEAVES, lambda inner: st.tuples(inner, inner) | st.tuples(inner),
+    max_leaves=6,
+)
+
+
+def _racy_capture(locations):
+    """Parent and child both write every location, so each one races."""
+
+    def child(self):
+        for loc in locations:
+            yield write(loc)
+
+    def main(self):
+        handle = yield fork(child)
+        for loc in locations:
+            yield write(loc)
+        yield join(handle)
+
+    builder = BatchBuilder()
+    run(main, observers=[builder])
+    return builder.batch, builder.interner
+
+
+def _reports(reports):
+    """Race reports as typed, order-free rows."""
+    return sorted(
+        repr(_typed((r.loc, r.task, r.kind.value, r.prior_kind.value,
+                     r.prior_repr, r.op_index)))
+        for r in reports
+    )
+
+
+class TestLabelFidelity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        locations=st.lists(_NESTED, min_size=1, max_size=8, unique_by=_stored)
+    )
+    def test_labels_round_trip_with_their_types(self, locations):
+        batch, interner = _racy_capture(locations)
+        expected = [_stored(loc) for loc in interner.locations()]
+        in_memory = BatchEngine(interner=interner)
+        in_memory.ingest(batch)
+        want = _reports(
+            replace(r, loc=_stored(r.loc)) for r in in_memory.races()
+        )
+
+        packed = io.BytesIO()
+        ctrace = compress(batch, 8, registry=MetricsRegistry())
+        write_tracez(packed, ctrace, interner)
+        ctrace_back, z_interner = read_tracez(io.BytesIO(packed.getvalue()))
+        for back, back_interner in (
+            read_trace(io.BytesIO(_dump(batch, interner))),
+            read_trace(io.BytesIO(packed.getvalue())),
+            (ctrace_back.decompress(), z_interner),
+        ):
+            assert _typed(back_interner.locations()) == _typed(expected)
+            replayed = BatchEngine(interner=back_interner)
+            replayed.ingest(back)
+            assert _reports(replayed.races()) == want

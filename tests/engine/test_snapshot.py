@@ -151,6 +151,26 @@ class TestCorruptionRefusal:
         with pytest.raises(CheckpointError, match="endianness"):
             snap.engine_from_blob(self._with_fixed_crc(small_blob, 8, 7))
 
+    @pytest.mark.parametrize(
+        "table", [["x", {"s": "x"}], [1, True], [{"t": [1]}, {"t": [1.0]}]]
+    )
+    def test_duplicate_interner_locations_rejected(self, small_blob, table):
+        head, arrays = snap.unpack_state(small_blob)
+        head["interner"] = table
+        blob = snap.pack_state(head, list(arrays.items()))
+        with pytest.raises(
+            CheckpointError,
+            match="duplicate locations in checkpoint interner table",
+        ):
+            snap.engine_from_blob(blob)
+
+    def test_unhashable_interner_location_rejected(self, small_blob):
+        head, arrays = snap.unpack_state(small_blob)
+        head["interner"] = [[1]]
+        blob = snap.pack_state(head, list(arrays.items()))
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            snap.engine_from_blob(blob)
+
     def test_wrong_kind_rejected(self):
         blob = snap.pack_state({"kind": "parent"}, [])
         with pytest.raises(CheckpointError, match="not an engine"):
