@@ -23,7 +23,9 @@ and complete prediction reduces to enumerating those pairs:
   share one epoch ``(task, tick)`` and are indistinguishable to every
   other task, so one O(1) component compare
   (``clock_of(later)[task] >= tick``) decides order for a whole run of
-  accesses.
+  accesses.  Clocks are dense ``array("q")`` vectors indexed by task
+  id, so a fork is one C-level copy of the parent's clock and a join
+  one vectorized ``numpy.maximum`` over the two buffers.
 * Per location and access kind, the detector keeps a **candidate
   window** in the spirit of rv-predict's windowed pair search: the
   epochs of prior accesses still HB-*maximal* for their kind.  An
@@ -58,11 +60,20 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.reports import AccessKind, RaceReport
 from repro.detectors.base import Detector
 from repro.errors import DetectorError
 
 __all__ = ["SHBDetector"]
+
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
+
+
+def _zeros(n: int) -> array:
+    return array("q", bytes(8 * n))
 
 
 class SHBDetector(Detector):
@@ -83,10 +94,12 @@ class SHBDetector(Detector):
     def __init__(self) -> None:
         super().__init__()
         self._state = array("b")
-        # Sparse vector clocks, one dict per task; freed at join (the
-        # joined task's final clock is merged into the joiner and never
-        # read again).
-        self._clock: List[Optional[Dict[int, int]]] = []
+        # Dense vector clocks, one ``array("q")`` per task indexed by
+        # task id; a clock may be shorter than the task count, the
+        # missing components being zero.  Freed at join (the joined
+        # task's final clock is merged into the joiner and never read
+        # again).
+        self._clock: List[Optional[array]] = []
         # loc -> (read window, write window); each window is a list of
         # (task, tick) epochs forming the HB-frontier for that kind.
         self._windows: Dict[
@@ -108,7 +121,9 @@ class SHBDetector(Detector):
     def on_root(self, root: int) -> None:
         tid = len(self._state)
         self._state.append(self._LIVE)
-        self._clock.append({tid: 1})
+        vc = _zeros(tid + 1)
+        vc[tid] = 1
+        self._clock.append(vc)
         if tid != root:
             raise DetectorError(
                 f"root id mismatch: interpreter says {root}, detector "
@@ -122,9 +137,10 @@ class SHBDetector(Detector):
         assert pc is not None  # live tasks always hold a clock
         # The child inherits the parent's snapshot *before* the tick:
         # everything the parent did so far happens-before the child,
-        # everything after the fork does not.
-        cc = dict(pc)
+        # everything after the fork does not.  One C-level copy, padded
+        # with zeros up to the child's own component.
         tid = len(self._state)
+        cc = pc + _zeros(tid + 1 - len(pc))
         cc[tid] = 1
         self._state.append(self._LIVE)
         self._clock.append(cc)
@@ -156,9 +172,13 @@ class SHBDetector(Detector):
         jc = self._clock[joiner]
         oc = self._clock[joined]
         assert jc is not None and oc is not None
-        for task, tick in oc.items():
-            if tick > jc.get(task, 0):
-                jc[task] = tick
+        n = len(oc)
+        if len(jc) < n:
+            # Resize before any numpy view of ``jc`` exists: an array
+            # with an exported buffer refuses to grow (BufferError).
+            jc.extend(_zeros(n - len(jc)))
+        view = np.frombuffer(jc, dtype=np.int64, count=n)
+        np.maximum(view, np.frombuffer(oc, dtype=np.int64), out=view)
         self._clock[joined] = None  # never read again; free it
 
     def on_step(self, t: int) -> None:
@@ -168,33 +188,45 @@ class SHBDetector(Detector):
     # -- accesses ------------------------------------------------------------
 
     def on_read(self, task: int, loc: Hashable, label: str = "") -> None:
-        self._access(task, loc, AccessKind.READ, label)
+        self._access(task, loc, _READ, label)
 
     def on_write(self, task: int, loc: Hashable, label: str = "") -> None:
-        self._access(task, loc, AccessKind.WRITE, label)
+        self._access(task, loc, _WRITE, label)
 
     def _access(
         self, t: int, loc: Hashable, kind: AccessKind, label: str
     ) -> None:
-        self._check_alive(t)
+        state = self._state
+        if t < 0 or t >= len(state):
+            raise DetectorError(f"unknown thread id {t}")
+        if state[t]:
+            raise DetectorError(f"thread {t} already halted")
         self.op_index += 1
-        win = self._windows.get(loc)
-        if win is None:
-            win = ([], [])
-            self._windows[loc] = win
-        reads, writes = win
         vc = self._clock[t]
         assert vc is not None
-        get = vc.get
-        # One report per conflicting HB-unordered window entry: reads
-        # race prior writes; writes race prior reads and prior writes.
-        if kind is AccessKind.WRITE:
+        tick = vc[t]
+        win = self._windows.get(loc)
+        if win is None:
+            # First access to ``loc``: nothing to race, nothing to prune.
+            epoch = [(t, tick)]
+            self._windows[loc] = ([], epoch) if kind is _WRITE else (epoch, [])
+            if not self._peak_window:
+                self._peak_window = 1
+            return
+        reads, writes = win
+        n = len(vc)
+        # An entry (u, c) is HB-unordered with this access iff task t has
+        # not yet seen tick c of u.  Entries of t itself never qualify:
+        # a task's own component only grows.  One report per conflicting
+        # unordered window entry: reads race prior writes; writes race
+        # prior reads and prior writes.
+        if kind is _WRITE:
             for u, c in reads:
-                if u != t and get(u, 0) < c:
+                if u >= n or vc[u] < c:
                     self.races.append(
                         RaceReport(
                             loc=loc, task=t, kind=kind,
-                            prior_kind=AccessKind.READ, prior_repr=u,
+                            prior_kind=_READ, prior_repr=u,
                             op_index=self.op_index, label=label,
                         )
                     )
@@ -202,19 +234,24 @@ class SHBDetector(Detector):
         else:
             own = reads
         for u, c in writes:
-            if u != t and get(u, 0) < c:
+            if u >= n or vc[u] < c:
                 self.races.append(
                     RaceReport(
                         loc=loc, task=t, kind=kind,
-                        prior_kind=AccessKind.WRITE, prior_repr=u,
+                        prior_kind=_WRITE, prior_repr=u,
                         op_index=self.op_index, label=label,
                     )
                 )
         # Fold this access into its kind's window: prune entries it
         # dominates (they can never race anything this one would not),
-        # keep the unordered frontier, append the current epoch.
-        keep = [e for e in own if e[0] != t and get(e[0], 0) < e[1]]
-        keep.append((t, vc[t]))
+        # keep the unordered frontier, append the current epoch.  A
+        # window holding only this task's previous epoch is overwritten
+        # in place; its size does not change.
+        if len(own) == 1 and own[0][0] == t:
+            own[0] = (t, tick)
+            return
+        keep = [e for e in own if e[0] >= n or vc[e[0]] < e[1]]
+        keep.append((t, tick))
         own[:] = keep
         size = len(reads) + len(writes)
         if size > self._peak_window:
@@ -236,8 +273,9 @@ class SHBDetector(Detector):
         )
 
     def metadata_entries(self) -> int:
-        # The state column plus every live clock's components.
+        # The state column plus every live clock's nonzero components
+        # (ticks start at 1, so zero means "no knowledge of that task").
         clocks = sum(
-            len(vc) for vc in self._clock if vc is not None
+            len(vc) - vc.count(0) for vc in self._clock if vc is not None
         )
         return len(self._state) + clocks

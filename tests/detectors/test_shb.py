@@ -31,10 +31,14 @@ from repro.engine.batch import (
     OP_JOIN,
     OP_READ,
     OP_WRITE,
+    BatchBuilder,
     EventBatch,
 )
 from repro.engine.ingest import BatchEngine
 from repro.errors import DetectorError, ProgramError
+from repro.forkjoin.interpreter import run
+from repro.workloads.access_patterns import uniform_shared
+from repro.workloads.synthetic import SyntheticConfig, random_program
 
 pytestmark = pytest.mark.predict
 
@@ -290,3 +294,98 @@ class TestHostileStreams:
             BatchEngine(SHBDetector(), predict=True)
         with pytest.raises(ProgramError, match="predict"):
             BatchEngine(backend="depa", predict=True)
+
+
+#: (op_index, thread_count, metadata_entries, shadow_peak_per_location,
+#: shadow_total_entries, len(races)) after every 25th event of
+#: ``_lattice_batch()`` and at its end, as the sparse-clock detector
+#: computed them.
+LATTICE_ACCOUNTING = [
+    (25, 5, 17, 3, 5, 2),
+    (50, 12, 83, 3, 8, 2),
+    (75, 14, 109, 6, 18, 24),
+    (100, 17, 114, 7, 27, 68),
+    (125, 19, 113, 9, 27, 141),
+    (150, 21, 132, 9, 33, 219),
+    (175, 23, 93, 11, 41, 304),
+    (200, 24, 69, 13, 34, 381),
+    (225, 24, 48, 14, 14, 436),
+]
+
+
+def _lattice_batch() -> EventBatch:
+    """A fixed random non-SP lattice: leftover joins over four shared
+    locations."""
+    builder = BatchBuilder()
+    run(
+        random_program(SyntheticConfig(
+            seed=7, max_tasks=24, ops_per_task=8,
+            leftover_probability=0.35, pattern=uniform_shared(4),
+        )),
+        observers=[builder],
+    )
+    return builder.batch
+
+
+class TestAccounting:
+    def _snapshot(self, det):
+        return (
+            det.op_index, det.thread_count, det.metadata_entries(),
+            det.shadow_peak_per_location(), det.shadow_total_entries(),
+            len(det.races),
+        )
+
+    def test_lattice_is_not_series_parallel(self):
+        """Guard the fixture: some task joins a task it did not fork."""
+        batch = _lattice_batch()
+        parent = {}
+        leftover = False
+        for op, a, b in zip(batch.ops, batch.a, batch.b):
+            if op == OP_FORK:
+                parent[b] = a
+            elif op == OP_JOIN and parent[b] != a:
+                leftover = True
+        assert leftover
+
+    def test_pinned_on_a_non_sp_lattice(self):
+        """Dense clocks report what the sparse ones did: live tasks plus
+        nonzero clock components, and the same window sizes."""
+        batch = _lattice_batch()
+        det = SHBDetector()
+        det.on_root(0)
+        seen = []
+        for i, row in enumerate(zip(batch.ops, batch.a, batch.b), 1):
+            drive(det, [row])
+            if i % 25 == 0 or i == len(batch):
+                seen.append(self._snapshot(det))
+        assert seen == LATTICE_ACCOUNTING
+
+    def test_hostile_events_mid_lattice(self):
+        """After 100 events of the lattice (tasks joined, halted and
+        live, clocks of unequal lengths), each hostile event raises the
+        family's message at op_index 100 and changes no accounting."""
+        batch = _lattice_batch()
+        det = SHBDetector()
+        det.on_root(0)
+        drive(det, zip(batch.ops[:100], batch.a[:100], batch.b[:100]))
+        before = self._snapshot(det)
+        assert before == LATTICE_ACCOUNTING[3]
+        # task 1 is joined, task 10 halted and unjoined, task 16 live
+        assert (det._state[1], det._state[10], det._state[16]) == (
+            SHBDetector._JOINED, SHBDetector._HALTED, SHBDetector._LIVE,
+        )
+        hostile = [
+            (lambda: det.on_read(17, X), "unknown thread id 17"),
+            (lambda: det.on_write(-1, X), "unknown thread id -1"),
+            (lambda: det.on_write(10, X), "thread 10 already halted"),
+            (lambda: det.on_join(0, 17), "unknown thread id 17"),
+            (lambda: det.on_join(16, 1), "thread 1 joined twice"),
+            (lambda: det.on_join(0, 16), "joining running thread 16"),
+            (lambda: det.on_join(10, 1), "thread 10 already halted"),
+            (lambda: det.on_halt(1), "thread 1 already halted"),
+        ]
+        for event, message in hostile:
+            with pytest.raises(DetectorError) as info:
+                event()
+            assert str(info.value) == message
+            assert self._snapshot(det) == before
