@@ -792,14 +792,7 @@ def _bench_engine(args) -> int:
 
 
 def _serve(args) -> int:
-    import asyncio
-
-    from repro.serve import (
-        EXIT_BIND_FAILURE,
-        RaceServer,
-        ServeConfig,
-        start_metrics_http,
-    )
+    from repro.serve import RaceServer, ServeConfig
 
     if args.workers > 1:
         return _serve_cluster(args)
@@ -819,67 +812,26 @@ def _serve(args) -> int:
         backend=args.backend,
     )
 
-    async def _run() -> int:
-        server = RaceServer(config)
-        try:
-            port = await server.start()
-        except OSError as exc:
-            print(
-                f"error: cannot bind {config.host}:{config.port}: {exc}",
-                file=sys.stderr,
-            )
-            return EXIT_BIND_FAILURE
-        server.install_signal_handlers()
-        httpd = None
-        try:
-            if args.metrics_port is not None:
-                try:
-                    httpd = start_metrics_http(
-                        args.metrics_port, server.registry, host=config.host
-                    )
-                except OSError as exc:
-                    print(
-                        f"error: cannot bind metrics port "
-                        f"{args.metrics_port}: {exc}",
-                        file=sys.stderr,
-                    )
-                    await server.shutdown()
-                    return EXIT_BIND_FAILURE
-                print(
-                    f"metrics on http://{config.host}:"
-                    f"{httpd.server_port}/metrics"
-                )
-            durability = (
-                f", checkpoints in {config.checkpoint_dir} every "
-                f"{config.checkpoint_interval} batches"
-                if config.checkpoint_dir is not None
-                else ""
-            )
-            mode = ", predict mode (shb)" if config.predict else ""
-            print(
-                f"serving RPRSERVE on {config.host}:{port} "
-                f"(credit window {config.credit_window}, "
-                f"backend {config.backend}"
-                f"{durability}{mode}); SIGTERM drains"
-            )
-            await server.serve_forever()
-        finally:
-            if httpd is not None:
-                httpd.shutdown()
-        return 0
+    def banner(server, port: int) -> str:
+        durability = (
+            f", checkpoints in {config.checkpoint_dir} every "
+            f"{config.checkpoint_interval} batches"
+            if config.checkpoint_dir is not None
+            else ""
+        )
+        mode = ", predict mode (shb)" if config.predict else ""
+        return (
+            f"serving RPRSERVE on {config.host}:{port} "
+            f"(credit window {config.credit_window}, "
+            f"backend {config.backend}"
+            f"{durability}{mode}); SIGTERM drains"
+        )
 
-    return asyncio.run(_run())
+    return _run_front_end(RaceServer(config), banner, args.metrics_port)
 
 
 def _serve_cluster(args) -> int:
-    import asyncio
-
-    from repro.serve import (
-        EXIT_BIND_FAILURE,
-        ClusterConfig,
-        RaceCluster,
-        start_metrics_http,
-    )
+    from repro.serve import ClusterConfig, RaceCluster
 
     if args.predict:
         raise ReproError(
@@ -906,45 +858,56 @@ def _serve_cluster(args) -> int:
         log_dir=args.log_dir,
     )
 
+    def banner(cluster, port: int) -> str:
+        ports = ", ".join(str(w.port) for w in cluster.workers)
+        return (
+            f"serving RPRSERVE on {config.host}:{port} as a "
+            f"gateway over {config.workers} engine workers "
+            f"(ports {ports}; credit window {config.credit_window}); "
+            f"SIGTERM drains"
+        )
+
+    return _run_front_end(RaceCluster(config), banner, args.metrics_port)
+
+
+def _run_front_end(front, banner: Callable, metrics_port) -> int:
+    """Bind ``front`` (a server or a gateway), expose its registry on
+    ``metrics_port`` if given, print ``banner(front, port)`` and serve
+    until SIGTERM/SIGINT drains it."""
+    import asyncio
+
+    from repro.serve import EXIT_BIND_FAILURE, start_metrics_http
+
+    host = front.config.host
+
     async def _run() -> int:
-        cluster = RaceCluster(config)
         try:
-            port = await cluster.start()
+            port = await front.start()
         except OSError as exc:
             print(
-                f"error: cannot bind {config.host}:{config.port}: {exc}",
+                f"error: cannot bind {host}:{front.config.port}: {exc}",
                 file=sys.stderr,
             )
             return EXIT_BIND_FAILURE
-        cluster.install_signal_handlers()
+        front.install_signal_handlers()
         httpd = None
         try:
-            if args.metrics_port is not None:
+            if metrics_port is not None:
                 try:
                     httpd = start_metrics_http(
-                        args.metrics_port, cluster.registry,
-                        host=config.host,
+                        metrics_port, front.registry, host=host
                     )
                 except OSError as exc:
                     print(
                         f"error: cannot bind metrics port "
-                        f"{args.metrics_port}: {exc}",
+                        f"{metrics_port}: {exc}",
                         file=sys.stderr,
                     )
-                    await cluster.shutdown()
+                    await front.shutdown()
                     return EXIT_BIND_FAILURE
-                print(
-                    f"metrics on http://{config.host}:"
-                    f"{httpd.server_port}/metrics"
-                )
-            ports = ", ".join(str(w.port) for w in cluster.workers)
-            print(
-                f"serving RPRSERVE on {config.host}:{port} as a "
-                f"gateway over {config.workers} engine workers "
-                f"(ports {ports}; credit window {config.credit_window}); "
-                f"SIGTERM drains"
-            )
-            await cluster.serve_forever()
+                print(f"metrics on http://{host}:{httpd.server_port}/metrics")
+            print(banner(front, port))
+            await front.serve_forever()
         finally:
             if httpd is not None:
                 httpd.shutdown()

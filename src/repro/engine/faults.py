@@ -142,7 +142,8 @@ class ServerProcess:
     OS process: :meth:`kill` delivers SIGKILL, so no drain, no final
     checkpoint, no atexit -- the crash the durability layer exists to
     survive.  Use as a context manager; exiting terminates whatever is
-    still running.
+    still running.  ``log_path`` captures the process's stdout/stderr
+    (appending; the gateway's worker logs), ``None`` discards them.
     """
 
     def __init__(
@@ -153,13 +154,16 @@ class ServerProcess:
         checkpoint_interval: int = 4,
         extra_args: Tuple[str, ...] = (),
         startup_timeout: float = 20.0,
+        log_path: Optional[str] = None,
     ) -> None:
         self.port = port
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_interval = checkpoint_interval
         self.extra_args = tuple(extra_args)
         self.startup_timeout = startup_timeout
+        self.log_path = log_path
         self._proc: Optional[subprocess.Popen] = None
+        self._log: Any = None
 
     def start(self) -> "ServerProcess":
         if self._proc is not None and self._proc.poll() is None:
@@ -169,6 +173,9 @@ class ServerProcess:
             os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         )
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out: Any = subprocess.DEVNULL
+        if self.log_path is not None:
+            self._log = out = open(self.log_path, "ab")
         self._proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
@@ -177,8 +184,8 @@ class ServerProcess:
                 "--checkpoint-interval", str(self.checkpoint_interval),
                 *self.extra_args,
             ],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            stdout=out,
+            stderr=out,
             env=env,
         )
         self._wait_ready()
@@ -216,6 +223,7 @@ class ServerProcess:
         if self._proc is not None:
             self._proc.kill()
             self._proc.wait()
+        self._close_log()
 
     def terminate(self, timeout: float = 10.0) -> None:
         """SIGTERM: the server drains gracefully."""
@@ -225,6 +233,12 @@ class ServerProcess:
                 self._proc.wait(timeout)
             except subprocess.TimeoutExpired:
                 self.kill()
+        self._close_log()
+
+    def _close_log(self) -> None:
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "ServerProcess":
         return self.start()

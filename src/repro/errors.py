@@ -112,4 +112,11 @@ class ServeError(ReproError):
 class ProtocolError(ServeError):
     """A wire-protocol violation: bad magic, version mismatch, CRC
     failure, truncated or oversized frames, or a BATCH frame whose
-    declared column lengths disagree with its payload size."""
+    declared column lengths disagree with its payload size.
+
+    ``code`` is the RPRSERVE error code a server answers the violation
+    with; ``None`` means the generic ``ERR_PROTOCOL``."""
+
+    def __init__(self, message: str = "", code: int | None = None) -> None:
+        super().__init__(message)
+        self.code = code

@@ -1,14 +1,17 @@
 """Network serving layer: stream event batches to a detector over TCP.
 
-The subsystem has three parts -- see ``docs/SERVING.md`` for the
+The subsystem has five parts -- see ``docs/SERVING.md`` for the
 protocol walk-through and deployment guidance:
 
 * :mod:`repro.serve.protocol` -- the sans-IO RPRSERVE wire format
   (length-prefixed CRC-checked frames of ``tracefile``-layout column
   batches);
-* :mod:`repro.serve.server` -- the asyncio multi-session server with
-  credit-based backpressure (:class:`RaceServer`, plus
-  :class:`ServerThread` for loopback serving from synchronous code);
+* :mod:`repro.serve.session` -- the RPRSERVE session core both front
+  ends share: handshake, credit-based backpressure, sequencing,
+  validation, graceful drain, and the loop-in-a-thread harness;
+* :mod:`repro.serve.server` -- the asyncio multi-session server
+  (:class:`RaceServer`, plus :class:`ServerThread` for loopback
+  serving from synchronous code): a local engine behind the core;
 * :mod:`repro.serve.client` -- the blocking client
   (:class:`RaceClient`), trace/program replay helpers, and the
   multi-connection load generator (:func:`run_load`);
@@ -26,7 +29,6 @@ from repro.serve.cluster import (
     ClusterConfig,
     ClusterThread,
     RaceCluster,
-    WorkerProcess,
 )
 from repro.serve.client import (
     ClientSummary,
@@ -61,7 +63,6 @@ __all__ = [
     "ClusterConfig",
     "RaceCluster",
     "ClusterThread",
-    "WorkerProcess",
     "RaceClient",
     "ConnectError",
     "TransportError",

@@ -41,9 +41,15 @@ typed ``ERR_CHECKPOINT``: through the gateway, durability is an
 inter-node concern -- the gateway masks worker failures, and a
 client that needs its own crash recovery talks to a single node.
 
+The client-facing session -- HELLO, credit, sequencing, validation,
+drain -- is the shared :class:`~repro.serve.session.SessionCore`; this
+module is the *sink* behind it: worker links per session, split and
+fan-out per batch, the merged race stream, and the worker supervisor.
+
 Everything is observable through :mod:`repro.obs` under
-``component="cluster"``: per-worker routed-access counters, unacked
-(replay-log) gauges, respawn counters, queue depths, credit stalls.
+``component="cluster"``: the session core's frame, byte, credit and
+queue series, per-worker routed-access counters, unacked (replay-log)
+gauges, respawn counters.
 
 :class:`ClusterThread` is the synchronous harness (tests, benchmarks,
 docs); ``python -m repro.serve.cluster`` is a self-checking loopback
@@ -54,31 +60,29 @@ from __future__ import annotations
 
 import asyncio
 import os
-import subprocess
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import count
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.engine.batch import EventBatch
-from repro.engine.ingest import BACKENDS, split_batch
+from repro.engine.faults import ServerProcess, free_port
+from repro.engine.ingest import split_batch
 from repro.errors import ProtocolError, ServeError, WorkloadError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import MetricsRegistry
 from repro.serve import protocol as wire
-from repro.serve.client import (
-    ConnectError,
-    RaceClient,
-    RemoteError,
-    TransportError,
+from repro.serve.client import RaceClient, RemoteError
+from repro.serve.session import (
+    CoreMetrics,
+    CoreThread,
+    Session,
+    SessionConfig,
+    SessionCore,
 )
-from repro.serve.server import _read_frame
 
 __all__ = [
     "ClusterConfig",
-    "WorkerProcess",
     "RaceCluster",
     "ClusterThread",
 ]
@@ -93,8 +97,12 @@ __all__ = [
 _RACES_CHUNK = 2048
 
 
+#: per-call timeout of a worker link (``RaceClient(timeout=...)``)
+_LINK_TIMEOUT = 15.0
+
+
 @dataclass
-class ClusterConfig:
+class ClusterConfig(SessionConfig):
     """Tunables for one :class:`RaceCluster`.
 
     ``workers`` is the engine fan-out: accesses go to worker
@@ -106,245 +114,78 @@ class ClusterConfig:
     them.  The ``link_*`` knobs govern the gateway's worker links:
     a killed worker must respawn within the link's bounded
     exponential-backoff budget (default ~8 retries at 0.25s base,
-    comfortably past a Python process restart).
+    comfortably past a Python process restart).  The session fields
+    are :class:`~repro.serve.session.SessionConfig`'s, except that
+    workers checkpoint every 8 applied slices by default.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 0  #: 0 = pick a free port (read it from ``cluster.port``)
     workers: int = 2
-    credit_window: int = 8
-    queue_high_water: int = 6
-    max_frame: int = wire.DEFAULT_MAX_FRAME
-    idle_timeout: float = 30.0
-    hello_timeout: float = 10.0
-    drain_timeout: float = 10.0
-    checkpoint_dir: Optional[str] = None
     checkpoint_interval: int = 8  #: applied slices between worker checkpoints
     log_dir: Optional[str] = None
-    link_timeout: float = 15.0
     link_retries: int = 8
     link_backoff: float = 0.25
-    worker_startup_timeout: float = 20.0
 
 
-class _ClusterMetrics:
+class _ClusterMetrics(CoreMetrics):
     """The gateway instrument bundle (one lookup at cluster start)."""
 
     def __init__(self, registry: MetricsRegistry, workers: int) -> None:
-        labels = {"component": "cluster"}
-        self.sessions_total = registry.counter(
-            "cluster_sessions_total", "client sessions accepted",
-            labels=labels,
-        )
-        self.sessions_active = registry.gauge(
-            "cluster_sessions_active", "sessions currently open",
-            labels=labels,
-        )
-        self.batches = registry.counter(
-            "cluster_batches_total",
-            "BATCH/CBATCH frames routed", labels=labels,
-        )
-        self.events = registry.counter(
-            "cluster_events_total", "events ingested over the wire",
-            labels=labels,
+        super().__init__(registry, "cluster")
+        self.batches = self.counter(
+            "batches_total", "BATCH/CBATCH frames routed"
         )
         # The routing counters partition every incoming event exactly
         # once, mirroring ShardedBatchEngine: an access counts against
         # its owner worker, a replicated lifecycle event counts once.
         self.routed = [
-            registry.counter(
-                "cluster_routed_accesses_total",
+            self.counter(
+                "routed_accesses_total",
                 "accesses routed to this worker (lid % workers)",
-                labels={**labels, "worker": str(k)},
+                worker=str(k),
             )
             for k in range(workers)
         ]
-        self.lifecycle = registry.counter(
-            "cluster_lifecycle_events_total",
+        self.lifecycle = self.counter(
+            "lifecycle_events_total",
             "lifecycle events replicated to every worker (counted once)",
-            labels=labels,
         )
         self.unacked = [
-            registry.gauge(
-                "cluster_worker_unacked_slices",
+            self.gauge(
+                "worker_unacked_slices",
                 "slices retained for replay until this worker's "
                 "checkpoint ACK covers them",
-                labels={**labels, "worker": str(k)},
+                worker=str(k),
             )
             for k in range(workers)
         ]
         self.respawns = [
-            registry.counter(
-                "cluster_worker_respawns_total",
+            self.counter(
+                "worker_respawns_total",
                 "times the supervisor restarted this worker after a "
                 "crash (resharding: respawn-in-place)",
-                labels={**labels, "worker": str(k)},
+                worker=str(k),
             )
             for k in range(workers)
         ]
-        self.races_streamed = registry.counter(
-            "cluster_races_streamed_total",
-            "race reports forwarded to clients", labels=labels,
-        )
-        self.credit_stalls = registry.counter(
-            "cluster_credit_stalls_total",
-            "credit grants withheld at the queue high-water mark",
-            labels=labels,
-        )
-        self.queue_depth = registry.gauge(
-            "cluster_queue_depth",
-            "batches queued across all sessions", labels=labels,
-        )
-        self.errors = {
-            name: registry.counter(
-                "cluster_errors_total",
-                "ERROR frames sent, by code",
-                labels={**labels, "code": name},
-            )
-            for name in wire.ERROR_NAMES.values()
-        }
-
-
-class WorkerProcess:
-    """One engine worker: ``repro-race serve`` as a killable subprocess.
-
-    Like :class:`repro.engine.faults.ServerProcess` but with its
-    stdout/stderr captured to ``log_path`` (CI uploads worker logs on
-    failure).  ``kill()`` is SIGKILL -- the no-cleanup crash the
-    migration machinery exists to survive.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        port: int,
-        checkpoint_dir: str,
-        *,
-        checkpoint_interval: int = 8,
-        log_path: Optional[str] = None,
-        startup_timeout: float = 20.0,
-    ) -> None:
-        self.index = index
-        self.port = port
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_interval = checkpoint_interval
-        self.log_path = log_path
-        self.startup_timeout = startup_timeout
-        self._proc: Optional[subprocess.Popen] = None
-        self._log_handle = None
-
-    def start(self) -> "WorkerProcess":
-        if self._proc is not None and self._proc.poll() is None:
-            raise WorkloadError(f"worker {self.index} already running")
-        env = dict(os.environ)
-        src = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        if self.log_path is not None:
-            self._log_handle = open(self.log_path, "ab")
-            out = self._log_handle
-        else:
-            out = subprocess.DEVNULL
-        self._proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--port", str(self.port),
-                "--checkpoint-dir", self.checkpoint_dir,
-                "--checkpoint-interval", str(self.checkpoint_interval),
-            ],
-            stdout=out,
-            stderr=out,
-            env=env,
-        )
-        self._wait_ready()
-        return self
-
-    def _wait_ready(self) -> None:
-        import socket as _socket
-
-        deadline = time.monotonic() + self.startup_timeout
-        while time.monotonic() < deadline:
-            if self._proc is not None and self._proc.poll() is not None:
-                raise WorkloadError(
-                    f"worker {self.index} exited with "
-                    f"{self._proc.returncode} before accepting connections"
-                )
-            try:
-                with _socket.create_connection(
-                    ("127.0.0.1", self.port), timeout=0.25
-                ):
-                    return
-            except OSError:
-                time.sleep(0.05)
-        raise WorkloadError(
-            f"worker {self.index} not accepting on port {self.port} "
-            f"within {self.startup_timeout}s"
+        self.races_streamed = self.counter(
+            "races_streamed_total", "race reports forwarded to clients"
         )
 
-    @property
-    def pid(self) -> Optional[int]:
-        return self._proc.pid if self._proc is not None else None
 
-    def alive(self) -> bool:
-        return self._proc is not None and self._proc.poll() is None
+class _GatewaySession(Session):
+    """A gateway session: the core's book-keeping plus one worker link
+    per shard and the merged race stream."""
 
-    def kill(self) -> None:
-        """SIGKILL: the worker gets no chance to clean up."""
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc.wait()
-        if self._log_handle is not None:
-            self._log_handle.close()
-            self._log_handle = None
+    __slots__ = ("links", "events", "races_forwarded")
 
-    def terminate(self, timeout: float = 10.0) -> None:
-        """SIGTERM: the worker drains gracefully."""
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout)
-            except subprocess.TimeoutExpired:
-                self.kill()
-        if self._log_handle is not None:
-            self._log_handle.close()
-            self._log_handle = None
-
-
-class _GatewaySession:
-    """Book-keeping for one live client connection at the gateway."""
-
-    __slots__ = (
-        "sid", "writer", "queue", "queued", "credits", "withheld",
-        "write_lock", "failed", "draining", "max_frame", "links",
-        "events", "races_total", "races_forwarded", "backend", "cbatch",
-    )
-
-    def __init__(
-        self, sid: int, writer: asyncio.StreamWriter, max_frame: int
-    ) -> None:
-        self.sid = sid
-        self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue()
-        self.queued = 0
-        self.credits = 0
-        self.withheld = 0
-        self.write_lock = asyncio.Lock()
-        self.failed: Optional[BaseException] = None
-        self.draining = False
-        self.max_frame = max_frame
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self.links: List[RaceClient] = []
         self.events = 0  #: events this client streamed (its BYE total)
-        self.races_total = 0
-        self.races_forwarded = 0  #: merged reports already chunked out
-        self.backend = "lattice2d"
-        self.cbatch = False
+        self.races_forwarded = 0  #: merged reports chunked out (BYE total)
 
 
-_BYE = object()  # queue sentinel: client finished its stream
-
-
-class RaceCluster:
+class RaceCluster(SessionCore):
     """The location-sharded gateway (see the module docstring).
 
     ``start()`` spawns the worker subprocesses, binds the gateway
@@ -353,35 +194,19 @@ class RaceCluster:
     checkpoint directory if one was created.
     """
 
+    role = "gateway"
+    config_class = ClusterConfig
+    session_class = _GatewaySession
+
     def __init__(
         self,
         config: Optional[ClusterConfig] = None,
         *,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.config = config if config is not None else ClusterConfig()
-        if self.config.workers < 1:
-            raise ServeError(
-                f"need at least one worker, got {self.config.workers}"
-            )
-        if self.config.credit_window < 1:
-            raise ServeError(
-                f"credit window must be positive, got "
-                f"{self.config.credit_window}"
-            )
-        if self.config.checkpoint_interval < 1:
-            raise ServeError(
-                f"checkpoint interval must be positive, got "
-                f"{self.config.checkpoint_interval}"
-            )
-        self.registry = registry if registry is not None else get_registry()
-        self._m = _ClusterMetrics(self.registry, self.config.workers)
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._sessions: Dict[int, _GatewaySession] = {}
-        self._handlers: set = set()
-        self._ids = count(1)
-        self._closing = False
-        self._closed_event: Optional[asyncio.Event] = None
+        if config is not None and config.workers < 1:
+            raise ServeError(f"need at least one worker, got {config.workers}")
+        super().__init__(config, registry=registry)
         self._supervisor: Optional[asyncio.Task] = None
         self._tempdir = None  # TemporaryDirectory when no checkpoint_dir
         self._nonce = os.urandom(4).hex()  # keeps (session, shard)
@@ -390,10 +215,15 @@ class RaceCluster:
             max_workers=max(8, 4 * self.config.workers),
             thread_name_prefix="repro-cluster",
         )
-        self.workers: List[WorkerProcess] = []
-        self.port: Optional[int] = None
+        self.workers: List[ServerProcess] = []
 
-    # -- lifecycle -----------------------------------------------------------
+    def _make_metrics(self) -> _ClusterMetrics:
+        return _ClusterMetrics(self.registry, self.config.workers)
+
+    def _fan_out(self) -> int:
+        return self.config.workers
+
+    # -- workers -------------------------------------------------------------
 
     def _ckpt_root(self) -> str:
         if self.config.checkpoint_dir is not None:
@@ -406,61 +236,44 @@ class RaceCluster:
             )
         return self._tempdir.name
 
-    def _spawn_worker(self, k: int, port: int) -> WorkerProcess:
-        root = self._ckpt_root()
-        ckdir = os.path.join(root, f"worker-{k}")
+    def _spawn_worker(self, k: int, port: int) -> ServerProcess:
+        ckdir = os.path.join(self._ckpt_root(), f"worker-{k}")
         os.makedirs(ckdir, exist_ok=True)
         log_path = None
         if self.config.log_dir is not None:
             os.makedirs(self.config.log_dir, exist_ok=True)
             log_path = os.path.join(self.config.log_dir, f"worker-{k}.log")
-        return WorkerProcess(
-            k, port, ckdir,
+        return ServerProcess(
+            port, ckdir,
             checkpoint_interval=self.config.checkpoint_interval,
             log_path=log_path,
-            startup_timeout=self.config.worker_startup_timeout,
         ).start()
 
-    async def start(self) -> int:
-        """Spawn the workers, bind the gateway; returns the bound port."""
-        from repro.engine.faults import free_port
-
-        if self._server is not None:
-            raise ServeError("cluster already started")
-        self._closed_event = asyncio.Event()
+    async def _acquire(self) -> None:
+        """Spawn the workers and their supervisor."""
         loop = asyncio.get_running_loop()
-        try:
-            for k in range(self.config.workers):
-                port = free_port()
-                worker = await loop.run_in_executor(
-                    self._executor, self._spawn_worker, k, port
-                )
-                self.workers.append(worker)
-            self._server = await asyncio.start_server(
-                self._handle, self.config.host, self.config.port
-            )
-        except BaseException:
-            self._teardown_workers()
-            raise
-        self.port = self._server.sockets[0].getsockname()[1]
+        for k in range(self.config.workers):
+            self.workers.append(await loop.run_in_executor(
+                self._executor, self._spawn_worker, k, free_port()
+            ))
         self._supervisor = asyncio.ensure_future(self._supervise())
-        return self.port
 
-    def install_signal_handlers(self) -> None:
-        """Route SIGTERM/SIGINT to a graceful drain (CLI mode)."""
-        import signal
-
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(
-                sig, lambda: asyncio.ensure_future(self.shutdown())
-            )
-
-    async def serve_forever(self) -> None:
-        """Block until :meth:`shutdown` completes."""
-        if self._closed_event is None:
-            raise ServeError("cluster not started")
-        await self._closed_event.wait()
+    async def _release(self) -> None:
+        """Stop the supervisor, terminate the workers, and remove a
+        private checkpoint directory."""
+        if self._supervisor is not None:
+            self._supervisor.cancel()
+            try:
+                await self._supervisor
+            except (asyncio.CancelledError, Exception):
+                pass
+        for worker in self.workers:
+            worker.terminate()
+        self.workers = []
+        if self._tempdir is not None:
+            self._tempdir.cleanup()
+            self._tempdir = None
+        self._executor.shutdown(wait=False)
 
     async def _supervise(self) -> None:
         """Respawn crashed workers on their original port (the
@@ -486,384 +299,139 @@ class RaceCluster:
         respawn it and the live links will migrate)."""
         self.workers[k].kill()
 
-    def _teardown_workers(self) -> None:
-        for worker in self.workers:
-            worker.terminate()
-        self.workers = []
-        if self._tempdir is not None:
-            self._tempdir.cleanup()
-            self._tempdir = None
+    # -- the session sink ----------------------------------------------------
 
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, let live sessions finish,
-        then terminate the workers."""
-        if self._closing:
-            return
-        self._closing = True
-        if self._supervisor is not None:
-            self._supervisor.cancel()
-            try:
-                await self._supervisor
-            except (asyncio.CancelledError, Exception):
-                pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for session in list(self._sessions.values()):
-            session.draining = True
-        if self._handlers:
-            done, pending = await asyncio.wait(
-                self._handlers, timeout=self.config.drain_timeout
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending)
-        self._teardown_workers()
-        self._executor.shutdown(wait=False)
-        if self._closed_event is not None:
-            self._closed_event.set()
+    @staticmethod
+    def _worker_error(exc: ServeError, when: str) -> Tuple[int, str]:
+        """The ERROR for a worker-link failure: a worker's typed refusal
+        (e.g. an unknown backend variant) is forwarded verbatim,
+        anything else is ERR_DETECTOR."""
+        if isinstance(exc, RemoteError):
+            return exc.code, exc.remote_message
+        return wire.ERR_DETECTOR, f"engine worker {when}: {exc}"
 
-    # -- wire helpers --------------------------------------------------------
+    async def _open(self, session: _GatewaySession) -> None:
+        """Open one worker session per shard, concurrently -- the
+        (session, shard) key.  Non-checkpointable backends get plain
+        links: kill recovery is a lattice2d feature, never silently
+        substituted.  CBATCH is grantable unconditionally: the gateway
+        expands CBATCH frames itself and routes raw slices."""
+        loop = asyncio.get_running_loop()
+        durable = session.backend == "lattice2d"
 
-    async def _send(
-        self, session: _GatewaySession, ftype: int, payload: bytes = b""
-    ) -> None:
-        async with session.write_lock:
-            session.writer.write(wire.encode_frame(ftype, payload))
-            await session.writer.drain()
+        def dial(k: int) -> RaceClient:
+            token = f"gw{self._nonce}-{session.sid}-s{k}" if durable else None
+            return RaceClient(
+                "127.0.0.1", self.workers[k].port,
+                timeout=_LINK_TIMEOUT,
+                session=token,
+                max_retries=self.config.link_retries,
+                retry_backoff=self.config.link_backoff,
+                backend=session.backend,
+            ).connect()
 
-    async def _send_error(
-        self, session: _GatewaySession, code: int, message: str
-    ) -> None:
-        self._m.errors[wire.ERROR_NAMES[code]].inc()
+        results = await asyncio.gather(*[
+            loop.run_in_executor(self._executor, dial, k)
+            for k in range(self.config.workers)
+        ], return_exceptions=True)
+        session.links = [
+            r for r in results if not isinstance(r, BaseException)
+        ]
+        for failure in results:
+            if isinstance(failure, ServeError):
+                code, message = self._worker_error(failure, "unavailable")
+                raise ProtocolError(message, code=code)
+            if isinstance(failure, BaseException):
+                raise failure
+
+    async def _ingest(
+        self,
+        session: _GatewaySession,
+        seq: int,
+        batch,
+        table: Optional[int],
+    ) -> bool:
+        """Split by location, ship a slice to every worker link, and
+        forward the new races."""
+        loop = asyncio.get_running_loop()
+        n = self.config.workers
         try:
-            await self._send(
-                session, wire.FRAME_ERROR, wire.encode_error(code, message)
-            )
-        except (ConnectionError, RuntimeError):
-            pass  # the peer is already gone; teardown continues
-
-    # -- session lifecycle ---------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        sid = next(self._ids)
-        session = _GatewaySession(sid, writer, self.config.max_frame)
-        self._sessions[sid] = session
-        self._m.sessions_total.inc()
-        self._m.sessions_active.inc()
-        consumer: Optional[asyncio.Task] = None
-        try:
-            if self._closing:
-                await self._send_error(
-                    session, wire.ERR_SHUTTING_DOWN, "gateway is draining"
+            if not isinstance(batch, EventBatch):
+                # CBATCH: expand once at the edge, route raw slices.
+                batch = await loop.run_in_executor(
+                    self._executor, batch.decompress
                 )
-                return
-            if not await self._handshake(session, reader):
-                return
-            session.credits = self.config.credit_window
-            consumer = asyncio.ensure_future(self._consume(session))
-            await self._read_loop(session, reader, consumer)
-        except asyncio.CancelledError:
-            raise
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass  # client vanished mid-frame; teardown below
-        except ProtocolError as exc:
-            await self._send_error(session, wire.ERR_PROTOCOL, str(exc))
-        finally:
-            if consumer is not None:
-                consumer.cancel()
-                try:
-                    await consumer
-                except (asyncio.CancelledError, Exception):
-                    pass
-            self._close_links(session)
-            session.credits = 0
-            del self._sessions[sid]
-            self._m.sessions_active.dec()
-            self._m.queue_depth.set(self._total_depth())
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            if task is not None:
-                self._handlers.discard(task)
+            subs = await loop.run_in_executor(
+                self._executor, split_batch, batch, n
+            )
+            await asyncio.gather(*[
+                loop.run_in_executor(
+                    self._executor, session.links[k].send_batch, subs[k]
+                )
+                for k in range(n)
+            ])
+        except ServeError as exc:
+            await self._fail(
+                session, exc, *self._worker_error(exc, "lost mid-stream")
+            )
+            return False
+        lifecycle = len(batch) - batch.access_count()
+        self._m.lifecycle.inc(lifecycle)
+        for k in range(n):
+            self._m.routed[k].inc(len(subs[k]) - lifecycle)
+            self._m.unacked[k].set(len(session.links[k]._unacked))
+        session.events += len(batch)
+        self._m.batches.inc()
+        await self._forward_races(session)
+        return True
 
-    def _close_links(self, session: _GatewaySession) -> None:
+    async def _resume(self, session: _GatewaySession, payload: bytes) -> None:
+        # Through the gateway, durability is inter-node: the gateway
+        # masks worker failures.  Client-side RESUME would need the
+        # gateway itself to be durable -- refuse typed, never
+        # accept-and-forget.
+        raise ProtocolError(
+            "client-side durable sessions are not available "
+            "through the gateway (worker durability is "
+            "inter-node); connect to a single node for RESUME",
+            code=wire.ERR_CHECKPOINT,
+        )
+
+    async def _finish(
+        self, session: _GatewaySession
+    ) -> Optional[Tuple[int, int]]:
+        """BYE fan-out: close every worker session, then forward the
+        final merged race list."""
+        loop = asyncio.get_running_loop()
+        try:
+            await asyncio.gather(*[
+                loop.run_in_executor(self._executor, link.finish)
+                for link in session.links
+            ])
+        except ServeError as exc:
+            await self._fail(
+                session, exc, *self._worker_error(exc, "lost during drain")
+            )
+            return None
+        await self._forward_races(session)
+        return session.events, session.races_forwarded
+
+    async def _close(self, session: _GatewaySession) -> None:
         for link in session.links:
             link.close()
         session.links = []
 
-    async def _handshake(
-        self, session: _GatewaySession, reader: asyncio.StreamReader
-    ) -> bool:
-        try:
-            ftype, payload = await asyncio.wait_for(
-                _read_frame(reader, wire.DEFAULT_MAX_FRAME),
-                self.config.hello_timeout,
-            )
-        except asyncio.TimeoutError:
-            await self._send_error(
-                session, wire.ERR_IDLE_TIMEOUT, "no HELLO within timeout"
-            )
-            return False
-        if ftype != wire.FRAME_HELLO:
-            await self._send_error(
-                session, wire.ERR_PROTOCOL,
-                f"expected HELLO, got {wire.FRAME_NAMES[ftype]}",
-            )
-            return False
-        version, client_max, requested, features = wire.decode_hello(payload)
-        if not (
-            wire.MIN_PROTOCOL_VERSION <= version <= wire.PROTOCOL_VERSION
-        ):
-            await self._send_error(
-                session, wire.ERR_VERSION,
-                f"gateway speaks protocol versions "
-                f"{wire.MIN_PROTOCOL_VERSION}..{wire.PROTOCOL_VERSION}, "
-                f"client sent {version}",
-            )
-            return False
-        if requested is not None and requested not in BACKENDS:
-            await self._send_error(
-                session, wire.ERR_BACKEND,
-                f"unknown engine backend {requested!r}; "
-                f"expected one of {BACKENDS}",
-            )
-            return False
-        if features & wire.FLAG_CBATCH and version >= 4:
-            # Grantable unconditionally: the gateway expands CBATCH
-            # frames itself and routes raw slices (block structure
-            # does not survive sharding).
-            session.cbatch = True
-        # One durable worker session per shard -- the (session, shard)
-        # key.  Non-checkpointable backends get plain links: kill
-        # recovery is a lattice2d feature, never silently substituted.
-        durable = requested is None or requested == "lattice2d"
-        try:
-            session.links = await self._connect_links(
-                session.sid, requested, durable
-            )
-        except RemoteError as exc:
-            # A worker refused the session (e.g. unknown backend
-            # variant): forward the typed refusal verbatim.
-            await self._send_error(session, exc.code, exc.remote_message)
-            return False
-        except (ConnectError, TransportError, ServeError) as exc:
-            await self._send_error(
-                session, wire.ERR_DETECTOR,
-                f"engine worker unavailable: {exc}",
-            )
-            return False
-        session.backend = session.links[0].negotiated_backend or "lattice2d"
-        max_frame = min(self.config.max_frame, client_max)
-        session.max_frame = max_frame
-        # The reply mirrors the client's version and wire shape; only
-        # a v5 reply has room for the worker count.
-        await self._send(
-            session, wire.FRAME_HELLO,
-            wire.encode_hello_reply(
-                self.config.credit_window, max_frame, version=version,
-                backend=session.backend if version >= 3 else None,
-                features=(
-                    wire.FLAG_CBATCH
-                    if version >= 4 and session.cbatch else 0
-                ),
-                workers=self.config.workers if version >= 5 else 1,
-            ),
-        )
-        return True
-
-    async def _connect_links(
-        self, sid: int, backend: Optional[str], durable: bool
-    ) -> List[RaceClient]:
-        """Open one worker session per shard, concurrently."""
-        loop = asyncio.get_running_loop()
-
-        def dial(k: int) -> RaceClient:
-            token = (
-                f"gw{self._nonce}-{sid}-s{k}" if durable else None
-            )
-            return RaceClient(
-                "127.0.0.1", self.workers[k].port,
-                timeout=self.config.link_timeout,
-                session=token,
-                max_retries=self.config.link_retries,
-                retry_backoff=self.config.link_backoff,
-                backend=backend,
-            ).connect()
-
-        futures = [
-            loop.run_in_executor(self._executor, dial, k)
-            for k in range(self.config.workers)
-        ]
-        results = await asyncio.gather(*futures, return_exceptions=True)
-        links: List[RaceClient] = []
-        failure: Optional[BaseException] = None
-        for result in results:
-            if isinstance(result, BaseException):
-                failure = failure if failure is not None else result
-            else:
-                links.append(result)
-        if failure is not None:
-            for link in links:
-                link.close()
-            raise failure
-        return links
-
-    async def _read_loop(
-        self,
-        session: _GatewaySession,
-        reader: asyncio.StreamReader,
-        consumer: asyncio.Task,
-    ) -> None:
-        max_frame = session.max_frame
-        table_size = 0
-        ships_table = False
-        enqueued_seq = 0
-        while True:
-            try:
-                ftype, payload = await asyncio.wait_for(
-                    _read_frame(reader, max_frame),
-                    self.config.idle_timeout,
-                )
-            except asyncio.TimeoutError:
-                await self._send_error(
-                    session, wire.ERR_IDLE_TIMEOUT,
-                    f"no frame within {self.config.idle_timeout}s",
-                )
-                return
-            except ProtocolError as exc:
-                code = (
-                    wire.ERR_FRAME_TOO_LARGE
-                    if "exceeds" in str(exc)
-                    else wire.ERR_BAD_CRC
-                    if "CRC" in str(exc)
-                    else wire.ERR_PROTOCOL
-                )
-                await self._send_error(session, code, str(exc))
-                return
-            if session.failed is not None:
-                # The consumer already sent ERROR; drain what credit
-                # allowed (closing early raises an RST that can destroy
-                # the in-flight ERROR) and end on BYE or EOF.
-                if ftype == wire.FRAME_BYE:
-                    return
-                continue
-            if ftype in (wire.FRAME_BATCH, wire.FRAME_CBATCH):
-                if ftype == wire.FRAME_CBATCH and not session.cbatch:
-                    await self._send_error(
-                        session, wire.ERR_COMPRESS,
-                        "CBATCH on a session that did not negotiate "
-                        "the compression feature",
-                    )
-                    return
-                if session.credits <= 0:
-                    await self._send_error(
-                        session, wire.ERR_CREDIT_OVERRUN,
-                        "BATCH with no credit outstanding",
-                    )
-                    return
-                session.credits -= 1
-                try:
-                    if ftype == wire.FRAME_CBATCH:
-                        batch, new_locs, seq = wire.decode_cbatch_payload(
-                            payload
-                        )
-                    else:
-                        batch, new_locs, seq = wire.decode_batch_payload(
-                            payload
-                        )
-                except ProtocolError as exc:
-                    await self._send_error(
-                        session, wire.ERR_MALFORMED_BATCH, str(exc)
-                    )
-                    return
-                if seq and seq != enqueued_seq + 1:
-                    await self._send_error(
-                        session, wire.ERR_PROTOCOL,
-                        f"batch seq {seq} breaks contiguity (expected "
-                        f"{enqueued_seq + 1})",
-                    )
-                    return
-                try:
-                    if new_locs is not None:
-                        ships_table = True
-                        table_size += len(new_locs)
-                    bound = table_size if ships_table else None
-                    if isinstance(batch, EventBatch):
-                        wire.validate_batch_columns(batch, bound)
-                    else:
-                        for block in batch.blocks:
-                            wire.validate_batch_columns(block, bound)
-                except ProtocolError as exc:
-                    await self._send_error(
-                        session, wire.ERR_MALFORMED_BATCH, str(exc)
-                    )
-                    return
-                enqueued_seq = max(enqueued_seq, seq)
-                session.queued += 1
-                session.queue.put_nowait(
-                    (batch, new_locs if new_locs else None)
-                )
-                self._m.queue_depth.set(self._total_depth())
-            elif ftype == wire.FRAME_RESUME:
-                # Through the gateway, durability is inter-node: the
-                # gateway masks worker failures.  Client-side RESUME
-                # would need the gateway itself to be durable -- refuse
-                # typed, never accept-and-forget.
-                await self._send_error(
-                    session, wire.ERR_CHECKPOINT,
-                    "client-side durable sessions are not available "
-                    "through the gateway (worker durability is "
-                    "inter-node); connect to a single node for RESUME",
-                )
-                return
-            elif ftype == wire.FRAME_BYE:
-                session.queue.put_nowait(_BYE)
-                await consumer
-                if session.failed is None:
-                    await self._send(
-                        session, wire.FRAME_BYE,
-                        wire.encode_bye_summary(
-                            session.events, session.races_total
-                        ),
-                    )
-                return
-            else:
-                await self._send_error(
-                    session, wire.ERR_PROTOCOL,
-                    f"unexpected {wire.FRAME_NAMES[ftype]} frame",
-                )
-                return
-
-    def _total_depth(self) -> int:
-        return sum(s.queued for s in self._sessions.values())
-
-    # -- routing -------------------------------------------------------------
-
-    def _merged_races(self, session: _GatewaySession) -> List:
-        """Every report streamed back by every link, in (worker, seq)
-        order -- deterministic, and stable under replay because a
-        link's replayed RACES frames *replace* identical content."""
-        merged: List = []
-        for link in session.links:
-            merged.extend(link.races)
-        return merged
+    # -- the merged race stream ----------------------------------------------
 
     async def _forward_races(self, session: _GatewaySession) -> None:
         """Stream the merged race list to the client, chunked at
         ``_RACES_CHUNK`` with each chunk keyed by its index (see the
         constant's comment); resends only chunks that changed."""
-        merged = self._merged_races(session)
+        # Every report streamed back by every link, in (worker, seq)
+        # order -- deterministic, and stable under replay because a
+        # link's replayed RACES frames *replace* identical content.
+        merged = [race for link in session.links for race in link.races]
         if len(merged) == session.races_forwarded:
-            session.races_total = len(merged)
             return
         first_dirty = session.races_forwarded // _RACES_CHUNK
         for i in range(first_dirty, -(-len(merged) // _RACES_CHUNK)):
@@ -874,96 +442,9 @@ class RaceCluster:
             )
         self._m.races_streamed.inc(len(merged) - session.races_forwarded)
         session.races_forwarded = len(merged)
-        session.races_total = len(merged)
-
-    async def _consume(self, session: _GatewaySession) -> None:
-        """The session's routing worker: dequeue, split by location,
-        ship a slice to every worker link, forward the new races, and
-        return credit (or stall at the high-water mark)."""
-        loop = asyncio.get_running_loop()
-        n = self.config.workers
-        while True:
-            item = await session.queue.get()
-            if item is _BYE:
-                await self._finish_links(session)
-                return
-            batch, _new_locs = item
-            session.queued -= 1
-            try:
-                if not isinstance(batch, EventBatch):
-                    # CBATCH: expand once at the edge, route raw slices.
-                    batch = await loop.run_in_executor(
-                        self._executor, batch.decompress
-                    )
-                subs = await loop.run_in_executor(
-                    self._executor, split_batch, batch, n
-                )
-                await asyncio.gather(*[
-                    loop.run_in_executor(
-                        self._executor, session.links[k].send_batch, subs[k]
-                    )
-                    for k in range(n)
-                ])
-            except RemoteError as exc:
-                session.failed = exc
-                await self._send_error(session, exc.code, exc.remote_message)
-                return
-            except (
-                TransportError, ConnectError, ServeError, ProtocolError
-            ) as exc:
-                session.failed = exc
-                await self._send_error(
-                    session, wire.ERR_DETECTOR,
-                    f"engine worker lost mid-stream: {exc}",
-                )
-                return
-            lifecycle = len(batch) - batch.access_count()
-            self._m.lifecycle.inc(lifecycle)
-            for k in range(n):
-                self._m.routed[k].inc(len(subs[k]) - lifecycle)
-                self._m.unacked[k].set(len(session.links[k]._unacked))
-            session.events += len(batch)
-            self._m.events.inc(len(batch))
-            self._m.batches.inc()
-            self._m.queue_depth.set(self._total_depth())
-            await self._forward_races(session)
-            if session.queued >= self.config.queue_high_water:
-                session.withheld += 1
-                self._m.credit_stalls.inc()
-            elif not session.draining:
-                grant = 1 + session.withheld
-                session.withheld = 0
-                session.credits += grant
-                await self._send(
-                    session, wire.FRAME_CREDIT, wire.encode_credit(grant)
-                )
-
-    async def _finish_links(self, session: _GatewaySession) -> None:
-        """BYE fan-out: close every worker session, then forward the
-        final merged race list."""
-        loop = asyncio.get_running_loop()
-        try:
-            await asyncio.gather(*[
-                loop.run_in_executor(self._executor, link.finish)
-                for link in session.links
-            ])
-        except RemoteError as exc:
-            session.failed = exc
-            await self._send_error(session, exc.code, exc.remote_message)
-            return
-        except (
-            TransportError, ConnectError, ServeError, ProtocolError
-        ) as exc:
-            session.failed = exc
-            await self._send_error(
-                session, wire.ERR_DETECTOR,
-                f"engine worker lost during drain: {exc}",
-            )
-            return
-        await self._forward_races(session)
 
 
-class ClusterThread:
+class ClusterThread(CoreThread):
     """A :class:`RaceCluster` on a private event loop in a daemon
     thread -- loopback multi-node serving for synchronous callers::
 
@@ -976,73 +457,18 @@ class ClusterThread:
     (fault injection); the cluster's supervisor respawns it.
     """
 
-    def __init__(
-        self,
-        config: Optional[ClusterConfig] = None,
-        *,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.config = config if config is not None else ClusterConfig()
-        self.registry = registry
-        self.cluster: Optional[RaceCluster] = None
-        self.port: Optional[int] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cluster", daemon=True
-        )
+    front_end = RaceCluster
+    start_timeout = 60.0
+    stop_timeout = 30.0
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surfaced to start()/stop()
-            self._error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self.cluster = RaceCluster(self.config, registry=self.registry)
-        try:
-            self.port = await self.cluster.start()
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-            return
-        self._loop = asyncio.get_running_loop()
-        self._ready.set()
-        await self.cluster.serve_forever()
-
-    def start(self, timeout: float = 60.0) -> int:
-        """Start the thread; returns the gateway's bound port."""
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise ServeError("cluster thread did not come up")
-        if self._error is not None:
-            raise self._error
-        assert self.port is not None
-        return self.port
+    @property
+    def cluster(self) -> Optional[RaceCluster]:
+        return self._front
 
     def kill_worker(self, k: int) -> None:
         """SIGKILL worker ``k``; the supervisor respawns it."""
-        assert self.cluster is not None
-        self.cluster.kill_worker(k)
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Gracefully drain and join the cluster thread."""
-        if self._loop is not None and self._thread.is_alive():
-            assert self.cluster is not None
-            asyncio.run_coroutine_threadsafe(
-                self.cluster.shutdown(), self._loop
-            )
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "ClusterThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.stop()
-        return False
+        assert self._front is not None
+        self._front.kill_worker(k)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -336,7 +336,8 @@ def check_frame_length(length: int, max_frame: int) -> None:
     if length > max_frame:
         raise ProtocolError(
             f"frame payload of {length} bytes exceeds the negotiated "
-            f"maximum of {max_frame}"
+            f"maximum of {max_frame}",
+            code=ERR_FRAME_TOO_LARGE,
         )
 
 
@@ -346,7 +347,8 @@ def check_payload_crc(payload: bytes, crc: int) -> None:
     if actual != crc:
         raise ProtocolError(
             f"frame CRC mismatch: header says {crc:#010x}, payload "
-            f"hashes to {actual:#010x}"
+            f"hashes to {actual:#010x}",
+            code=ERR_BAD_CRC,
         )
 
 
