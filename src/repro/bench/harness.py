@@ -19,39 +19,16 @@ run can never disagree.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from repro.bench.metrics import DetectorStats
+from repro.detectors import DETECTOR_FACTORIES
 from repro.detectors.base import Detector
 from repro.obs.bind import bind_detector
 from repro.obs.registry import MetricsRegistry
-from repro.detectors.depa import DePaDetector
-from repro.detectors.espbags import ESPBagsDetector
-from repro.detectors.fasttrack import FastTrackDetector
-from repro.detectors.lattice2d import Lattice2DDetector
-from repro.detectors.naive import NaiveDetector
-from repro.detectors.offsetspan import OffsetSpanDetector
-from repro.detectors.shb import SHBDetector
-from repro.detectors.spbags import SPBagsDetector
-from repro.detectors.vector_clock import VectorClockDetector
-from repro.detectors.vector_clock_dense import DenseVectorClockDetector
 from repro.forkjoin.interpreter import run
 
 __all__ = ["DETECTOR_FACTORIES", "measure", "compare_detectors"]
-
-#: name -> zero-argument factory, for CLI and benchmark parametrisation
-DETECTOR_FACTORIES: Dict[str, Callable[[], Detector]] = {
-    "lattice2d": Lattice2DDetector,
-    "depa": DePaDetector,
-    "vectorclock": VectorClockDetector,
-    "vectorclock-dense": DenseVectorClockDetector,
-    "fasttrack": FastTrackDetector,
-    "spbags": SPBagsDetector,
-    "espbags": ESPBagsDetector,
-    "offsetspan": OffsetSpanDetector,
-    "shb": SHBDetector,
-    "naive": NaiveDetector,
-}
 
 
 def measure(

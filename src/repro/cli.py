@@ -653,11 +653,11 @@ def _decompress_cmd(args) -> int:
 
 
 def _diff_trace(args) -> int:
-    from repro.engine.differential import replay_differential
+    from repro.engine.differential import check_conformance
 
     names = [n.strip() for n in args.detectors.split(",") if n.strip()]
     batch, interner = _load_batch(args.trace)
-    report = replay_differential(batch, interner, names)
+    report = check_conformance(batch, interner, names)
     print(report.summary())
     for div in report.divergences[: args.max_divergences]:
         print(f"  {div}")

@@ -9,7 +9,7 @@ harness can swap them freely:
 detector           applicability                                space per location
 ================  ===========================================  =========================
 ``Lattice2D``      any structured fork-join (2D lattices)       Θ(1)  (this paper)
-``DePa``           serial fork-first streams (our interpreter)  Θ(1)  (array-native, DePa-style)
+``DePa``           spawn-sync streams (false races on grids)    Θ(1)  (array-native, DePa-style)
 ``SPBags``         spawn-sync programs only (SP graphs)         Θ(1)  (Feng-Leiserson [12])
 ``ESPBags``        async-finish programs only                   Θ(1)  (Raman et al. [18])
 ``OffsetSpan``     spawn-sync programs only                     Θ(nesting depth) (Mellor-Crummey '91)
@@ -22,6 +22,8 @@ detector           applicability                                space per locati
 ``oracle``         offline, from recorded events                exact ground truth
 ================  ===========================================  =========================
 """
+
+from typing import Callable, Dict
 
 from repro.detectors.base import Detector, NullObserver, EventTracer
 from repro.detectors.depa import DePaDetector
@@ -48,7 +50,22 @@ from repro.detectors.oracle import (
     oracle_race_pairs,
 )
 
+#: name -> zero-argument factory, for CLI and benchmark parametrisation
+DETECTOR_FACTORIES: Dict[str, Callable[[], Detector]] = {
+    "lattice2d": Lattice2DDetector,
+    "depa": DePaDetector,
+    "vectorclock": VectorClockDetector,
+    "vectorclock-dense": DenseVectorClockDetector,
+    "fasttrack": FastTrackDetector,
+    "spbags": SPBagsDetector,
+    "espbags": ESPBagsDetector,
+    "offsetspan": OffsetSpanDetector,
+    "shb": SHBDetector,
+    "naive": NaiveDetector,
+}
+
 __all__ = [
+    "DETECTOR_FACTORIES",
     "Detector",
     "NullObserver",
     "EventTracer",

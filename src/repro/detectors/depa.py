@@ -5,8 +5,16 @@ a union-find forest of Python objects -- pointer chasing on every
 access.  DePa (Westrick/Wang/Acar, PAPERS.md) shows that fork/join
 precedence can instead be answered from flat per-vertex integer
 coordinates.  This module carries that idea over to the serial
-fork-first streams our interpreter emits, where it becomes exact -- not
-approximate -- relative to the 2D-lattice detector:
+fork-first streams our interpreter emits.  It is exact relative to the
+2D-lattice detector on spawn-sync (series-parallel) streams only.  On
+grid lattices it reports false races: wavefronts, blocked wavefronts
+and pipelines run through ``pipeline_body`` (``wavefront(2, 2)``: 2,
+``wavefront(6, 6)``: 46, ``clean_pipeline(6, 3, 1)``: 10,
+``blocked_wavefront(8, 8, 2, 2)``: 14).  A pipeline segment joins the
+previous item's segment, which halted earlier, so the adopted interval
+lands above its ancestors' and ``g_lo``/``g_hi`` stop being sorted
+(ROADMAP, "Make the depa backend exact"; the conformance matrix pins
+these cells as ``KNOWN_WRONG``).  The encoding:
 
 * Under fork-first execution (a forked child runs to completion before
   its parent resumes) the *live* tasks are exactly the current
@@ -39,8 +47,8 @@ write, clean accesses fold the cell to the acting task, racing
 accesses leave the old (unordered) value in place.  The one visible
 difference is ``prior_repr``: this detector reports the original
 accessor id where the union-find reports the current set label -- the
-same set, so every *verdict* agrees (the differential harness
-cross-checks this on every benchmark run).
+same set, so every *verdict* agrees on spawn-sync streams (the
+conformance matrix checks this on every benchmark run).
 
 The flat columns are what makes :mod:`repro.engine.vectorized` possible:
 a numpy kernel gathers ``halt_seq`` for whole

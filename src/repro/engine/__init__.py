@@ -15,13 +15,13 @@ Five pieces, layered so each is useful alone:
 * :mod:`repro.engine.tracefile` -- the compact binary record/replay
   format (capture a workload once, replay it into any detector),
   with ``mmap``-backed zero-copy reads;
-* :mod:`repro.engine.differential` -- lockstep cross-checking of
-  per-access verdicts across detectors and across fast paths; the
-  correctness gate every future perf change must pass.
+* :mod:`repro.engine.differential` -- the conformance matrix: every
+  detector and fast path judged against the per-event lattice2d
+  referee; the correctness gate every future perf change must pass.
 
 Quickstart::
 
-    from repro.engine import BatchBuilder, BatchEngine, replay_differential
+    from repro.engine import BatchBuilder, BatchEngine, check_conformance
     from repro.forkjoin import run
 
     builder = BatchBuilder()
@@ -29,8 +29,8 @@ Quickstart::
     engine = BatchEngine(interner=builder.interner)
     engine.ingest(builder.batch)              # batched detection
     print(engine.races())
-    assert replay_differential(builder.batch, builder.interner,
-                               ("lattice2d", "fasttrack")).agreed
+    assert check_conformance(builder.batch, builder.interner,
+                             ("fasttrack", "sharded:4:lattice2d")).agreed
 """
 
 from repro.engine.batch import (
@@ -48,12 +48,10 @@ from repro.engine.batch import (
     events_from_batch,
 )
 from repro.engine.differential import (
-    DEFAULT_DETECTORS,
+    CONFIGS,
     DifferentialReport,
     Divergence,
-    cross_check_backend,
-    cross_check_sharded,
-    replay_differential,
+    check_conformance,
 )
 from repro.engine.ingest import BACKENDS, BatchEngine, ShardedBatchEngine
 from repro.engine.tracefile import (
@@ -79,12 +77,10 @@ __all__ = [
     "BACKENDS",
     "BatchEngine",
     "ShardedBatchEngine",
-    "DEFAULT_DETECTORS",
+    "CONFIGS",
     "DifferentialReport",
     "Divergence",
-    "replay_differential",
-    "cross_check_backend",
-    "cross_check_sharded",
+    "check_conformance",
     "is_tracefile",
     "read_trace",
     "record_trace",

@@ -20,21 +20,20 @@ The measured contenders, slowest to fastest:
 * ``depa``      -- :class:`~repro.engine.ingest.BatchEngine` with the
   array-native ``depa`` backend: the numpy segment kernel over
   :class:`~repro.detectors.depa.DePaDetector`'s flat columns
-  (cross-checked against the union-find referee every run);
+  (judged against the per-event lattice2d referee every run);
 * ``predict``   -- :class:`~repro.engine.ingest.BatchEngine` in sound
   race-prediction mode (:class:`~repro.detectors.shb.SHBDetector`):
   vector-clock epochs plus per-location candidate windows, reporting
   every feasibly-reorderable racing pair.  Strictly more work per
   access than the observed-order paths; its soundness invariant
-  (predicted races include everything lattice2d *and* depa observe) is
-  cross-checked every run and recorded as ``differential.
-  predict_sound``;
+  (predicted races include everything the lattice2d referee observes)
+  is checked every run and recorded as ``differential.predict_sound``;
 * ``sharded``   -- :class:`~repro.engine.ingest.ShardedBatchEngine`
   (measures the lifecycle-replication overhead sharding pays for its
   partitioning; it is not expected to win on one core).
 
-Every run also differentially cross-checks verdicts across the paths
-(and across the lattice2d/fasttrack/spbags trio) before reporting, so
+Every run also judges the paths and the lattice2d/fasttrack/spbags
+trio against the per-event lattice2d referee before reporting, so
 a throughput number from a detector that stopped detecting is
 impossible by construction.
 """
@@ -46,6 +45,7 @@ import io
 import os
 import statistics
 import time
+from functools import partial
 from typing import Any, Callable, Dict, List, Sequence
 
 from repro.compress import compress as compress_trace, write_tracez
@@ -53,11 +53,8 @@ from repro.core.detector import RaceDetector2D
 from repro.engine.batch import BatchBuilder, EventBatch, LocationInterner
 from repro.engine.differential import (
     DEFAULT_DETECTORS,
-    cross_check_backend,
-    cross_check_compressed,
-    cross_check_predict,
-    cross_check_sharded,
-    replay_differential,
+    Config,
+    check_conformance,
 )
 from repro.engine.ingest import BatchEngine, ShardedBatchEngine
 from repro.engine.tracefile import write_trace
@@ -350,13 +347,10 @@ def run_engine_benchmark(
     memo_engine = run_compressed()
     memo = memo_engine._memo
     compressed_races = memo_engine.races()
-    comp_agree_loops, _, _ = cross_check_compressed(
-        loop_batch, loop_interner
-    )
-    # The bulk workload barely repeats, so this leg checks the memo's
-    # fallback discipline rather than its cache.
-    comp_agree_bulk, _, _ = cross_check_compressed(batch, interner)
-    compressed_agrees = comp_agree_loops and comp_agree_bulk
+    memo_paths = ("memo:lattice2d", "memo:depa", "memo:sharded")
+    memo_loops = check_conformance(
+        loop_batch, loop_interner, memo_paths
+    ).agreed
 
     # Correctness gates: the fast paths must report exactly what the
     # reference does, and the detector trio must agree per access.
@@ -372,16 +366,18 @@ def run_engine_benchmark(
             "batched ingestion changed verdicts: "
             f"{len(batched_races)} vs {len(per_event_races)} reports"
         )
-    depa_agree, _, depa_races = cross_check_backend(
-        batch, interner, backend="depa", batch_size=batch_size
+    # The bulk workload barely repeats, so its memo cells check the
+    # fallback discipline rather than the cache.  The sharded row is
+    # built here: ``shards`` may be any count, not just the table's.
+    sharded = Config(
+        "sharded", "multiset", partial(ShardedBatchEngine, shards), "batches"
     )
-    shard_agree, _, sharded_races = cross_check_sharded(
-        batch, interner, num_shards=shards, batch_size=batch_size
+    paths = check_conformance(
+        batch, interner,
+        ("engine:depa", sharded, "predict", *memo_paths),
+        batch_size=batch_size,
     )
-    predict_sound, predicted_races, _ = cross_check_predict(
-        batch, interner, batch_size=batch_size
-    )
-    diff = replay_differential(batch, interner, detectors)
+    diff = check_conformance(batch, interner, detectors)
 
     record: Dict[str, Any] = {
         "bench": "engine_batch",
@@ -455,19 +451,20 @@ def run_engine_benchmark(
         "races": {
             "per_event": len(per_event_races),
             "batched": len(batched_races),
-            "depa": len(depa_races),
-            "predict": len(predicted_races),
-            "sharded": len(sharded_races),
+            "depa": paths.races["engine:depa"],
+            "predict": paths.races["predict"],
+            "sharded": paths.races["sharded"],
             "compressed": len(compressed_races),
         },
         "differential": {
-            "detectors": list(diff.detectors),
+            "detectors": list(diff.configs),
             "races": diff.races,
             "divergences": len(diff.divergences),
-            "depa_agrees": depa_agree,
-            "sharded_agrees": shard_agree,
-            "predict_sound": predict_sound,
-            "compressed_agrees": compressed_agrees,
+            "depa_agrees": paths.cells["engine:depa"],
+            "sharded_agrees": paths.cells["sharded"],
+            "predict_sound": paths.cells["predict"],
+            "compressed_agrees": memo_loops
+            and all(paths.cells[p] for p in memo_paths),
         },
         "versions": _versions(),
     }

@@ -1,81 +1,147 @@
-"""Differential cross-checking: one trace, many detectors, one verdict.
+"""The conformance matrix: every detection path against the paper's detector.
 
 The engine exists to make ingestion faster *without changing answers*.
-This module is the gate that enforces it: replay the same columnar
-trace through several detectors in lockstep and compare the per-access
-verdict -- "did this read/write get flagged as racing?" -- at every
-access.  Any disagreement is reported with the exact stream position,
+This module is the gate that enforces it.  :func:`check_conformance`
+replays one columnar trace through the per-event ``lattice2d`` detector
+-- the referee, Figures 6 and 8 of the paper -- and through each named
+row of :data:`CONFIGS`, then judges every row against the referee under
+the relation the row names:
+
+* ``verdict`` -- per-event detectors, replayed in lockstep with the
+  referee: the same per-access verdict ("did this read/write get
+  flagged?") at every access;
+* ``multiset`` -- engine paths: the same multiset of flagged
+  ``(task, loc, kind)`` (backends may name different prior
+  representatives, and sharded streams renumber ``op_index``);
+* ``covers`` -- prediction: a superset of that multiset, since it also
+  reports the pairs a feasible reordering would race;
+* ``exact`` -- memoized lattice2d over the compressed form: the same
+  report sequence, down to ``prior_kind`` and ``op_index``.
+
+Every disagreement becomes a :class:`Divergence` at its stream position,
 so a perf PR that bends a detector shows up as a one-line divergence
-instead of a statistics drift.
-
-Two comparisons are provided:
-
-* :func:`replay_differential` -- detector vs detector (by default the
-  paper's ``lattice2d`` against the ``fasttrack`` and ``spbags``
-  baselines).  Only feed ``spbags`` spawn-sync-shaped traces; it is
-  unsound outside SP task graphs (see its module docstring).
-* :func:`cross_check_sharded` -- the sharded fast path vs one unsharded
-  reference detector, compared on the multiset of flagged accesses
-  (per-shard streams renumber ``op_index``, so positions are compared
-  by ``(task, loc, kind)``).
-* :func:`cross_check_predict` -- the sound-prediction engine
-  (``BatchEngine(predict=True)``) vs the observed-order backends.
-  Prediction enumerates racing *pairs* across feasible reorderings, so
-  equality is the wrong gate; the soundness invariant is inclusion:
-  every access an observed-order detector flags must also be flagged
-  by prediction (multiset ``<=`` on ``(task, loc, kind)``).
-
-Both operate on interned batches, so detectors hash dense ints; the
-verdict only depends on ordering structure, never on what a location
-*is*.
+instead of a statistics drift.  All paths run on interned location ids;
+the interner only names locations in divergences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Counter as CounterT, Dict, Hashable, List, Optional, Sequence, Tuple
 from collections import Counter
+from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
+from repro.core.reports import AccessKind
+from repro.detectors import DETECTOR_FACTORIES
 from repro.engine.batch import (
     OP_FORK,
     OP_HALT,
     OP_JOIN,
     OP_READ,
-    OP_STEP,
     OP_WRITE,
-    OPCODE_NAMES,
     EventBatch,
     LocationInterner,
 )
-from repro.engine.ingest import BatchEngine, ShardedBatchEngine
+from repro.engine.ingest import BACKENDS, BatchEngine, ShardedBatchEngine
 from repro.errors import ProgramError
 
 __all__ = [
+    "CONFIGS",
+    "Config",
     "DEFAULT_DETECTORS",
     "Divergence",
     "DifferentialReport",
-    "replay_differential",
-    "cross_check_sharded",
-    "cross_check_backend",
-    "cross_check_predict",
-    "cross_check_compressed",
+    "KNOWN_WRONG",
+    "KnownWrong",
+    "check_conformance",
 ]
 
-#: the trio the acceptance gate runs: the paper's detector against the
+#: the per-event detector every row is judged against
+REFEREE = "lattice2d"
+
+#: the trio ``repro-race diff`` runs: the paper's detector against the
 #: epoch-optimised and SP-bags baselines
 DEFAULT_DETECTORS: Tuple[str, ...] = ("lattice2d", "fasttrack", "spbags")
+
+#: the trace shapes of the matrix (the perfbench strata): spawn-sync
+#: rounds, random lattices with leftover joins, pipelines and wavefronts
+SHAPES: Tuple[str, ...] = ("sp_bulk", "lattice", "grid")
+
+
+@dataclass(frozen=True)
+class Config:
+    """One row of the matrix: a detection path and how it is judged."""
+
+    name: str
+    relation: str  #: "verdict", "multiset", "covers" or "exact"
+    make: Callable[[], Any]  #: builds the per-event detector or engine
+    feed: str = "events"  #: "events" (lockstep), "batches" or "compressed"
+    shapes: Tuple[str, ...] = SHAPES  #: where the path is sound by design
+    #: flags every racing access; FastTrack's same-epoch read rule
+    #: flags only the first of a task's repeated racing reads
+    every_race: bool = True
+
+
+@dataclass(frozen=True)
+class KnownWrong:
+    """Cells that disagree with the referee until a ROADMAP item lands."""
+
+    roadmap: str
+    shape: str
+    configs: Tuple[str, ...]
+
+
+def _table() -> Dict[str, Config]:
+    sp_only = {"spbags": ("sp_bulk",), "offsetspan": ("sp_bulk",),
+               "espbags": ()}  # ESP-bags needs async-finish programs
+    rows = [
+        Config(name, "covers" if name == "shb" else "verdict", factory,
+               shapes=sp_only.get(name, SHAPES),
+               every_race=name != "fasttrack")
+        for name, factory in DETECTOR_FACTORIES.items()
+    ]
+    for backend in BACKENDS:
+        rows.append(Config(f"engine:{backend}", "multiset",
+                           partial(BatchEngine, backend=backend), "batches"))
+        rows.extend(
+            Config(f"sharded:{n}:{backend}", "multiset",
+                   partial(ShardedBatchEngine, n, backend=backend), "batches")
+            for n in (1, 2, 4)
+        )
+        rows.append(Config(f"memo:{backend}",
+                           "exact" if backend == REFEREE else "multiset",
+                           partial(BatchEngine, backend=backend), "compressed"))
+    rows.append(Config("memo:sharded", "multiset",
+                       partial(ShardedBatchEngine, 4), "compressed"))
+    rows.append(Config("predict", "covers",
+                       partial(BatchEngine, predict=True), "batches"))
+    return {row.name: row for row in rows}
+
+
+#: every detection path in use, by name
+CONFIGS: Dict[str, Config] = _table()
+
+#: the depa interval store mis-orders halts on grid lattices, so every
+#: depa path reports false races there
+KNOWN_WRONG = KnownWrong(
+    roadmap="Make the depa backend exact on pipelines and wavefronts",
+    shape="grid",
+    configs=("depa", "engine:depa", "sharded:1:depa", "sharded:2:depa",
+             "sharded:4:depa", "memo:depa"),
+)
 
 
 @dataclass(frozen=True)
 class Divergence:
-    """One access on which the detectors disagreed."""
+    """One access on which a configuration disagreed with the referee."""
 
     index: int  #: position in the event stream
     op: str  #: "read" or "write"
     task: int
     loc: Hashable
-    flagged: Tuple[str, ...]  #: detectors that reported a race here
-    silent: Tuple[str, ...]  #: detectors that did not
+    flagged: Tuple[str, ...]  #: configurations that reported a race here
+    silent: Tuple[str, ...]  #: configurations that did not
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -87,18 +153,23 @@ class Divergence:
 
 @dataclass
 class DifferentialReport:
-    """Outcome of one lockstep replay."""
+    """Outcome of one conformance run: one cell per configuration."""
 
-    detectors: List[str]
+    configs: List[str]
     events: int
     accesses: int
-    races: Dict[str, int]  #: per-detector total reports
+    reports: Dict[str, List[Any]]  #: race reports per config and referee
+    cells: Dict[str, bool]  #: whether each config met its relation
     divergences: List[Divergence] = field(default_factory=list)
 
     @property
+    def races(self) -> Dict[str, int]:
+        return {name: len(found) for name, found in self.reports.items()}
+
+    @property
     def agreed(self) -> bool:
-        """True iff every access got the same verdict everywhere."""
-        return not self.divergences
+        """True iff every configuration met its relation."""
+        return all(self.cells.values())
 
     def summary(self) -> str:
         verdict = (
@@ -107,7 +178,7 @@ class DifferentialReport:
             else f"{len(self.divergences)} DISAGREEMENT(S)"
         )
         counts = ", ".join(
-            f"{name}={self.races[name]}" for name in self.detectors
+            f"{name}={len(self.reports[name])}" for name in self.configs
         )
         return (
             f"{self.events} events ({self.accesses} accesses) -> "
@@ -115,77 +186,36 @@ class DifferentialReport:
         )
 
 
-def _make_detectors(names: Sequence[str]) -> List[Any]:
-    from repro.bench.harness import DETECTOR_FACTORIES
-
-    dets = []
-    for name in names:
-        try:
-            dets.append(DETECTOR_FACTORIES[name]())
-        except KeyError:
-            raise ProgramError(f"unknown detector {name!r}") from None
-    return dets
+def _row(config: Union[str, Config]) -> Config:
+    if isinstance(config, Config):
+        return config
+    try:
+        return CONFIGS[config]
+    except KeyError:
+        raise ProgramError(f"unknown detector {config!r}") from None
 
 
-def replay_differential(
-    batch: EventBatch,
-    interner: Optional[LocationInterner] = None,
-    detectors: Sequence[str] = DEFAULT_DETECTORS,
-) -> DifferentialReport:
-    """Replay ``batch`` through every named detector in lockstep.
-
-    After each read/write slot the per-detector verdict is the boolean
-    "did your race list grow on this access"; any split vote becomes a
-    :class:`Divergence`.  The location ``interner`` is only used to
-    name locations in divergences (pass ``None`` to report raw ids).
-    """
-    from repro.obs.registry import get_registry
-
-    names = list(detectors)
-    dets = _make_detectors(names)
+def _lockstep(batch: EventBatch, dets: List[Any], voters: List[int]):
+    """Replay ``batch`` through ``dets`` (the referee first) and yield
+    ``(index, votes)`` at each access where a voter's verdict differs
+    from the referee's."""
     for det in dets:
         det.on_root(0)
-    seen: List[int] = [0] * len(dets)
-    report = DifferentialReport(
-        detectors=names,
-        events=len(batch),
-        accesses=0,
-        races=dict.fromkeys(names, 0),
-    )
-    ops = batch.ops
-    av = batch.a
-    bv = batch.b
-    for i in range(len(ops)):
-        op = ops[i]
-        a = av[i]
-        b = bv[i]
+    seen = [0] * len(dets)
+    for i, (op, a, b) in enumerate(zip(batch.ops, batch.a, batch.b)):
         if op == OP_READ or op == OP_WRITE:
-            report.accesses += 1
-            verdicts: List[bool] = []
+            grew: List[bool] = []
             for k, det in enumerate(dets):
                 if op == OP_READ:
                     det.on_read(a, b)
                 else:
                     det.on_write(a, b)
                 n = len(det.races)
-                verdicts.append(n > seen[k])
+                grew.append(n > seen[k])
                 seen[k] = n
-            if any(verdicts) and not all(verdicts):
-                loc: Hashable = b if interner is None else interner.location(b)
-                report.divergences.append(
-                    Divergence(
-                        index=i,
-                        op=OPCODE_NAMES[op],
-                        task=a,
-                        loc=loc,
-                        flagged=tuple(
-                            n for n, v in zip(names, verdicts) if v
-                        ),
-                        silent=tuple(
-                            n for n, v in zip(names, verdicts) if not v
-                        ),
-                    )
-                )
+            votes = [grew[k] for k in voters]
+            if any(v != grew[0] for v in votes):
+                yield i, votes
         elif op == OP_FORK:
             for det in dets:
                 det.on_fork(a, b)
@@ -198,8 +228,141 @@ def replay_differential(
         else:
             for det in dets:
                 det.on_step(a)
-    for name, det in zip(names, dets):
-        report.races[name] = len(det.races)
+
+
+def _run(row: Config, batch: EventBatch, batch_size: Optional[int],
+         ctrace: Any) -> List[Any]:
+    engine = row.make()
+    if row.feed == "compressed":
+        engine.ingest_compressed(ctrace)
+    elif batch_size is None:
+        engine.ingest(batch)
+    else:
+        engine.ingest_all(batch.slices(batch_size))
+    return engine.races()
+
+
+def _positions(batch: EventBatch) -> Dict[Tuple[Any, ...], List[int]]:
+    """Stream positions of the accesses, by ``(task, loc, kind)``."""
+    out: Dict[Tuple[Any, ...], List[int]] = {}
+    for i, (op, a, b) in enumerate(zip(batch.ops, batch.a, batch.b)):
+        if op == OP_READ:
+            out.setdefault((a, b, AccessKind.READ), []).append(i)
+        elif op == OP_WRITE:
+            out.setdefault((a, b, AccessKind.WRITE), []).append(i)
+    return out
+
+
+def _mismatches(relation: str, ref: List[Any], got: List[Any]):
+    """``(key, flagged_by_config)`` per report one side lacks."""
+    fields = ("task", "loc", "kind", "prior_kind", "op_index")
+    key = attrgetter(*fields if relation == "exact" else fields[:3])
+    want = [key(r) for r in ref]
+    have = [key(r) for r in got]
+    missed = Counter(want) - Counter(have)
+    extra = Counter() if relation == "covers" else Counter(have) - Counter(want)
+    if relation == "exact" and want != have and not (missed or extra):
+        extra = Counter([next(h for w, h in zip(want, have) if w != h)])
+    return [(k, False) for k in missed.elements()] + [
+        (k, True) for k in extra.elements()
+    ]
+
+
+def check_conformance(
+    batch: EventBatch,
+    interner: Optional[LocationInterner] = None,
+    configs: Sequence[Union[str, Config]] = DEFAULT_DETECTORS,
+    *,
+    batch_size: Optional[int] = None,
+) -> DifferentialReport:
+    """Judge each configuration against the per-event lattice2d referee.
+
+    ``configs`` are names from :data:`CONFIGS` (or :class:`Config`
+    rows); engine rows ingest ``batch`` whole, or re-sliced into
+    sub-batches of ``batch_size``.  Per-event rows vote in lockstep
+    with the referee, so one access on which several of them split
+    from it is one :class:`Divergence`.  The location ``interner`` only
+    names locations in divergences (pass ``None`` to report raw ids).
+    """
+    from repro.obs.registry import get_registry
+
+    rows = [_row(c) for c in configs]
+    names = [row.name for row in rows]
+    lockstep = [r for r in rows if r.feed == "events" and r.name != REFEREE]
+    dets = [CONFIGS[REFEREE].make()] + [r.make() for r in lockstep]
+    slot = {REFEREE: 0, **{r.name: k + 1 for k, r in enumerate(lockstep)}}
+    voting = [r.name for r in rows if r.relation == "verdict"]
+    if REFEREE not in voting:
+        voting.insert(0, REFEREE)
+    report = DifferentialReport(
+        configs=names,
+        events=len(batch),
+        accesses=batch.access_count(),
+        reports={},
+        cells=dict.fromkeys(names, True),
+    )
+
+    def name_loc(b: int) -> Hashable:
+        return b if interner is None else interner.location(b)
+
+    ref_vote = voting.index(REFEREE)
+    for i, votes in _lockstep(batch, dets, [slot[n] for n in voting]):
+        for name, vote in zip(voting, votes):
+            if vote != votes[ref_vote]:
+                report.cells[name] = False
+        op = batch.ops[i]
+        report.divergences.append(
+            Divergence(
+                index=i,
+                op="read" if op == OP_READ else "write",
+                task=batch.a[i],
+                loc=name_loc(batch.b[i]),
+                flagged=tuple(n for n, v in zip(voting, votes) if v),
+                silent=tuple(n for n, v in zip(voting, votes) if not v),
+            )
+        )
+    ref = dets[0].races
+    report.reports[REFEREE] = ref
+    flagged_at = {r.op_index - 1 for r in ref}  # op_index counts the event
+
+    ctrace = None
+    if any(row.feed == "compressed" for row in rows):
+        from repro.compress.blocks import compress
+
+        ctrace = compress(batch)
+    positions: Dict[Tuple[Any, ...], List[int]] = {}
+    for row in rows:
+        if row.feed == "events":
+            got = dets[slot[row.name]].races
+        else:
+            got = _run(row, batch, batch_size, ctrace)
+        report.reports[row.name] = got
+        if row.relation == "verdict":
+            continue
+        for key, extra in _mismatches(row.relation, ref, got):
+            report.cells[row.name] = False
+            task, loc, kind = key[:3]
+            if len(key) > 3:
+                index = key[4] - 1
+            else:
+                # The first access with this key whose referee verdict
+                # is the one the row contradicts.
+                positions = positions or _positions(batch)
+                at = positions.get((task, loc, kind), [-1])
+                index = next(
+                    (i for i in at if (i in flagged_at) != extra), at[0]
+                )
+            report.divergences.append(
+                Divergence(
+                    index=index,
+                    op=kind.value,
+                    task=task,
+                    loc=name_loc(loc),
+                    flagged=(row.name,) if extra else (REFEREE,),
+                    silent=(REFEREE,) if extra else (row.name,),
+                )
+            )
+
     registry = get_registry()
     registry.counter(
         "differential_replays_total", "lockstep replays performed"
@@ -214,177 +377,10 @@ def replay_differential(
         "differential_divergences_total",
         "per-access verdict disagreements found",
     ).inc(len(report.divergences))
-    for name in names:
+    for name, count in report.races.items():
         registry.gauge(
             "differential_races",
             "race reports per detector in the last lockstep replay",
             labels={"detector": name},
-        ).set(report.races[name])
+        ).set(count)
     return report
-
-
-def _flag_multiset(races: Sequence[Any]) -> "CounterT[Tuple[Any, ...]]":
-    return Counter((r.task, r.loc, r.kind) for r in races)
-
-
-def cross_check_sharded(
-    batch: EventBatch,
-    interner: Optional[LocationInterner] = None,
-    *,
-    num_shards: int = 4,
-    batch_size: Optional[int] = None,
-) -> Tuple[bool, List[Any], List[Any]]:
-    """Sharded vs unsharded fast path on one trace.
-
-    Replays ``batch`` through a plain :class:`BatchEngine` and a
-    :class:`ShardedBatchEngine` (optionally re-sliced into sub-batches
-    of ``batch_size``) and compares the multiset of flagged accesses.
-    Returns ``(agree, reference_races, sharded_races)``.
-    """
-    ref = BatchEngine(interner=interner)
-    sharded = ShardedBatchEngine(num_shards, interner=interner)
-    if batch_size is None:
-        ref.ingest(batch)
-        sharded.ingest(batch)
-    else:
-        ref.ingest_all(batch.slices(batch_size))
-        sharded.ingest_all(batch.slices(batch_size))
-    ref_races = ref.races()
-    sharded_races = sharded.races()
-    agree = _flag_multiset(ref_races) == _flag_multiset(sharded_races)
-    return agree, ref_races, sharded_races
-
-
-def cross_check_backend(
-    batch: EventBatch,
-    interner: Optional[LocationInterner] = None,
-    *,
-    backend: str = "depa",
-    batch_size: Optional[int] = None,
-) -> Tuple[bool, List[Any], List[Any]]:
-    """An alternative engine backend vs the union-find referee.
-
-    Replays ``batch`` through the default (``lattice2d``) fast kernel
-    and through ``BatchEngine(backend=...)`` and compares the multiset
-    of flagged accesses (the backends may name different prior
-    representatives from the same conflicting set, so reports are
-    compared by ``(task, loc, kind)``).  Returns
-    ``(agree, reference_races, backend_races)``.
-    """
-    ref = BatchEngine(interner=interner)
-    alt = BatchEngine(interner=interner, backend=backend)
-    if batch_size is None:
-        ref.ingest(batch)
-        alt.ingest(batch)
-    else:
-        ref.ingest_all(batch.slices(batch_size))
-        alt.ingest_all(batch.slices(batch_size))
-    ref_races = ref.races()
-    alt_races = alt.races()
-    agree = _flag_multiset(ref_races) == _flag_multiset(alt_races)
-    return agree, ref_races, alt_races
-
-
-def cross_check_predict(
-    batch: EventBatch,
-    interner: Optional[LocationInterner] = None,
-    *,
-    observed: Sequence[str] = ("lattice2d", "depa"),
-    batch_size: Optional[int] = None,
-) -> Tuple[bool, List[Any], Dict[str, List[Any]]]:
-    """The prediction engine vs the observed-order backends.
-
-    Replays ``batch`` through ``BatchEngine(predict=True)`` and through
-    one ``BatchEngine(backend=name)`` per ``observed`` name, then
-    asserts the soundness invariant *predicted races include every
-    observed race*: for each observed backend, its multiset of flagged
-    ``(task, loc, kind)`` accesses must be ``<=`` the predicted
-    multiset.  (Prediction reports one race per feasibly-reorderable
-    pair, so it may legitimately exceed the observed set -- that
-    surplus is the point.)
-
-    ``observed`` defaults to both engine backends; pass
-    ``("lattice2d",)`` for traces that are structured but not serial
-    fork-first, which the ``depa`` backend rejects by design.  Returns
-    ``(sound, predicted_races, observed_races_by_backend)``.
-    """
-    pred = BatchEngine(interner=interner, predict=True)
-    if batch_size is None:
-        pred.ingest(batch)
-    else:
-        pred.ingest_all(batch.slices(batch_size))
-    predicted_races = pred.races()
-    predicted = _flag_multiset(predicted_races)
-    sound = True
-    observed_races: Dict[str, List[Any]] = {}
-    for name in observed:
-        ref = BatchEngine(interner=interner, backend=name)
-        if batch_size is None:
-            ref.ingest(batch)
-        else:
-            ref.ingest_all(batch.slices(batch_size))
-        races = ref.races()
-        observed_races[name] = races
-        if not _flag_multiset(races) <= predicted:
-            sound = False
-    return sound, predicted_races, observed_races
-
-
-def cross_check_compressed(
-    batch: EventBatch,
-    interner: Optional[LocationInterner] = None,
-    *,
-    block_width: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    num_shards: int = 4,
-) -> Tuple[bool, List[Any], Dict[str, List[Any]]]:
-    """Memoized detection over the compressed form vs the raw fast path.
-
-    Compresses ``batch`` (:func:`repro.compress.blocks.compress`) and
-    replays the compressed trace -- never decompressed -- through the
-    memoized ingest of a ``lattice2d`` engine, a ``depa`` engine, and a
-    :class:`ShardedBatchEngine`, comparing each against the raw batched
-    referee's multiset of flagged accesses.  The serial paths must also
-    agree on exact report order and stream positions (``op_index``),
-    which is the memo's replay-exactness claim; sharded positions are
-    per-shard, so that engine is held to the multiset only.  Returns
-    ``(agree, reference_races, compressed_races_by_path)``.
-    """
-    from repro.compress.blocks import compress as _compress
-
-    if block_width is None:
-        ctrace = _compress(batch)
-    else:
-        ctrace = _compress(batch, block_width)
-    ref = BatchEngine(interner=interner)
-    if batch_size is None:
-        ref.ingest(batch)
-    else:
-        ref.ingest_all(batch.slices(batch_size))
-    ref_races = ref.races()
-    reference = _flag_multiset(ref_races)
-
-    def exact(races: Sequence[Any]) -> List[Tuple[Any, ...]]:
-        return [
-            (r.task, r.loc, r.kind, r.prior_kind, r.op_index) for r in races
-        ]
-
-    agree = True
-    by_path: Dict[str, List[Any]] = {}
-    for backend in ("lattice2d", "depa"):
-        engine = BatchEngine(interner=interner, backend=backend)
-        engine.ingest_compressed(ctrace)
-        races = engine.races()
-        by_path[backend] = races
-        if _flag_multiset(races) != reference:
-            agree = False
-        if backend == "lattice2d" and exact(races) != exact(ref_races):
-            agree = False
-    sharded = ShardedBatchEngine(num_shards, interner=interner)
-    sharded.ingest_compressed(ctrace)
-    races = sharded.races()
-    by_path["sharded"] = races
-    if _flag_multiset(races) != reference:
-        agree = False
-    return agree, ref_races, by_path
-

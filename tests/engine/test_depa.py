@@ -11,8 +11,8 @@ Three layers under test:
   errors, and must fall back to scalar replay on hostile streams so
   the offending event raises its precise error;
 * the engine wiring -- ``backend="depa"`` on both
-  :class:`BatchEngine` and :class:`ShardedBatchEngine`, and the
-  union-find referee (:func:`cross_check_backend`).
+  :class:`BatchEngine` and :class:`ShardedBatchEngine`, and its cell of
+  the conformance matrix (:func:`check_conformance`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.engine.batch import (
     BatchBuilder,
     EventBatch,
 )
-from repro.engine.differential import cross_check_backend
+from repro.engine.differential import check_conformance
 from repro.engine.ingest import BatchEngine, ShardedBatchEngine
 from repro.engine.vectorized import ingest_depa
 from repro.errors import DetectorError, ProgramError
@@ -376,10 +376,10 @@ class TestEngineWiring:
         assert flags(engine.races()) == flags(ref.races())
         assert len(ref.races()) > 0
 
-    def test_cross_check_backend_referee(self):
+    def test_engine_depa_cell(self):
         _, batch, interner = capture(BODY)
-        agree, ref_races, alt_races = cross_check_backend(
-            batch, interner, backend="depa", batch_size=64
+        report = check_conformance(
+            batch, interner, ("engine:depa",), batch_size=64
         )
-        assert agree is True
-        assert len(ref_races) == len(alt_races) > 0
+        assert report.cells["engine:depa"] is True
+        assert report.races["lattice2d"] == report.races["engine:depa"] > 0

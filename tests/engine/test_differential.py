@@ -1,6 +1,6 @@
-"""The differential harness on traces whose race status is known.
+"""The conformance referee on traces whose race status is known.
 
-The harness is the engine's acceptance gate: lattice2d, fasttrack and
+The referee is the engine's acceptance gate: lattice2d, fasttrack and
 spbags must give the same per-access verdict on every spawn-sync trace
 we can generate -- with and without seeded races -- and the sharded
 fast path must flag exactly the same accesses as the unsharded one.
@@ -8,29 +8,27 @@ fast path must flag exactly the same accesses as the unsharded one.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
-from repro.engine.batch import BatchBuilder
 from repro.engine.differential import (
+    CONFIGS,
     DEFAULT_DETECTORS,
-    cross_check_sharded,
-    replay_differential,
+    Config,
+    check_conformance,
 )
+from repro.engine.ingest import ShardedBatchEngine
 from repro.errors import ProgramError
-from repro.forkjoin.interpreter import run
 from repro.workloads.racegen import (
     bulk_access_program,
     conflicting_pair_program,
     with_injected_race,
 )
 
+from tests.engine.test_conformance import capture
+
 pytestmark = pytest.mark.engine
-
-
-def capture(body):
-    builder = BatchBuilder()
-    run(body, observers=[builder])
-    return builder.batch, builder.interner
 
 
 class TestTrioAgreement:
@@ -39,14 +37,14 @@ class TestTrioAgreement:
         batch, interner = capture(
             conflicting_pair_program("x", ordered=ordered)
         )
-        report = replay_differential(batch, interner)
+        report = check_conformance(batch, interner)
         assert report.agreed, [str(d) for d in report.divergences]
         expected = 0 if ordered else 1
         assert report.races == dict.fromkeys(DEFAULT_DETECTORS, expected)
 
     def test_clean_bulk_workload(self):
         batch, interner = capture(bulk_access_program(4, 3, 10))
-        report = replay_differential(batch, interner)
+        report = check_conformance(batch, interner)
         assert report.agreed
         assert set(report.races.values()) == {0}
 
@@ -54,59 +52,53 @@ class TestTrioAgreement:
         batch, interner = capture(
             bulk_access_program(5, 3, 10, racy_rounds=(0, 3))
         )
-        report = replay_differential(batch, interner)
+        report = check_conformance(batch, interner)
         assert report.agreed
         assert set(report.races.values()) == {2}  # one per racy round
 
     def test_injected_race_over_clean_base(self):
         body = with_injected_race(bulk_access_program(3, 2, 8))
         batch, interner = capture(body)
-        report = replay_differential(batch, interner)
+        report = check_conformance(batch, interner)
         assert report.agreed
         assert set(report.races.values()) == {1}
 
     def test_summary_mentions_the_verdict(self):
         batch, interner = capture(conflicting_pair_program("x"))
-        report = replay_differential(batch, interner)
+        report = check_conformance(batch, interner)
         assert "all detectors agree" in report.summary()
         assert report.accesses == 2
 
     def test_unknown_detector_name_rejected(self):
         batch, interner = capture(conflicting_pair_program("x"))
         with pytest.raises(ProgramError, match="unknown detector"):
-            replay_differential(batch, interner, ("lattice2d", "nope"))
+            check_conformance(batch, interner, ("lattice2d", "nope"))
 
 
 class TestDivergenceDetection:
     def test_a_bent_detector_is_caught(self):
-        """Feed the harness one detector that stopped reporting: the
-        divergence machinery itself must light up."""
-        from repro.bench.harness import DETECTOR_FACTORIES
+        """Feed the referee one detector that stopped reporting, as a
+        table row: the divergence machinery itself must light up."""
 
         class Muzzled:
             name = "muzzled"
 
             def __init__(self):
-                self._inner = DETECTOR_FACTORIES["lattice2d"]()
+                self._inner = CONFIGS["lattice2d"].make()
                 self.races = []  # never grows
 
             def __getattr__(self, attr):
                 return getattr(self._inner, attr)
 
-        DETECTOR_FACTORIES["muzzled"] = Muzzled
-        try:
-            batch, interner = capture(conflicting_pair_program("x"))
-            report = replay_differential(
-                batch, interner, ("lattice2d", "muzzled")
-            )
-            assert not report.agreed
-            [div] = report.divergences
-            assert div.flagged == ("lattice2d",)
-            assert div.silent == ("muzzled",)
-            assert div.loc == "x"
-            assert "flagged" in str(div)
-        finally:
-            del DETECTOR_FACTORIES["muzzled"]
+        batch, interner = capture(conflicting_pair_program("x"))
+        muzzled = Config("muzzled", "verdict", Muzzled)
+        report = check_conformance(batch, interner, ("lattice2d", muzzled))
+        assert not report.agreed
+        [div] = report.divergences
+        assert div.flagged == ("lattice2d",)
+        assert div.silent == ("muzzled",)
+        assert div.loc == "x"
+        assert "flagged" in str(div)
 
 
 class TestShardedCrossCheck:
@@ -115,8 +107,12 @@ class TestShardedCrossCheck:
         batch, interner = capture(
             bulk_access_program(4, 4, 9, racy_rounds=(1, 2))
         )
-        agree, ref_races, sharded_races = cross_check_sharded(
-            batch, interner, num_shards=num_shards, batch_size=31
+        row = Config(
+            "sharded",
+            "multiset",
+            partial(ShardedBatchEngine, num_shards),
+            feed="batches",
         )
-        assert agree
-        assert len(ref_races) == len(sharded_races) == 2
+        report = check_conformance(batch, interner, (row,), batch_size=31)
+        assert report.cells["sharded"]
+        assert report.races["lattice2d"] == report.races["sharded"] == 2

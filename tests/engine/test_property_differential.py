@@ -1,21 +1,21 @@
-"""Property-based differential fuzzing of the detector trio.
+"""Property-based fuzzing of the conformance matrix.
 
-The differential harness is only as good as the traces fed to it, so
-this sweep generates them: random series-parallel programs with random
-access plans, replayed in lockstep through lattice2d / fasttrack /
-spbags.  Every generated trace must produce **zero** per-access verdict
-divergences; a hypothesis-shrunk counterexample prints the offending
-event stream.
+The matrix is only as good as the traces fed to it, so this sweep
+generates them: random series-parallel programs with random access
+plans, judged against the per-event lattice2d referee.  Every generated
+trace must produce **zero** divergences; a hypothesis-shrunk
+counterexample prints the offending event stream.
 
 Two generators, matching the two disciplines in the repo:
 
 * random SP decomposition trees realised as *spawn-sync* (Cilk)
-  programs and executed depth-first by the interpreter -- the only
-  trace shape ``spbags`` is sound on, so the full trio runs;
+  programs and executed depth-first by the interpreter -- the
+  ``sp_bulk`` shape, so every matrix row sound on it runs, at a drawn
+  batch size;
 * random SP digraphs realised by :mod:`repro.forkjoin.synthesis` --
   the traversal-ordered streams are valid structured fork-join but
-  interleave joins with accesses, so only the structure-generic pair
-  (lattice2d, fasttrack) applies.
+  interleave joins with accesses, so only the rows sound on the
+  ``lattice`` shape apply (no SP-bags, no offset-span).
 
 Access plans put at most two accesses on any location: with a single
 potential racing pair per location every detector must flag exactly
@@ -37,7 +37,11 @@ from hypothesis import strategies as st
 
 from repro.core.reports import AccessKind
 from repro.engine.batch import BatchBuilder, batch_from_events
-from repro.engine.differential import DEFAULT_DETECTORS, replay_differential
+from repro.engine.differential import (
+    CONFIGS,
+    DEFAULT_DETECTORS,
+    check_conformance,
+)
 from repro.forkjoin.interpreter import run
 from repro.forkjoin.program import read, write
 from repro.forkjoin.spawn_sync import cilk
@@ -52,7 +56,15 @@ from repro.lattice.series_parallel import (
     sp_digraph,
 )
 
+from tests.engine.test_conformance import BATCH_SIZES
+
 pytestmark = pytest.mark.engine
+
+#: every matrix row sound on spawn-sync traces
+SP_CONFIGS = tuple(n for n, c in CONFIGS.items() if "sp_bulk" in c.shapes)
+
+#: every matrix row sound beyond spawn-sync traces
+LATTICE_CONFIGS = tuple(n for n, c in CONFIGS.items() if "lattice" in c.shapes)
 
 #: leaf index -> accesses to perform there, in order
 AccessPlan = Dict[int, List[Tuple[str, AccessKind]]]
@@ -147,14 +159,14 @@ def _offending_trace(events, report) -> str:
 
 class TestTrioOnSpawnSyncPrograms:
     @settings(max_examples=60, deadline=None)
-    @given(case=spawn_sync_cases())
-    def test_zero_divergences(self, case):
+    @given(case=spawn_sync_cases(), size=st.sampled_from(BATCH_SIZES))
+    def test_zero_divergences(self, case, size):
         tree, plan = case
         builder = BatchBuilder()
         ex = run(_cilk_program(tree, plan), observers=[builder],
                  record_events=True)
-        report = replay_differential(
-            builder.batch, builder.interner, DEFAULT_DETECTORS
+        report = check_conformance(
+            builder.batch, builder.interner, SP_CONFIGS, batch_size=size
         )
         assert report.agreed, _offending_trace(ex.events, report)
         assert report.accesses == sum(len(v) for v in plan.values())
@@ -165,20 +177,22 @@ class TestTrioOnSpawnSyncPrograms:
         tree, plan = case
         builder = BatchBuilder()
         run(_cilk_program(tree, plan), observers=[builder])
-        report = replay_differential(builder.batch, builder.interner)
+        report = check_conformance(
+            builder.batch, builder.interner, DEFAULT_DETECTORS
+        )
         assert len(set(report.races.values())) == 1, report.races
 
 
 class TestPairOnSynthesizedLattices:
     @settings(max_examples=60, deadline=None)
-    @given(case=synthesis_cases())
-    def test_zero_divergences(self, case):
+    @given(case=synthesis_cases(), size=st.sampled_from(BATCH_SIZES))
+    def test_zero_divergences(self, case, size):
         graph, accesses = case
         synth = synthesize_events(
             Diagram.from_poset(Poset(graph)), accesses
         )
         batch, interner = batch_from_events(synth.events)
-        report = replay_differential(
-            batch, interner, ("lattice2d", "fasttrack")
+        report = check_conformance(
+            batch, interner, LATTICE_CONFIGS, batch_size=size
         )
         assert report.agreed, _offending_trace(synth.events, report)

@@ -1,9 +1,9 @@
 """Property-based soundness sweep for the prediction engine.
 
 Random spawn-sync programs ingested through ``BatchEngine(predict=True)``
-must *cover* what the observed-order engine flags: the predicted
-``(task, loc, kind)`` multiset is a superset of the lattice2d one, on
-every program, serially and sharded.  Prediction must also be
+must *cover* what the per-event lattice2d referee flags: every
+``covers`` row of the conformance matrix passes on every program,
+serially and sharded.  Prediction must also be
 schedule-of-ingest independent -- the predicted race set (down to the
 partner task of each pair) is identical across batch sizes 1, 7, 64 and
 10k, and across 1/2/4 shards.  The invariance sweep also draws
@@ -22,15 +22,14 @@ flags at all (see ``tests/detectors/test_shb.py`` and
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.batch import BatchBuilder
-from repro.engine.differential import cross_check_predict
+from repro.engine.differential import CONFIGS, Config, check_conformance
 from repro.engine.ingest import BatchEngine, ShardedBatchEngine
-from repro.forkjoin.interpreter import run
 from repro.forkjoin.pipeline import PipelineSpec, pipeline_body
 from repro.forkjoin.program import read, write
 from repro.forkjoin.spawn_sync import cilk
@@ -48,6 +47,7 @@ from repro.workloads.wavefront import (
     wavefront_with_bug,
 )
 from tests.detectors.test_shb import REORDERING_TRACE, make_batch
+from tests.engine.test_conformance import BATCH_SIZES, capture
 from tests.engine.test_property_differential import (
     _cilk_program,
     spawn_sync_cases,
@@ -55,11 +55,8 @@ from tests.engine.test_property_differential import (
 
 pytestmark = [pytest.mark.engine, pytest.mark.predict]
 
-SLICE_SIZES = (1, 7, 64, 10_000)
-
-
-def _flag_multiset(races):
-    return Counter((r.task, r.loc, r.kind) for r in races)
+#: the matrix rows held to the soundness invariant
+COVERS = tuple(n for n, c in CONFIGS.items() if c.relation == "covers")
 
 
 def _pair_multiset(races):
@@ -70,14 +67,7 @@ def _pair_multiset(races):
 
 
 def _capture(case):
-    tree, plan = case
-    return _capture_body(_cilk_program(tree, plan))
-
-
-def _capture_body(body):
-    builder = BatchBuilder()
-    run(body, observers=[builder])
-    return builder.batch
+    return capture(_cilk_program(*case))[0]
 
 
 @st.composite
@@ -129,17 +119,12 @@ non_sp_bodies = st.one_of(pipeline_specs(), synthetic_lattices())
 @settings(max_examples=40, deadline=None)
 @given(
     case=spawn_sync_cases(max_leaves=8),
-    size=st.sampled_from(SLICE_SIZES),
+    size=st.sampled_from(BATCH_SIZES),
 )
 def test_predicted_covers_observed(case, size):
-    batch = _capture(case)
-    sound, predicted, observed = cross_check_predict(
-        batch, observed=("lattice2d",), batch_size=size
-    )
-    assert sound, (
-        f"prediction missed observed races: predicted "
-        f"{_flag_multiset(predicted)}, observed "
-        f"{_flag_multiset(observed['lattice2d'])}"
+    report = check_conformance(_capture(case), None, COVERS, batch_size=size)
+    assert report.agreed, "prediction missed observed races:\n" + "\n".join(
+        str(d) for d in report.divergences
     )
 
 
@@ -162,9 +147,13 @@ def test_sharded_predict_equals_serial_and_covers_observed(case, shards):
     sharded.ingest_all(batch.slices(64))
     assert _pair_multiset(sharded.races()) == _pair_multiset(serial.races())
 
-    ref = BatchEngine(registry=MetricsRegistry())
-    ref.ingest(batch)
-    assert _flag_multiset(ref.races()) <= _flag_multiset(sharded.races())
+    row = Config(
+        "sharded-predict",
+        "covers",
+        partial(ShardedBatchEngine, shards, predict=True),
+        feed="batches",
+    )
+    assert check_conformance(batch, None, (row,), batch_size=64).agreed
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,7 +163,7 @@ def test_predicted_set_is_batch_size_invariant(case):
     stream anywhere yields the identical pair set."""
     batch = _capture(case)
     sets = []
-    for size in SLICE_SIZES:
+    for size in BATCH_SIZES:
         engine = BatchEngine(predict=True, registry=MetricsRegistry())
         engine.ingest_all(batch.slices(size))
         sets.append(_pair_multiset(engine.races()))
@@ -187,11 +176,11 @@ def test_non_sp_pairs_are_batch_size_and_shard_invariant(body):
     """Grid and random lattices exercise joins of non-parent tasks and
     leftover absorption: slicing the stream anywhere and splitting it
     over any shard count yields the identical pair multiset."""
-    batch = _capture_body(body)
+    batch = capture(body)[0]
     serial = BatchEngine(predict=True, registry=MetricsRegistry())
     serial.ingest(batch)
     expected = _pair_multiset(serial.races())
-    for size in SLICE_SIZES:
+    for size in BATCH_SIZES:
         engine = BatchEngine(predict=True, registry=MetricsRegistry())
         engine.ingest_all(batch.slices(size))
         assert _pair_multiset(engine.races()) == expected, size
@@ -207,7 +196,6 @@ def test_strictly_more_pairs_than_observed_multiset():
     """Two forked readers then a parent write: the observed engine
     folds both reads into one supremum and reports the write once;
     prediction reports one pair per reader."""
-    builder = BatchBuilder()
 
     @cilk
     def reader(ctx):
@@ -220,28 +208,21 @@ def test_strictly_more_pairs_than_observed_multiset():
         yield write("x")
         yield from ctx.sync()
 
-    run(program, observers=[builder])
-    batch = builder.batch
-
-    sound, predicted, observed = cross_check_predict(batch)
-    assert sound
-    pred = _flag_multiset(predicted)
-    obs = _flag_multiset(observed["lattice2d"])
-    assert obs <= pred
-    assert sum(pred.values()) > sum(obs.values())  # strictly more: 2 vs 1
+    report = check_conformance(capture(program)[0], None, ("predict",))
+    assert report.agreed
+    assert report.races["predict"] > report.races["lattice2d"]  # 2 vs 1
 
 
 def test_reordering_trace_beats_every_observed_detector():
     """Set-level strictness: the REORDERING_TRACE carries a racing
-    pair invisible to the observed-order detectors.  depa rejects this
-    trace (it is not fork-first), so the cross-check runs against
-    lattice2d alone."""
-    batch = make_batch(REORDERING_TRACE)
-    sound, predicted, observed = cross_check_predict(
-        batch, observed=("lattice2d",)
+    pair invisible to the observed-order detectors."""
+    report = check_conformance(
+        make_batch(REORDERING_TRACE), None, ("predict",)
     )
-    assert sound
-    pred = _flag_multiset(predicted)
-    obs = _flag_multiset(observed["lattice2d"])
-    assert obs <= pred
-    assert set(pred) - set(obs)  # a flag no observed detector produced
+    assert report.agreed
+
+    def flags(name):
+        return {(r.task, r.loc, r.kind) for r in report.reports[name]}
+
+    # a flag no observed detector produced
+    assert flags("predict") - flags("lattice2d")

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.unionfind import IntUnionFind, UnionFind
 from repro.engine.batch import BatchBuilder
-from repro.engine.differential import replay_differential
+from repro.engine.differential import check_conformance
 from repro.engine.ingest import BatchEngine
 from repro.forkjoin.interpreter import run
 from repro.obs.bind import bind_detector
@@ -147,7 +147,7 @@ class TestDifferentialCounters:
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            report = replay_differential(
+            report = check_conformance(
                 batch, interner, ("lattice2d", "fasttrack")
             )
         finally:
