@@ -252,6 +252,15 @@ class RaceClient:
                 raise ProtocolError(
                     f"expected RESUME reply, got {wire.FRAME_NAMES[ftype]}"
                 )
+        if durable < self.durable_seq:
+            # The server lost a checkpoint it had ACKed (deleted, say,
+            # by a RELEASE BYE whose reply never arrived): replaying
+            # the unacked tail onto a fresh engine would answer wrongly.
+            self.close()
+            raise ServeError(
+                f"session {self.session!r} resumed at seq {durable}, "
+                f"below the acknowledged seq {self.durable_seq}"
+            )
         # The server follows the reply with one snapshot RACES frame
         # (keyed at the durable seq) covering everything the restored
         # engine already found; drop our per-seq entries at or below it
@@ -477,15 +486,18 @@ class RaceClient:
         for piece in batch.slices(batch_size):
             self.send_compressed(compress(piece, width))
 
-    def finish(self) -> ClientSummary:
+    def finish(self, release: bool = False) -> ClientSummary:
         """Send BYE, drain the stream, and return the session summary.
 
-        The server's summary is cross-checked against the client's own
-        event counter -- a disagreement means frames were lost or
-        double-counted and raises :class:`ProtocolError`.
+        ``release=True`` says the session will never be resumed: a
+        durable session's server then deletes its checkpoint instead
+        of writing a final one.  The server's summary is cross-checked
+        against the client's own event counter -- a disagreement means
+        frames were lost or double-counted and raises
+        :class:`ProtocolError`.
         """
         if self._finished is None:
-            self._with_retry(self._finish_once)
+            self._with_retry(lambda: self._finish_once(release))
         events, races = self._finished
         if self.session is None and events != self.events_sent:
             # A resumed session legitimately diverges: the server's
@@ -497,8 +509,8 @@ class RaceClient:
             )
         return ClientSummary(events, races, list(self.races))
 
-    def _finish_once(self) -> None:
-        self._send_frame(wire.FRAME_BYE)
+    def _finish_once(self, release: bool) -> None:
+        self._send_frame(wire.FRAME_BYE, wire.encode_bye(release))
         while True:
             ftype, payload = self._pump()
             if ftype == wire.FRAME_BYE:

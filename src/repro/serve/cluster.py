@@ -59,6 +59,7 @@ smoke run used by CI.  See ``docs/SCALE_OUT.md``.
 from __future__ import annotations
 
 import asyncio
+import glob
 import os
 import sys
 import time
@@ -87,14 +88,17 @@ __all__ = [
     "ClusterThread",
 ]
 
-#: RACES frames are forwarded in fixed-size chunks keyed by chunk
-#: index: chunk *i* is streamed at seq ``i + 1`` and *replaces* the
-#: client's previous copy of that chunk (the per-seq replacement the
-#: durable protocol already defines).  The merged race list only ever
-#: grows, so an update resends just the trailing partial chunk plus
-#: anything new -- O(delta), and every frame stays far below the
-#: negotiated cap no matter how racy the workload.
+#: Each worker link's races are forwarded in fixed-size chunks keyed
+#: by (link, chunk index): chunk *i* of link *k* is streamed at seq
+#: ``k * _LINK_SEQS + i + 1`` and *replaces* the client's previous
+#: copy of that chunk (the per-seq replacement the durable protocol
+#: already defines).  A link's race list only ever grows, so an update
+#: resends just its trailing partial chunk plus anything new --
+#: O(delta), and every frame stays far below the negotiated cap no
+#: matter how racy the workload.  The client orders reports by seq,
+#: so the merged stream is every link's list in worker order.
 _RACES_CHUNK = 2048
+_LINK_SEQS = 1 << 32
 
 
 #: per-call timeout of a worker link (``RaceClient(timeout=...)``)
@@ -116,7 +120,9 @@ class ClusterConfig(SessionConfig):
     exponential-backoff budget (default ~8 retries at 0.25s base,
     comfortably past a Python process restart).  The session fields
     are :class:`~repro.serve.session.SessionConfig`'s, except that
-    workers checkpoint every 8 applied slices by default.
+    workers checkpoint every 8 applied slices by default here; the
+    CLI's ``serve --workers`` passes its ``--checkpoint-interval``,
+    whose default is 32.
     """
 
     workers: int = 2
@@ -182,7 +188,8 @@ class _GatewaySession(Session):
         super().__init__(*args)
         self.links: List[RaceClient] = []
         self.events = 0  #: events this client streamed (its BYE total)
-        self.races_forwarded = 0  #: merged reports chunked out (BYE total)
+        #: reports chunked out per link (their sum is the BYE total)
+        self.races_forwarded: List[int] = []
 
 
 class RaceCluster(SessionCore):
@@ -337,6 +344,7 @@ class RaceCluster(SessionCore):
         session.links = [
             r for r in results if not isinstance(r, BaseException)
         ]
+        session.races_forwarded = [0] * len(session.links)
         for failure in results:
             if isinstance(failure, ServeError):
                 code, message = self._worker_error(failure, "unavailable")
@@ -351,25 +359,14 @@ class RaceCluster(SessionCore):
         batch,
         table: Optional[int],
     ) -> bool:
-        """Split by location, ship a slice to every worker link, and
+        """Route the batch in one executor hop (see :meth:`_route`) and
         forward the new races."""
         loop = asyncio.get_running_loop()
         n = self.config.workers
         try:
-            if not isinstance(batch, EventBatch):
-                # CBATCH: expand once at the edge, route raw slices.
-                batch = await loop.run_in_executor(
-                    self._executor, batch.decompress
-                )
-            subs = await loop.run_in_executor(
-                self._executor, split_batch, batch, n
+            batch, subs = await loop.run_in_executor(
+                self._executor, self._route, session, batch
             )
-            await asyncio.gather(*[
-                loop.run_in_executor(
-                    self._executor, session.links[k].send_batch, subs[k]
-                )
-                for k in range(n)
-            ])
         except ServeError as exc:
             await self._fail(
                 session, exc, *self._worker_error(exc, "lost mid-stream")
@@ -384,6 +381,18 @@ class RaceCluster(SessionCore):
         self._m.batches.inc()
         await self._forward_races(session)
         return True
+
+    @staticmethod
+    def _route(session: _GatewaySession, batch) -> Tuple[EventBatch, list]:
+        """Expand a CBATCH, split by location and ship each link its
+        slice, all in one executor hop; returns the raw batch and its
+        slices."""
+        if not isinstance(batch, EventBatch):
+            batch = batch.decompress()
+        subs = split_batch(batch, len(session.links))
+        for link, sub in zip(session.links, subs):
+            link.send_batch(sub)
+        return batch, subs
 
     async def _resume(self, session: _GatewaySession, payload: bytes) -> None:
         # Through the gateway, durability is inter-node: the gateway
@@ -400,12 +409,13 @@ class RaceCluster(SessionCore):
     async def _finish(
         self, session: _GatewaySession
     ) -> Optional[Tuple[int, int]]:
-        """BYE fan-out: close every worker session, then forward the
-        final merged race list."""
+        """BYE fan-out: release every worker session (nothing resumes
+        a link after a clean BYE, so no final checkpoint is written or
+        kept), then forward the final merged race list."""
         loop = asyncio.get_running_loop()
         try:
             await asyncio.gather(*[
-                loop.run_in_executor(self._executor, link.finish)
+                loop.run_in_executor(self._executor, link.finish, True)
                 for link in session.links
             ])
         except ServeError as exc:
@@ -414,7 +424,7 @@ class RaceCluster(SessionCore):
             )
             return None
         await self._forward_races(session)
-        return session.events, session.races_forwarded
+        return session.events, sum(session.races_forwarded)
 
     async def _close(self, session: _GatewaySession) -> None:
         for link in session.links:
@@ -424,24 +434,29 @@ class RaceCluster(SessionCore):
     # -- the merged race stream ----------------------------------------------
 
     async def _forward_races(self, session: _GatewaySession) -> None:
-        """Stream the merged race list to the client, chunked at
-        ``_RACES_CHUNK`` with each chunk keyed by its index (see the
-        constant's comment); resends only chunks that changed."""
-        # Every report streamed back by every link, in (worker, seq)
-        # order -- deterministic, and stable under replay because a
-        # link's replayed RACES frames *replace* identical content.
-        merged = [race for link in session.links for race in link.races]
-        if len(merged) == session.races_forwarded:
-            return
-        first_dirty = session.races_forwarded // _RACES_CHUNK
-        for i in range(first_dirty, -(-len(merged) // _RACES_CHUNK)):
-            chunk = merged[i * _RACES_CHUNK: (i + 1) * _RACES_CHUNK]
-            await self._send(
-                session, wire.FRAME_RACES,
-                wire.encode_races(chunk, seq=i + 1),
-            )
-        self._m.races_streamed.inc(len(merged) - session.races_forwarded)
-        session.races_forwarded = len(merged)
+        """Stream each link's race list to the client in its own chunk
+        sequence (see ``_RACES_CHUNK``); resends only chunks that
+        changed.  A link's list is append-only, and stable under replay
+        because replayed RACES frames *replace* identical content --
+        except that a link just resumed holds none of its pre-checkpoint
+        reports until the snapshot RACES frame is read; until then it
+        is skipped."""
+        for k, link in enumerate(session.links):
+            races = link.races
+            sent = session.races_forwarded[k]
+            if len(races) <= sent:
+                continue
+            chunks = -(-len(races) // _RACES_CHUNK)
+            for i in range(sent // _RACES_CHUNK, chunks):
+                await self._send(
+                    session, wire.FRAME_RACES,
+                    wire.encode_races(
+                        races[i * _RACES_CHUNK: (i + 1) * _RACES_CHUNK],
+                        seq=k * _LINK_SEQS + i + 1,
+                    ),
+                )
+            self._m.races_streamed.inc(len(races) - sent)
+            session.races_forwarded[k] = len(races)
 
 
 class ClusterThread(CoreThread):
@@ -471,10 +486,23 @@ class ClusterThread(CoreThread):
         self._front.kill_worker(k)
 
 
+def _leftover_checkpoints(root: str) -> int:
+    """Worker checkpoints under ``root``, given five seconds to reach
+    zero: a worker deletes a released session's checkpoint just after
+    its BYE reply."""
+    deadline = time.monotonic() + 5.0
+    while True:
+        found = len(glob.glob(os.path.join(root, "worker-*", "*.ckpt")))
+        if not found or time.monotonic() > deadline:
+            return found
+        time.sleep(0.05)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Self-checking loopback smoke run (the CI multinode step):
     build a racegen workload, stream it through a gateway, and require
-    the exact race multiset of a serial local replay."""
+    the exact race multiset of a serial local replay and no worker
+    checkpoint left behind once the session finished."""
     import argparse
     import json
     from collections import Counter
@@ -517,6 +545,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         summary = client.finish()
         client.close()
         workers_seen = client.negotiated_workers
+        leftover = _leftover_checkpoints(cluster.cluster._ckpt_root())
     elapsed = time.perf_counter() - start
     got = Counter(
         (r.task, r.loc, r.kind, r.prior_kind) for r in summary.reports
@@ -530,13 +559,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "killed": args.kill_worker,
         "seconds": round(elapsed, 3),
         "agrees": got == expected,
+        "leftover_checkpoints": leftover,
     }
     encoded = json.dumps(stats, sort_keys=True)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fp:
             fp.write(encoded + "\n")
     print(encoded)
-    if not stats["agrees"] or workers_seen != args.workers:
+    if not stats["agrees"] or workers_seen != args.workers or leftover:
         print("MULTINODE SMOKE FAILURE", file=sys.stderr)
         return 1
     return 0

@@ -57,7 +57,10 @@ RACES     server->   UTF-8 JSON object ``{"seq": n, "reports": [...]}``
                      double-counts) its reports.  A bare JSON list
                      (the v1 shape) is still decoded, with no seq
 ERROR     both       u16 error code + UTF-8 message; sender closes
-BYE       client->   empty (end of stream, drain and summarise)
+BYE       client->   empty (end of stream, drain and summarise), or
+                     one u8 of flags: bit 0 = RELEASE, the session
+                     ends for good -- a durable one skips its final
+                     checkpoint and deletes the one on disk
 BYE       server->   u64 events ingested + u64 races reported
 RESUME    client->   UTF-8 session token (durable session handshake,
                      sent once, directly after HELLO)
@@ -143,6 +146,7 @@ __all__ = [
     "DEFAULT_MAX_FRAME",
     "FRAME_HEADER_SIZE",
     "FLAG_CBATCH",
+    "BYE_RELEASE",
     "FRAME_HELLO",
     "FRAME_BATCH",
     "FRAME_CBATCH",
@@ -187,6 +191,8 @@ __all__ = [
     "decode_races",
     "encode_error",
     "decode_error",
+    "encode_bye",
+    "decode_bye",
     "encode_bye_summary",
     "decode_bye_summary",
     "encode_resume",
@@ -214,6 +220,10 @@ BACKEND_NAME_SIZE = 16
 #: v4 HELLO feature bit: the client wants to send CBATCH frames (and
 #: the server, echoing it, commits to ingesting them)
 FLAG_CBATCH = 1
+
+#: client BYE flag: the session will never be resumed, so a durable
+#: session releases its checkpoint instead of writing a final one
+BYE_RELEASE = 1
 
 #: default cap on one frame's payload (negotiated down in HELLO)
 DEFAULT_MAX_FRAME = 8 * 1024 * 1024
@@ -837,6 +847,18 @@ def decode_error(payload: bytes) -> Tuple[int, str]:
         raise ProtocolError(f"bad ERROR payload length {len(payload)}")
     code = _ERROR.unpack_from(payload)[0]
     return code, payload[_ERROR.size:].decode("utf-8", "replace")
+
+
+def encode_bye(release: bool = False) -> bytes:
+    """A client BYE payload: empty, or the RELEASE flag byte."""
+    return bytes([BYE_RELEASE]) if release else b""
+
+
+def decode_bye(payload: bytes) -> bool:
+    """A client BYE payload; returns whether it releases the session."""
+    if len(payload) > 1 or (payload and payload[0] & ~BYE_RELEASE):
+        raise ProtocolError(f"bad BYE payload {payload[:8].hex()}")
+    return payload == encode_bye(True)
 
 
 def encode_bye_summary(events: int, races: int) -> bytes:

@@ -17,7 +17,8 @@ module is the *sink* behind it:
   RACES frames keyed by the batch's seq;
 * a durable session (RESUME) is restored from its checkpoint,
   checkpointed every ``checkpoint_interval`` applied batches (each
-  ACKed) and once more at teardown;
+  ACKed) and once more at teardown -- unless it ended with a RELEASE
+  BYE, which deletes its checkpoint instead;
 * teardown drops the engine, so a client that vanishes mid-stream
   leaks no shadow state.
 
@@ -297,13 +298,20 @@ class RaceServer(SessionCore):
         return self._engine(session).events_ingested, session.races_seen
 
     async def _close(self, session: _ServerSession) -> None:
-        # Durable sessions get one last checkpoint so a clean BYE (or a
-        # drop with an idle worker) loses nothing.  Skipped while an
-        # ingest still runs in the executor (its thread survives
-        # consumer cancellation; serializing under it could tear the
-        # state) -- the stale checkpoint stays valid and the client
-        # simply replays more.
-        if (
+        # A released session will never be resumed: its checkpoint is
+        # dead weight, so delete it instead of writing a final one.
+        # Durable sessions otherwise get one last checkpoint so a clean
+        # BYE (or a drop with an idle worker) loses nothing.  Skipped
+        # while an ingest still runs in the executor (its thread
+        # survives consumer cancellation; serializing under it could
+        # tear the state) -- the stale checkpoint stays valid and the
+        # client simply replays more.
+        if session.token is not None and session.released:
+            try:
+                os.unlink(self._ckpt_path(session.token))
+            except FileNotFoundError:
+                pass
+        elif (
             session.token is not None
             and session.failed is None
             and not session.busy

@@ -11,7 +11,8 @@ session does on the wire.  :class:`SessionCore` is that session, once:
 * the read loop: credit accounting, batch-sequence contiguity (and the
   idempotent skip of replayed batches on a durable session), the
   shipped location-table bound, per-unique-block CBATCH validation,
-  draining after a failure, and BYE;
+  draining after a failure, and BYE (a RELEASE BYE marks the session
+  :attr:`Session.released` once answered, for the sink's teardown);
 * the consume loop: one queued batch at a time through the front
   end's ingest, then a credit grant -- withheld while the session's
   queue sits at its high-water mark (a *credit stall*), so a client
@@ -192,6 +193,7 @@ class Session:
         "sid", "writer", "queue", "queued", "credits", "withheld",
         "write_lock", "failed", "draining", "max_frame", "backend",
         "cbatch", "token", "enqueued_seq", "table", "saw_batch",
+        "released",
     )
 
     def __init__(
@@ -213,6 +215,7 @@ class Session:
         self.enqueued_seq = 0  # highest seq accepted off the wire
         self.table: Optional[int] = None  # shipped table size, if any
         self.saw_batch = False
+        self.released = False  # a RELEASE BYE was answered
 
 
 _BYE = object()  # queue sentinel: client finished its stream
@@ -560,6 +563,7 @@ class SessionCore:
             elif ftype == wire.FRAME_RESUME:
                 await self._resume(session, payload)
             elif ftype == wire.FRAME_BYE:
+                release = wire.decode_bye(payload)
                 session.queue.put_nowait(_BYE)
                 await consumer
                 if session.failed is None:
@@ -569,6 +573,7 @@ class SessionCore:
                             session, wire.FRAME_BYE,
                             wire.encode_bye_summary(*summary),
                         )
+                        session.released = release
                 return
             else:
                 raise ProtocolError(

@@ -120,6 +120,16 @@ class RawConn:
             )
             return message
 
+    def expect_bye(self):
+        """Skip CREDIT/RACES frames until the BYE reply arrives; return
+        its ``(events, races)`` summary."""
+        while True:
+            ftype, payload = self.recv_frame()
+            if ftype in (wire.FRAME_CREDIT, wire.FRAME_RACES):
+                continue
+            assert ftype == wire.FRAME_BYE, wire.FRAME_NAMES[ftype]
+            return wire.decode_bye_summary(payload)
+
     def expect_eof(self) -> None:
         assert self.sock.recv(1) == b""
 

@@ -5,13 +5,17 @@ then routing exactness (gateway-sharded detection equals a serial
 local replay, for raw, depa, and compressed sessions), then migration
 under kill (SIGKILL a worker mid-stream; the respawn/RESUME/replay
 machinery must deliver the identical race multiset, while a
-non-checkpointable depa session must fail typed instead).
+non-checkpointable depa session must fail typed instead), and
+teardown (a finished session's worker checkpoints are released).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.engine.batch import BatchBuilder
+from repro.forkjoin import fork, join, write
+from repro.forkjoin.interpreter import run
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
     ClusterConfig,
@@ -130,6 +134,47 @@ class TestRouting:
             assert all(c.value > 0 for c in metrics.routed)
 
 
+def shared_writes(n: int):
+    """A root and a forked child each write the same ``n`` locations:
+    ``n`` races, split evenly between two workers."""
+
+    def child(self):
+        for i in range(n):
+            yield write(f"x{i}")
+
+    def main(self):
+        c = yield fork(child)
+        for i in range(n):
+            yield write(f"x{i}")
+        yield join(c)
+
+    builder = BatchBuilder()
+    run(main, observers=[builder])
+    return builder.batch
+
+
+class TestRaceStream:
+    def test_many_races_in_small_slices_match_local_replay(self, cluster2):
+        # 3,000 races, more than one 2,048-report RACES chunk, arriving
+        # from both workers in 64-event slices: each worker's list
+        # grows while the other's does too, and the merged stream must
+        # neither lose nor duplicate a report.
+        batch = shared_writes(3000)
+        local = local_race_multiset(batch)
+        orders = []
+        for _ in range(2):
+            with RaceClient("127.0.0.1", cluster2.port) as client:
+                client.send_batches(batch, batch_size=64)
+                summary = client.finish()
+            assert summary.races == sum(local.values()) == 3000
+            assert race_multiset(summary.reports) == local
+            orders.append([
+                (r.task, r.loc, r.kind, r.prior_kind)
+                for r in summary.reports
+            ])
+        assert orders[0] == orders[1]  # the merged order is deterministic
+
+
 class TestMigration:
     def test_kill_worker_mid_stream_is_exact(self, small_workload):
         batch, _interner = small_workload
@@ -158,6 +203,31 @@ class TestMigration:
         assert summary.events == len(batch)
         assert respawns >= 1
 
+    def test_kill_after_races_streamed_is_exact(self):
+        # The killed worker's link has already streamed races that its
+        # checkpoint covers; right after the RESUME it holds none of
+        # them until the snapshot RACES frame is read, and the merged
+        # stream must wait for it instead of shrinking.
+        batch = shared_writes(3000)
+        local = local_race_multiset(batch)
+        with ClusterThread(
+            ClusterConfig(workers=2, checkpoint_interval=2),
+            registry=MetricsRegistry(),
+        ) as cluster:
+            pieces = list(batch.slices(64))
+            client = RaceClient(
+                "127.0.0.1", cluster.port, timeout=30.0
+            ).connect()
+            try:
+                for k, piece in enumerate(pieces):
+                    if k == len(pieces) * 4 // 5:
+                        cluster.kill_worker(1)
+                    client.send_batch(piece)
+                summary = client.finish()
+            finally:
+                client.close()
+        assert race_multiset(summary.reports) == local
+
     def test_kill_under_depa_session_fails_typed(self, small_workload):
         # depa links are not durable: a worker kill must surface as a
         # typed ERR_DETECTOR, never hang and never silently downgrade.
@@ -180,3 +250,27 @@ class TestMigration:
                 assert excinfo.value.code == wire.ERR_DETECTOR
             finally:
                 client.close()
+
+
+class TestTeardown:
+    def test_finished_sessions_leave_no_checkpoints(
+        self, small_workload, tmp_path
+    ):
+        # Worker links checkpoint mid-stream, and end with a RELEASE
+        # BYE: once every session finished, nothing is left on disk.
+        batch, _interner = small_workload
+        with ClusterThread(
+            ClusterConfig(
+                workers=2, checkpoint_dir=str(tmp_path),
+                checkpoint_interval=2,
+            ),
+            registry=MetricsRegistry(),
+        ) as cluster:
+            for _ in range(3):
+                with RaceClient("127.0.0.1", cluster.port) as client:
+                    client.send_batches(batch, batch_size=256)
+                    client.finish()
+        # Stopping the gateway terminates (and waits for) the workers,
+        # so every teardown has run by now.
+        assert sorted((tmp_path / "worker-0").iterdir()) == []
+        assert sorted((tmp_path / "worker-1").iterdir()) == []

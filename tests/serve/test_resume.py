@@ -156,6 +156,26 @@ class TestResumeInProcess:
             registry, "serve_duplicate_batches_total"
         ) == duplicated
 
+    def test_resume_below_acknowledged_seq_refused(
+        self, small_workload, tmp_path
+    ):
+        # A checkpoint the server ACKed is gone (as after a RELEASE BYE
+        # whose reply was lost): the retry must fail typed, never
+        # replay the unacked tail onto a fresh engine.
+        batch, _interner = small_workload
+        with make_server(tmp_path, checkpoint_interval=1) as srv:
+            client = RaceClient(
+                "127.0.0.1", srv.port, session="lost-ckpt"
+            ).connect()
+            self._stream(client, batch)
+            while client._unacked:
+                client._pump()
+            (tmp_path / "ckpts" / "lost-ckpt.ckpt").unlink()
+            client._sock.close()
+            client._sock = None
+            with pytest.raises(ServeError, match="below the acknowledged"):
+                client.finish()
+
     def test_acks_trim_the_replay_buffer(self, small_workload, tmp_path):
         batch, _interner = small_workload
         with make_server(tmp_path, checkpoint_interval=1) as srv:

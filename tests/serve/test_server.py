@@ -70,6 +70,32 @@ def make_front_end(kind: str, registry=None, **kw):
     )
 
 
+#: final checkpoints a plain BYE leaves per durable session: the
+#: single server keeps one, the gateway releases its worker links
+KEEPS_FINAL = {"server": 1, "cluster": 0}
+
+
+def durable_client(kind: str, port: int) -> RaceClient:
+    """A connected session whose engine state is checkpointed: one
+    with a RESUME token on the single server, and any lattice2d
+    session on the gateway (its worker links are durable)."""
+    token = "durable" if kind == "server" else None
+    return RaceClient("127.0.0.1", port, session=token).connect()
+
+
+def checkpoints(root) -> list:
+    return sorted(root.rglob("*.ckpt"))
+
+
+def settle(predicate, timeout: float = 5.0):
+    """Poll ``predicate`` until it is truthy or ``timeout`` passes;
+    returns its last value."""
+    deadline = time.time() + timeout
+    while not (value := predicate()) and time.time() < deadline:
+        time.sleep(0.02)
+    return value
+
+
 def wait_for_teardown(registry, prefix: str) -> None:
     deadline = time.time() + 5
     while time.time() < deadline:
@@ -289,6 +315,67 @@ class TestProtocolViolations:
                     wire.FRAME_BATCH, wire.encode_batch_payload(piece)
                 )
             conn.expect_error(wire.ERR_CREDIT_OVERRUN)
+
+
+    # -- BYE and RELEASE --------------------------------------------------
+
+    def test_releasing_bye_removes_periodic_checkpoint(
+        self, front_end, small_workload, tmp_path
+    ):
+        batch, _ = small_workload
+        with make_front_end(
+            front_end, checkpoint_dir=str(tmp_path), checkpoint_interval=1
+        ) as srv:
+            client = durable_client(front_end, srv.port)
+            client.send_batches(batch, 256)
+            assert settle(lambda: checkpoints(tmp_path))
+            summary = client.finish(release=True)
+            client.close()
+            assert summary.events == len(batch)
+        # stopping the front end ran every session teardown
+        assert checkpoints(tmp_path) == []
+
+    def test_plain_bye_keeps_final_checkpoint(
+        self, front_end, small_workload, tmp_path
+    ):
+        # No periodic checkpoint: whatever is on disk is the final one.
+        batch, _ = small_workload
+        with make_front_end(
+            front_end, checkpoint_dir=str(tmp_path),
+            checkpoint_interval=10_000,
+        ) as srv:
+            client = durable_client(front_end, srv.port)
+            client.send_batches(batch, 256)
+            client.finish()
+            client.close()
+        # The single server keeps a plain BYE's final checkpoint.  The
+        # gateway's worker links always release: through the gateway
+        # nothing can RESUME them.
+        assert len(checkpoints(tmp_path)) == KEEPS_FINAL[front_end]
+
+    def test_releasing_a_non_durable_session_is_a_no_op(
+        self, front_end, small_workload, tmp_path
+    ):
+        batch, _ = small_workload
+        piece = next(batch.slices(256))
+        with make_front_end(
+            front_end, checkpoint_dir=str(tmp_path)
+        ) as srv, RawConn(srv.port) as conn:
+            conn.send_frame(
+                wire.FRAME_BATCH, wire.encode_batch_payload(piece)
+            )
+            conn.send_frame(wire.FRAME_BYE, wire.encode_bye(release=True))
+            events, _races = conn.expect_bye()
+            assert events == len(piece)
+        assert checkpoints(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "payload", [b"\x01\x00", b"\x00\x00", b"\x02", b"\x81"]
+    )
+    def test_bad_bye_payload_rejected(self, front_end, payload):
+        with make_front_end(front_end) as srv, RawConn(srv.port) as conn:
+            conn.send_frame(wire.FRAME_BYE, payload)
+            conn.expect_error(wire.ERR_PROTOCOL)
 
 
 class TestSessionLifecycle:
