@@ -911,6 +911,7 @@ def _run_front_end(front, banner: Callable, metrics_port) -> int:
         finally:
             if httpd is not None:
                 httpd.shutdown()
+                httpd.server_close()
         return 0
 
     return asyncio.run(_run())

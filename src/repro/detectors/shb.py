@@ -20,8 +20,8 @@ and complete prediction reduces to enumerating those pairs:
   optimisation: a task's own component ticks only at its *release*
   points (a fork; nothing else releases here -- join is a pure
   acquire, and a halt is terminal).  All accesses between two releases
-  share one epoch ``(task, tick)`` and are indistinguishable to every
-  other task, so one O(1) component compare
+  share one epoch, packed into one int ``(tick << 32) | task``, and are
+  indistinguishable to every other task, so one O(1) component compare
   (``clock_of(later)[task] >= tick``) decides order for a whole run of
   accesses.  Clocks are dense ``array("q")`` vectors indexed by task
   id, so a fork is one C-level copy of the parent's clock and a join
@@ -33,7 +33,10 @@ and complete prediction reduces to enumerating those pairs:
   because the trace linearises HB, so any later access unordered with
   the pruned entry is also unordered with its dominator.  The window
   is thus the HB-frontier (an antichain), bounded by the width of the
-  task graph rather than the trace length.
+  task graph rather than the trace length.  Most windows hold one
+  epoch, so a window is stored as that bare packed int and only a
+  frontier of two or more becomes a list: a first-touched location
+  costs one dict slot per kind, not a tuple of two lists.
 * An incoming access scans the conflicting window(s) and reports **one
   race per unordered entry** -- the pair enumeration, not a
   first-report summary.  This is where prediction visibly exceeds the
@@ -58,7 +61,7 @@ offending event, same messages as the 2D detector.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,9 +74,36 @@ __all__ = ["SHBDetector"]
 _READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
 
+#: a packed epoch is ``(tick << 32) | task``: ``e & TASK_MASK`` is the
+#: task, ``e >> 32`` the tick
+TASK_MASK = (1 << 32) - 1
+
+#: the clocks' element type, as a dtype object: ``np.frombuffer`` takes
+#: half the time with it passed positionally than with ``dtype=np.int64``
+_INT64 = np.dtype(np.int64)
+
+#: a candidate window: one packed epoch, or a list of two or more
+Window = Union[int, List[int]]
+
 
 def _zeros(n: int) -> array:
     return array("q", bytes(8 * n))
+
+
+def _unordered(e: int, vc: array) -> bool:
+    """Whether the access epoch ``e`` (task u, tick c) is HB-unordered
+    with a task whose clock is ``vc``: that task has not yet seen tick
+    c of u.  A task's own epochs never qualify, since its own component
+    only grows."""
+    u = e & TASK_MASK
+    return u >= len(vc) or vc[u] < e >> 32
+
+
+def _epochs(win: Optional[Window]) -> Sequence[int]:
+    """The packed epochs of a window (``None``: no window)."""
+    if win is None:
+        return ()
+    return (win,) if type(win) is int else win
 
 
 class SHBDetector(Detector):
@@ -100,11 +130,11 @@ class SHBDetector(Detector):
         # task's final clock is merged into the joiner and never read
         # again).
         self._clock: List[Optional[array]] = []
-        # loc -> (read window, write window); each window is a list of
-        # (task, tick) epochs forming the HB-frontier for that kind.
-        self._windows: Dict[
-            Hashable, Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]
-        ] = {}
+        # loc -> the read (write) window: the HB-frontier of packed
+        # epochs for that kind, a bare int when it holds one epoch.  A
+        # location absent from a dict has an empty window of that kind.
+        self._reads: Dict[Hashable, Window] = {}
+        self._writes: Dict[Hashable, Window] = {}
         self._peak_window = 0
         self.op_index = 0
 
@@ -177,8 +207,8 @@ class SHBDetector(Detector):
             # Resize before any numpy view of ``jc`` exists: an array
             # with an exported buffer refuses to grow (BufferError).
             jc.extend(_zeros(n - len(jc)))
-        view = np.frombuffer(jc, dtype=np.int64, count=n)
-        np.maximum(view, np.frombuffer(oc, dtype=np.int64), out=view)
+        view = np.frombuffer(jc, _INT64, n)
+        np.maximum(view, np.frombuffer(oc, _INT64), out=view)
         self._clock[joined] = None  # never read again; free it
 
     def on_step(self, t: int) -> None:
@@ -204,56 +234,35 @@ class SHBDetector(Detector):
         self.op_index += 1
         vc = self._clock[t]
         assert vc is not None
-        tick = vc[t]
-        win = self._windows.get(loc)
-        if win is None:
-            # First access to ``loc``: nothing to race, nothing to prune.
-            epoch = [(t, tick)]
-            self._windows[loc] = ([], epoch) if kind is _WRITE else (epoch, [])
-            if not self._peak_window:
-                self._peak_window = 1
-            return
-        reads, writes = win
-        n = len(vc)
-        # An entry (u, c) is HB-unordered with this access iff task t has
-        # not yet seen tick c of u.  Entries of t itself never qualify:
-        # a task's own component only grows.  One report per conflicting
-        # unordered window entry: reads race prior writes; writes race
-        # prior reads and prior writes.
-        if kind is _WRITE:
-            for u, c in reads:
-                if u >= n or vc[u] < c:
+        me = (vc[t] << 32) | t
+        reads = self._reads.get(loc)
+        writes = self._writes.get(loc)
+        # One report per conflicting unordered window entry: reads race
+        # prior writes; writes race prior reads and prior writes.
+        for prior_kind, win in ((_READ, reads), (_WRITE, writes)):
+            if not kind.conflicts_with(prior_kind):
+                continue
+            for e in _epochs(win):
+                if _unordered(e, vc):
                     self.races.append(
                         RaceReport(
                             loc=loc, task=t, kind=kind,
-                            prior_kind=_READ, prior_repr=u,
+                            prior_kind=prior_kind,
+                            prior_repr=e & TASK_MASK,
                             op_index=self.op_index, label=label,
                         )
                     )
-            own = writes
-        else:
-            own = reads
-        for u, c in writes:
-            if u >= n or vc[u] < c:
-                self.races.append(
-                    RaceReport(
-                        loc=loc, task=t, kind=kind,
-                        prior_kind=_WRITE, prior_repr=u,
-                        op_index=self.op_index, label=label,
-                    )
-                )
         # Fold this access into its kind's window: prune entries it
         # dominates (they can never race anything this one would not),
-        # keep the unordered frontier, append the current epoch.  A
-        # window holding only this task's previous epoch is overwritten
-        # in place; its size does not change.
-        if len(own) == 1 and own[0][0] == t:
-            own[0] = (t, tick)
-            return
-        keep = [e for e in own if e[0] >= n or vc[e[0]] < e[1]]
-        keep.append((t, tick))
-        own[:] = keep
-        size = len(reads) + len(writes)
+        # keep the unordered frontier, append the current epoch.
+        if kind is _WRITE:
+            own, other, windows = writes, reads, self._writes
+        else:
+            own, other, windows = reads, writes, self._reads
+        keep = [e for e in _epochs(own) if _unordered(e, vc)]
+        keep.append(me)
+        windows[loc] = keep if len(keep) > 1 else me
+        size = len(keep) + len(_epochs(other))
         if size > self._peak_window:
             self._peak_window = size
 
@@ -268,8 +277,9 @@ class SHBDetector(Detector):
 
     def shadow_total_entries(self) -> int:
         return sum(
-            len(reads) + len(writes)
-            for reads, writes in self._windows.values()
+            len(_epochs(win))
+            for windows in (self._reads, self._writes)
+            for win in windows.values()
         )
 
     def metadata_entries(self) -> int:

@@ -55,6 +55,7 @@ __all__ = [
     "resend_unacked",
     "free_port",
     "ServerProcess",
+    "surviving_servers",
     "run_soak",
     "main",
 ]
@@ -83,7 +84,8 @@ def corrupt_flip(path: str, rng: random.Random, flips: int = 8) -> List[int]:
 
     Returns the damaged byte offsets.
     """
-    data = bytearray(open(path, "rb").read())
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
     if not data:
         raise WorkloadError(f"{path} is empty")
     offsets = []
@@ -128,6 +130,25 @@ def resend_unacked(client, rng: random.Random) -> Optional[int]:
 # -- a killable serve subprocess ----------------------------------------------
 
 
+#: pid of every serve process a :class:`ServerProcess` started in this
+#: interpreter, kept after the object is gone: an orphan is exactly a
+#: process whose handle was lost
+_started_pids: List[int] = []
+
+
+def surviving_servers() -> List[int]:
+    """Pids of serve processes this interpreter started that are still
+    running (a finished but unreaped one is reaped here, not counted)."""
+    alive = []
+    for pid in _started_pids:
+        try:
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                alive.append(pid)
+        except ChildProcessError:
+            pass  # already reaped
+    return alive
+
+
 def free_port() -> int:
     """Bind-and-release to find a free loopback TCP port."""
     with socket.socket() as sock:
@@ -142,8 +163,10 @@ class ServerProcess:
     OS process: :meth:`kill` delivers SIGKILL, so no drain, no final
     checkpoint, no atexit -- the crash the durability layer exists to
     survive.  Use as a context manager; exiting terminates whatever is
-    still running.  ``log_path`` captures the process's stdout/stderr
-    (appending; the gateway's worker logs), ``None`` discards them.
+    still running.  A :meth:`start` that fails (the process exits early
+    or misses ``startup_timeout``) kills and reaps the process first.
+    ``log_path`` captures the process's stdout/stderr (appending; the
+    gateway's worker logs), ``None`` discards them.
     """
 
     def __init__(
@@ -188,7 +211,12 @@ class ServerProcess:
             stderr=out,
             env=env,
         )
-        self._wait_ready()
+        _started_pids.append(self._proc.pid)
+        try:
+            self._wait_ready()
+        except BaseException:
+            self.kill()  # a start that fails leaves no process behind
+            raise
         return self
 
     def _wait_ready(self) -> None:
@@ -555,6 +583,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     except (AssertionError, WorkloadError) as exc:
         print(f"SOAK FAILURE: {exc}", file=sys.stderr)
+        return 1
+    survivors = surviving_servers()
+    if survivors:
+        print(
+            f"SOAK FAILURE: serve processes {survivors} outlived the soak",
+            file=sys.stderr,
+        )
         return 1
     encoded = json.dumps(stats, sort_keys=True)
     if args.json:

@@ -1,7 +1,7 @@
 """Batched ingestion: the tight per-batch loop over a detector.
 
 :class:`BatchEngine` drives one detector through an
-:class:`~repro.engine.batch.EventBatch`.  Two paths:
+:class:`~repro.engine.batch.EventBatch`.  The main paths:
 
 * a **generic loop** for any observer-protocol detector: methods
   pre-bound to locals, flat integer opcode dispatch, locations already
@@ -15,7 +15,11 @@
   into the loop.  The kernel leaves the detector in *exactly* the state
   the per-event calls would -- same races (including ``op_index``),
   same op counters, same shadow accounting -- which
-  :mod:`repro.engine.differential` cross-checks on every benchmark run.
+  :mod:`repro.engine.differential` cross-checks on every benchmark run;
+* a **predict kernel** for :class:`SHBDetector` that answers accesses
+  in place over the detector's packed candidate windows, one hoisted
+  thread check per run of accesses by one task (see
+  :func:`_ingest_predict`).
 
 :class:`ShardedBatchEngine` partitions the *shadow map* by location id:
 shard ``k`` owns locations with ``lid % num_shards == k`` and runs its
@@ -40,7 +44,7 @@ import numpy as _np
 from repro.core.detector import RaceDetector2D
 from repro.core.reports import AccessKind, RaceReport
 from repro.detectors.depa import DePaDetector
-from repro.detectors.shb import SHBDetector
+from repro.detectors.shb import TASK_MASK, SHBDetector
 from repro.engine.batch import (
     OP_FORK,
     OP_HALT,
@@ -376,8 +380,8 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
 
 
 def _ingest_predict(det: SHBDetector, batch: EventBatch) -> None:
-    """The predict-mode ingest path: batch-level validation, then the
-    generic loop over the SHB detector.
+    """The predict-mode kernel: batch-level validation, then an
+    inlined access loop over the SHB detector's packed windows.
 
     The candidate-pair window must never silently absorb rows the
     columnar accounting does not recognise, so the batch's
@@ -387,6 +391,15 @@ def _ingest_predict(det: SHBDetector, batch: EventBatch) -> None:
     (Bad *thread ids* are still per-event conditions and raise
     :class:`~repro.errors.DetectorError` mid-stream at the exact
     ``op_index``, like every other detector.)
+
+    Accesses are answered in place, mirroring
+    :meth:`SHBDetector._access` over the same ``_reads``/``_writes``
+    dicts: same reports in the same order, same ``op_index`` and peak
+    window.  The thread-id checks, the task's clock and its packed
+    epoch are hoisted once per *run* of consecutive accesses by one
+    task -- only a structural event can change them, and every
+    structural event ends the run.  Structural events go to the
+    detector's own ``on_*`` methods, so the clock algebra has one copy.
     """
     counts = batch.counts()
     accesses = counts.get("read", 0) + counts.get("write", 0)
@@ -403,7 +416,115 @@ def _ingest_predict(det: SHBDetector, batch: EventBatch) -> None:
                     "rejects the batch before any row reaches the "
                     "candidate-pair window"
                 )
-    _ingest_generic(det, batch)
+    on_fork = det.on_fork
+    on_join = det.on_join
+    on_halt = det.on_halt
+    on_step = det.on_step
+    state = det._state
+    clocks = det._clock
+    reads = det._reads
+    writes = det._writes
+    reads_get = reads.get
+    writes_get = writes.get
+    report = det.races.append
+    mask = TASK_MASK
+    R, W = _READ, _WRITE
+    Report = RaceReport
+    read_op, write_op = OP_READ, OP_WRITE
+    fork_op, join_op, halt_op = OP_FORK, OP_JOIN, OP_HALT
+    op_index = det.op_index
+    peak = det._peak_window
+    # the task whose run is hoisted; None after a structural event (no
+    # int sentinel: any int can arrive as a hostile thread id)
+    cur: Optional[int] = None
+    vc: Any = None
+    n = me = 0
+    try:
+        for op, t, loc in zip(batch.ops, batch.a, batch.b):
+            if op < read_op:
+                cur = None
+                det.op_index = op_index
+                try:
+                    if op == fork_op:
+                        on_fork(t, loc)
+                    elif op == join_op:
+                        on_join(t, loc)
+                    elif op == halt_op:
+                        on_halt(t)
+                    else:
+                        on_step(t)
+                finally:
+                    op_index = det.op_index
+                continue
+            if t != cur:
+                if t < 0 or t >= len(state):
+                    raise DetectorError(f"unknown thread id {t}")
+                if state[t]:
+                    raise DetectorError(f"thread {t} already halted")
+                vc = clocks[t]
+                n = len(vc)
+                me = (vc[t] << 32) | t
+                cur = t
+            op_index += 1
+            if op == write_op:
+                kind = W
+                prior = R
+                own_map = writes
+                own = writes_get(loc)
+                other = reads_get(loc)
+            else:
+                kind = R
+                prior = W
+                own_map = reads
+                own = reads_get(loc)
+                other = writes_get(loc)
+            # Reads race prior writes, writes race prior reads: every
+            # unordered entry of the other kind's window is a pair.
+            if other is not None:
+                if type(other) is int:
+                    u = other & mask
+                    if u >= n or vc[u] < other >> 32:
+                        report(Report(loc, t, kind, prior, u, op_index))
+                else:
+                    for e in other:
+                        u = e & mask
+                        if u >= n or vc[u] < e >> 32:
+                            report(Report(loc, t, kind, prior, u, op_index))
+            # Fold into the own kind's window; a write also races each
+            # unordered prior write it keeps.
+            if type(own) is int:
+                u = own & mask
+                if u == t or not (u >= n or vc[u] < own >> 32):
+                    own_map[loc] = me  # own or dominated epoch: same size
+                    continue
+                if kind is W:
+                    report(Report(loc, t, W, W, u, op_index))
+                own_map[loc] = [own, me]
+                size = 2
+            elif own is None:
+                own_map[loc] = me
+                size = 1
+            else:
+                keep = []
+                for e in own:
+                    u = e & mask
+                    if u >= n or vc[u] < e >> 32:
+                        if kind is W:
+                            report(Report(loc, t, W, W, u, op_index))
+                        keep.append(e)
+                if not keep:
+                    own_map[loc] = me  # the frontier shrank to one
+                    continue
+                keep.append(me)
+                own_map[loc] = keep
+                size = len(keep)
+            if other is not None:
+                size += 1 if type(other) is int else len(other)
+            if size > peak:
+                peak = size
+    finally:
+        det.op_index = op_index
+        det._peak_window = peak
 
 
 def _ingest_batch(det: Any, batch: EventBatch) -> str:

@@ -195,6 +195,17 @@ class RaceClient:
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from exc
         self._sock = sock
+        try:
+            self._hello()
+            if self.session is not None:
+                self._resume_handshake()
+        except BaseException:
+            self.close()  # a refused handshake leaves no socket open
+            raise
+        return self
+
+    def _hello(self) -> None:
+        """Send HELLO and fold the server's reply in."""
         self._send_frame(
             wire.FRAME_HELLO,
             wire.encode_hello(
@@ -205,10 +216,8 @@ class RaceClient:
         ftype, payload = self._recv_frame()
         if ftype == wire.FRAME_ERROR:
             code, message = wire.decode_error(payload)
-            self.close()
             raise RemoteError(code, message)
         if ftype != wire.FRAME_HELLO:
-            self.close()
             raise ProtocolError(
                 f"expected HELLO reply, got {wire.FRAME_NAMES[ftype]}"
             )
@@ -218,7 +227,6 @@ class RaceClient:
         if self.backend is not None and granted != self.backend:
             # A v2 server replies without a backend field; either way a
             # requested backend is a requirement, not a preference.
-            self.close()
             raise ServeError(
                 f"requested the {self.backend!r} backend but the "
                 f"server (protocol v{version}) granted {granted!r}"
@@ -226,7 +234,6 @@ class RaceClient:
         if self.compress and not features & wire.FLAG_CBATCH:
             # Same contract as a backend request: compression was
             # asked for, so a reply without the grant fails loudly.
-            self.close()
             raise ServeError(
                 f"requested compressed (CBATCH) ingestion but the "
                 f"server (protocol v{version}) did not grant it"
@@ -235,9 +242,6 @@ class RaceClient:
         self.negotiated_workers = workers
         self.credit = credit
         self.max_frame = max_frame
-        if self.session is not None:
-            self._resume_handshake()
-        return self
 
     def _resume_handshake(self) -> None:
         """Send RESUME and fold the server's durable sequence in."""
@@ -256,7 +260,6 @@ class RaceClient:
             # The server lost a checkpoint it had ACKed (deleted, say,
             # by a RELEASE BYE whose reply never arrived): replaying
             # the unacked tail onto a fresh engine would answer wrongly.
-            self.close()
             raise ServeError(
                 f"session {self.session!r} resumed at seq {durable}, "
                 f"below the acknowledged seq {self.durable_seq}"

@@ -52,20 +52,17 @@ queue series, per-worker routed-access counters, unacked (replay-log)
 gauges, respawn counters.
 
 :class:`ClusterThread` is the synchronous harness (tests, benchmarks,
-docs); ``python -m repro.serve.cluster`` is a self-checking loopback
-smoke run used by CI.  See ``docs/SCALE_OUT.md``.
+docs); ``python -m repro.serve.cluster_smoke`` is a self-checking
+loopback smoke run used by CI.  See ``docs/SCALE_OUT.md``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import glob
 import os
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.engine.batch import EventBatch
 from repro.engine.faults import ServerProcess, free_port
@@ -223,6 +220,9 @@ class RaceCluster(SessionCore):
             thread_name_prefix="repro-cluster",
         )
         self.workers: List[ServerProcess] = []
+        # spawns whose caller was cancelled before the worker reached
+        # ``self.workers``; ``_release`` reaps what they start
+        self._spawns: Set[Future] = set()
 
     def _make_metrics(self) -> _ClusterMetrics:
         return _ClusterMetrics(self.registry, self.config.workers)
@@ -256,24 +256,45 @@ class RaceCluster(SessionCore):
             log_path=log_path,
         ).start()
 
+    async def _spawn(self, k: int, port: int) -> ServerProcess:
+        """Start worker ``k`` in the executor.  Cancelling the caller
+        cannot stop a start already running there, so the spawn stays
+        tracked until its worker is handed back."""
+        spawn = self._executor.submit(self._spawn_worker, k, port)
+        self._spawns.add(spawn)
+        try:
+            worker = await asyncio.wrap_future(spawn)
+        except Exception:
+            self._spawns.discard(spawn)  # a failed start reaps its process
+            raise
+        # (a cancelled caller leaves the spawn tracked for ``_release``)
+        self._spawns.discard(spawn)
+        return worker
+
     async def _acquire(self) -> None:
         """Spawn the workers and their supervisor."""
-        loop = asyncio.get_running_loop()
         for k in range(self.config.workers):
-            self.workers.append(await loop.run_in_executor(
-                self._executor, self._spawn_worker, k, free_port()
-            ))
+            self.workers.append(await self._spawn(k, free_port()))
         self._supervisor = asyncio.ensure_future(self._supervise())
 
     async def _release(self) -> None:
-        """Stop the supervisor, terminate the workers, and remove a
-        private checkpoint directory."""
+        """Stop the supervisor, terminate the workers (including any a
+        cancelled spawn started), and remove a private checkpoint
+        directory."""
         if self._supervisor is not None:
             self._supervisor.cancel()
             try:
                 await self._supervisor
             except (asyncio.CancelledError, Exception):
                 pass
+        for spawn in self._spawns:
+            if spawn.cancelled():
+                continue  # cancelled before the executor ran it
+            try:
+                self.workers.append(await asyncio.wrap_future(spawn))
+            except Exception:
+                pass  # a failed start reaps its own process
+        self._spawns.clear()
         for worker in self.workers:
             worker.terminate()
         self.workers = []
@@ -287,15 +308,12 @@ class RaceCluster(SessionCore):
         respawn-in-place resharding strategy: shard *k* stays pinned to
         worker *k*, so no slice ever changes owner and the links'
         RESUME tokens stay valid)."""
-        loop = asyncio.get_running_loop()
         while not self._closing:
             for k, worker in enumerate(self.workers):
                 if self._closing or worker.alive():
                     continue
                 try:
-                    self.workers[k] = await loop.run_in_executor(
-                        self._executor, self._spawn_worker, k, worker.port
-                    )
+                    self.workers[k] = await self._spawn(k, worker.port)
                 except WorkloadError:
                     continue  # retried on the next sweep
                 self._m.respawns[k].inc()
@@ -484,93 +502,3 @@ class ClusterThread(CoreThread):
         """SIGKILL worker ``k``; the supervisor respawns it."""
         assert self._front is not None
         self._front.kill_worker(k)
-
-
-def _leftover_checkpoints(root: str) -> int:
-    """Worker checkpoints under ``root``, given five seconds to reach
-    zero: a worker deletes a released session's checkpoint just after
-    its BYE reply."""
-    deadline = time.monotonic() + 5.0
-    while True:
-        found = len(glob.glob(os.path.join(root, "worker-*", "*.ckpt")))
-        if not found or time.monotonic() > deadline:
-            return found
-        time.sleep(0.05)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Self-checking loopback smoke run (the CI multinode step):
-    build a racegen workload, stream it through a gateway, and require
-    the exact race multiset of a serial local replay and no worker
-    checkpoint left behind once the session finished."""
-    import argparse
-    import json
-    from collections import Counter
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.cluster",
-        description="loopback multi-node smoke: gateway-sharded "
-        "detection must equal a serial local replay",
-    )
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--events", type=int, default=100_000)
-    parser.add_argument("--batch-size", type=int, default=16_384)
-    parser.add_argument(
-        "--kill-worker", action="store_true",
-        help="SIGKILL a worker mid-stream and require migration",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", help="also write the stats as JSON"
-    )
-    args = parser.parse_args(argv)
-
-    from repro.engine.benchlib import build_workload, capture
-    from repro.engine.ingest import BatchEngine
-
-    _events, batch, _interner = capture(build_workload(args.events))
-    local = BatchEngine()
-    local.ingest(batch)
-    expected = Counter(
-        (r.task, r.loc, r.kind, r.prior_kind) for r in local.detector.races
-    )
-    start = time.perf_counter()
-    with ClusterThread(ClusterConfig(workers=args.workers)) as cluster:
-        client = RaceClient("127.0.0.1", cluster.port).connect()
-        pieces = list(batch.slices(args.batch_size))
-        kill_at = len(pieces) // 2 if args.kill_worker else -1
-        for k, piece in enumerate(pieces):
-            if k == kill_at:
-                cluster.kill_worker(args.workers - 1)
-            client.send_batch(piece)
-        summary = client.finish()
-        client.close()
-        workers_seen = client.negotiated_workers
-        leftover = _leftover_checkpoints(cluster.cluster._ckpt_root())
-    elapsed = time.perf_counter() - start
-    got = Counter(
-        (r.task, r.loc, r.kind, r.prior_kind) for r in summary.reports
-    )
-    stats = {
-        "workers": args.workers,
-        "negotiated_workers": workers_seen,
-        "events": summary.events,
-        "races": sum(got.values()),
-        "expected_races": sum(expected.values()),
-        "killed": args.kill_worker,
-        "seconds": round(elapsed, 3),
-        "agrees": got == expected,
-        "leftover_checkpoints": leftover,
-    }
-    encoded = json.dumps(stats, sort_keys=True)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
-            fp.write(encoded + "\n")
-    print(encoded)
-    if not stats["agrees"] or workers_seen != args.workers or leftover:
-        print("MULTINODE SMOKE FAILURE", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -459,7 +459,8 @@ def start_metrics_http(
 
     Stdlib ``http.server`` on a daemon thread (no new dependencies);
     returns the HTTP server (its ``server_port`` is the bound port;
-    call ``shutdown()`` to stop it).
+    call ``shutdown()`` to stop it, then ``server_close()`` to release
+    the port).
     """
     reg = registry if registry is not None else get_registry()
 

@@ -30,6 +30,7 @@ from repro.engine.batch import (
     OP_HALT,
     OP_JOIN,
     OP_READ,
+    OP_STEP,
     OP_WRITE,
     BatchBuilder,
     EventBatch,
@@ -66,6 +67,8 @@ def drive(det, events) -> None:
             det.on_join(a, b)
         elif op == OP_HALT:
             det.on_halt(a)
+        elif op == OP_STEP:
+            det.on_step(a)
 
 
 def pairs(races):
@@ -327,13 +330,17 @@ def _lattice_batch() -> EventBatch:
     return builder.batch
 
 
+def snapshot(det):
+    """The accounting :data:`LATTICE_ACCOUNTING` pins, in its order."""
+    return (
+        det.op_index, det.thread_count, det.metadata_entries(),
+        det.shadow_peak_per_location(), det.shadow_total_entries(),
+        len(det.races),
+    )
+
+
 class TestAccounting:
-    def _snapshot(self, det):
-        return (
-            det.op_index, det.thread_count, det.metadata_entries(),
-            det.shadow_peak_per_location(), det.shadow_total_entries(),
-            len(det.races),
-        )
+    _snapshot = staticmethod(snapshot)
 
     def test_lattice_is_not_series_parallel(self):
         """Guard the fixture: some task joins a task it did not fork."""
@@ -358,6 +365,16 @@ class TestAccounting:
             drive(det, [row])
             if i % 25 == 0 or i == len(batch):
                 seen.append(self._snapshot(det))
+        assert seen == LATTICE_ACCOUNTING
+
+    def test_pinned_on_the_batch_path(self):
+        """The predict kernel keeps the very same accounting, batch by
+        batch."""
+        engine = BatchEngine(predict=True)
+        seen = []
+        for piece in _lattice_batch().slices(25):
+            engine.ingest(piece)
+            seen.append(self._snapshot(engine.detector))
         assert seen == LATTICE_ACCOUNTING
 
     def test_hostile_events_mid_lattice(self):
@@ -389,3 +406,62 @@ class TestAccounting:
                 event()
             assert str(info.value) == message
             assert self._snapshot(det) == before
+
+
+#: (rows appended after 100 lattice events, the error both paths
+#: raise).  At that point task 1 is joined, task 10 halted and
+#: unjoined, task 16 live and task 17 unknown.
+HOSTILE_ROWS = {
+    "unknown task opens a run": (
+        [(OP_WRITE, 16, X), (OP_READ, 17, X)], "unknown thread id 17"),
+    "negative task opens a run": (
+        [(OP_READ, 16, X), (OP_WRITE, -1, X)], "unknown thread id -1"),
+    "halted task opens a run": (
+        [(OP_READ, 16, X), (OP_WRITE, 10, X)], "thread 10 already halted"),
+    "run resumes after its task halts": (
+        [(OP_READ, 16, X), (OP_HALT, 16, -1), (OP_READ, 16, X)],
+        "thread 16 already halted"),
+    "bad id right after a fork": (
+        [(OP_READ, 16, X), (OP_FORK, 16, 17), (OP_WRITE, 18, X)],
+        "unknown thread id 18"),
+    "negative id right after a halt": (
+        [(OP_READ, 16, X), (OP_HALT, 16, -1), (OP_WRITE, -1, X)],
+        "unknown thread id -1"),
+    "fork id mismatch": (
+        [(OP_WRITE, 16, X), (OP_FORK, 16, 99)],
+        "fork id mismatch: interpreter says 99, detector allocated 17"),
+    "join of an unknown task": (
+        [(OP_READ, 0, X), (OP_JOIN, 0, 17)], "unknown thread id 17"),
+    "join of a joined task": (
+        [(OP_READ, 16, X), (OP_JOIN, 16, 1)], "thread 1 joined twice"),
+    "join of a running task": (
+        [(OP_WRITE, 0, X), (OP_JOIN, 0, 16)], "joining running thread 16"),
+    "join by a halted task": (
+        [(OP_JOIN, 10, 1)], "thread 10 already halted"),
+    "halt of a joined task": (
+        [(OP_HALT, 1, -1)], "thread 1 already halted"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+def test_hostile_rows_on_both_paths(case):
+    """The predict kernel hoists the thread checks once per access run;
+    every hostile row must still raise the per-event path's message
+    and leave the identical accounting and reports behind."""
+    rows, message = HOSTILE_ROWS[case]
+    batch = _lattice_batch()
+    prefix = list(zip(batch.ops[:100], batch.a[:100], batch.b[:100]))
+
+    referee = SHBDetector()
+    referee.on_root(0)
+    with pytest.raises(DetectorError) as per_event:
+        drive(referee, prefix + rows)
+
+    engine = BatchEngine(predict=True)
+    with pytest.raises(DetectorError) as batched:
+        engine.ingest(make_batch(prefix + rows))
+
+    assert str(per_event.value) == str(batched.value) == message
+    det = engine.detector
+    assert snapshot(det) == snapshot(referee)
+    assert det.races == referee.races

@@ -1,10 +1,11 @@
 """SHB prediction refereed by the exact offline oracle.
 
 The perfbench ``predict`` reference and the batch engine both run
-:class:`SHBDetector`, so they share its clock code.  This module checks
-the detector against :func:`repro.detectors.oracle.exact_races`, which
-enumerates racing pairs by brute-force reachability over the task graph
-and shares no code with the vector clocks:
+:class:`SHBDetector`'s clock code.  This module checks both paths -- the
+per-event detector and the batch engine's predict kernel -- against
+:func:`repro.detectors.oracle.exact_races`, which enumerates racing
+pairs by brute-force reachability over the task graph and shares no
+code with the vector clocks:
 
 * **flagged accesses**: the set of ``(loc, flagged op)`` over SHB
   reports equals the set of ``(loc, second op)`` over oracle pairs --
@@ -32,9 +33,12 @@ import pytest
 
 from repro.detectors.oracle import exact_races
 from repro.detectors.shb import SHBDetector
+from repro.engine.batch import BatchBuilder
+from repro.engine.ingest import BatchEngine
 from repro.forkjoin.interpreter import run
 from repro.forkjoin.pipeline import PipelineSpec, pipeline_body
 from repro.forkjoin.taskgraph import build_task_graph
+from repro.obs.registry import MetricsRegistry
 from repro.workloads.access_patterns import uniform_shared
 from repro.workloads.pipelines import (
     clean_pipeline,
@@ -89,23 +93,48 @@ PROGRAMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_shb_matches_exact_oracle(name):
+def _per_event(body):
+    """The per-event detector's reports and the recorded events."""
     shb = SHBDetector()
-    execution = run(PROGRAMS[name](), observers=[shb], record_events=True)
-    events = execution.events
+    execution = run(body, observers=[shb], record_events=True)
+    return shb.races, execution.events
+
+
+def _batched(body):
+    """The batch engine's predict-kernel reports (locations decoded)
+    and the recorded events."""
+    builder = BatchBuilder()
+    execution = run(body, observers=[builder], record_events=True)
+    engine = BatchEngine(
+        predict=True, interner=builder.interner, registry=MetricsRegistry()
+    )
+    engine.ingest_all(builder.batch.slices(64))
+    return engine.races(), execution.events
+
+
+def _check_against_oracle(races, events):
     oracle = exact_races(events)
     ops = build_task_graph(events).ops
 
-    flagged = {(r.loc, r.op_index - 1) for r in shb.races}
+    flagged = {(r.loc, r.op_index - 1) for r in races}
     assert flagged == {(p.loc, p.second) for p in oracle}
 
     partners = defaultdict(set)
     for p in oracle:
         partners[p.loc, p.second].add((ops[p.first].task, p.first_kind))
-    for r in shb.races:
+    for r in races:
         flagged_op = r.op_index - 1
         assert (r.prior_repr, r.prior_kind) in partners[r.loc, flagged_op], r
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_shb_matches_exact_oracle(name):
+    _check_against_oracle(*_per_event(PROGRAMS[name]()))
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_batch_kernel_matches_exact_oracle(name):
+    _check_against_oracle(*_batched(PROGRAMS[name]()))
 
 
 def test_race_dense_programs_are_dense():

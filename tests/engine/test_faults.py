@@ -113,3 +113,26 @@ class TestSoak:
         stats = json.loads(proc.stdout.strip().splitlines()[-1])
         assert stats["rounds"] >= 1 and stats["seed"] == 7
         assert json.loads(out.read_text()) == stats
+
+    def test_entry_fails_when_a_serve_process_outlives_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A soak whose rounds pass but which leaves a serve process
+        running exits 1 and names its pid."""
+        leaked = []
+
+        def leaky_soak(*args, **kwargs):
+            leaked.append(faults.ServerProcess(
+                faults.free_port(), str(tmp_path / "ck")
+            ).start())
+            return {"rounds": 1}
+
+        monkeypatch.setattr(faults, "run_soak", leaky_soak)
+        try:
+            assert faults.main(["--seconds", "0"]) == 1
+            err = capsys.readouterr().err
+            assert "outlived the soak" in err and str(leaked[0].pid) in err
+        finally:
+            for server in leaked:
+                server.kill()
+        assert leaked[0].pid not in faults.surviving_servers()

@@ -11,6 +11,12 @@ non-SP shapes: wavefronts, blocked wavefronts and pipelines built from
 a :class:`~repro.forkjoin.pipeline.PipelineSpec` (with and without
 parallel stages), and random synthetic lattices with leftover joins.
 
+The kernel sweep holds the batch path to the per-event
+:class:`~repro.detectors.shb.SHBDetector` referee exactly: on the
+perfbench shapes (spawn-sync bulk rounds, random lattices, grids) and
+at every batch size, the predict kernel emits the identical report list
+-- every field, same order -- and identical accounting.
+
 The deterministic tests at the bottom pin the *strictness* of the
 superset: one program where prediction reports strictly more pairs than
 the observed multiset (pair enumeration vs supremum folding), and the
@@ -28,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.detectors.shb import SHBDetector
 from repro.engine.differential import CONFIGS, Config, check_conformance
 from repro.engine.ingest import BatchEngine, ShardedBatchEngine
 from repro.forkjoin.pipeline import PipelineSpec, pipeline_body
@@ -40,13 +47,14 @@ from repro.workloads.pipelines import (
     racy_pipeline,
     shared_counter_pipeline,
 )
+from repro.workloads.racegen import bulk_access_program
 from repro.workloads.synthetic import SyntheticConfig, random_program
 from repro.workloads.wavefront import (
     blocked_wavefront,
     wavefront,
     wavefront_with_bug,
 )
-from tests.detectors.test_shb import REORDERING_TRACE, make_batch
+from tests.detectors.test_shb import REORDERING_TRACE, drive, make_batch
 from tests.engine.test_conformance import BATCH_SIZES, capture
 from tests.engine.test_property_differential import (
     _cilk_program,
@@ -114,6 +122,37 @@ def synthetic_lattices(draw):
 
 
 non_sp_bodies = st.one_of(pipeline_specs(), synthetic_lattices())
+
+
+@st.composite
+def sp_bulk_programs(draw):
+    """Spawn-sync bulk rounds, the perfbench ``sp_bulk`` shape."""
+    rounds = draw(st.integers(1, 6))
+    return bulk_access_program(
+        rounds,
+        draw(st.integers(1, 5)),
+        draw(st.integers(1, 12)),
+        racy_rounds=draw(st.sets(st.integers(0, rounds - 1))),
+        n_shared=draw(st.integers(1, 4)),
+    )
+
+
+#: the perfbench strata, by name
+SHAPES = {
+    "sp_bulk": sp_bulk_programs(),
+    "lattice": synthetic_lattices(),
+    "grid": pipeline_specs(),
+}
+
+
+def _accounting(det):
+    """Everything the kernel must reproduce, down to the packed windows
+    themselves (a one-epoch window is a bare int on both paths)."""
+    return (
+        det.races, det.op_index, det.thread_count, det.metadata_entries(),
+        det.shadow_peak_per_location(), det.shadow_total_entries(),
+        det._reads, det._writes,
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,6 +229,24 @@ def test_non_sp_pairs_are_batch_size_and_shard_invariant(body):
         )
         sharded.ingest_all(batch.slices(64))
         assert _pair_multiset(sharded.races()) == expected, shards
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_equals_per_event_shb(shape, data):
+    """The predict kernel is the per-event detector, batched: the same
+    :class:`RaceReport` list in the same order and the same accounting,
+    wherever the stream is sliced."""
+    batch = capture(data.draw(SHAPES[shape]))[0]
+    referee = SHBDetector()
+    referee.on_root(0)
+    drive(referee, zip(batch.ops, batch.a, batch.b))
+    expected = _accounting(referee)
+    for size in BATCH_SIZES:
+        engine = BatchEngine(predict=True, registry=MetricsRegistry())
+        engine.ingest_all(batch.slices(size))
+        assert _accounting(engine.detector) == expected, size
 
 
 def test_strictly_more_pairs_than_observed_multiset():

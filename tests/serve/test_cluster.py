@@ -6,14 +6,21 @@ local replay, for raw, depa, and compressed sessions), then migration
 under kill (SIGKILL a worker mid-stream; the respawn/RESUME/replay
 machinery must deliver the identical race multiset, while a
 non-checkpointable depa session must fail typed instead), and
-teardown (a finished session's worker checkpoints are released).
+teardown (a finished session's worker checkpoints are released, and no
+worker process outlives its gateway, however its start ends).
 """
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
+import repro.serve.cluster as cluster_module
+from repro.engine import faults
 from repro.engine.batch import BatchBuilder
+from repro.errors import WorkloadError
 from repro.forkjoin import fork, join, write
 from repro.forkjoin.interpreter import run
 from repro.obs.registry import MetricsRegistry
@@ -274,3 +281,62 @@ class TestTeardown:
         # so every teardown has run by now.
         assert sorted((tmp_path / "worker-0").iterdir()) == []
         assert sorted((tmp_path / "worker-1").iterdir()) == []
+
+
+class TestSupervision:
+    """Every worker a gateway starts is gone once the gateway is."""
+
+    @staticmethod
+    def _survivors(before):
+        started = faults._started_pids[before:]
+        assert started, "the scenario started no worker"
+        return set(started) & set(faults.surviving_servers())
+
+    def test_worker_start_up_timeout_leaves_no_process(self, monkeypatch):
+        class NeverReady(faults.ServerProcess):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.startup_timeout = 0.0
+
+        monkeypatch.setattr(cluster_module, "ServerProcess", NeverReady)
+        before = len(faults._started_pids)
+        gateway = ClusterThread(
+            ClusterConfig(workers=2), registry=MetricsRegistry()
+        )
+        with pytest.raises(WorkloadError, match="not accepting"):
+            gateway.start()
+        assert not self._survivors(before)
+
+    def test_cancelled_supervision_mid_respawn_leaves_no_process(
+        self, monkeypatch
+    ):
+        respawning = threading.Event()
+        respawned = threading.Event()
+
+        class SlowRespawn(faults.ServerProcess):
+            slow = False
+
+            def start(self):
+                if not SlowRespawn.slow:
+                    return super().start()
+                respawning.set()
+                time.sleep(0.5)  # the gateway stops meanwhile
+                try:
+                    return super().start()
+                finally:
+                    respawned.set()
+
+        monkeypatch.setattr(cluster_module, "ServerProcess", SlowRespawn)
+        before = len(faults._started_pids)
+        gateway = ClusterThread(
+            ClusterConfig(workers=1), registry=MetricsRegistry()
+        )
+        gateway.start()
+        SlowRespawn.slow = True
+        gateway.kill_worker(0)
+        assert respawning.wait(10)
+        gateway.stop()  # cancels the supervisor inside the respawn
+        assert respawned.wait(30)
+        # guard the scenario: the supervisor never saw its respawn land
+        assert gateway.cluster._m.respawns[0].value == 0
+        assert not self._survivors(before)

@@ -9,7 +9,9 @@ the wire behaviour and the observability counters.
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
+import threading
 import time
 from array import array
 from collections import Counter
@@ -628,6 +630,7 @@ class TestBackendNegotiation:
 
 class TestMetricsEndpoint:
     def test_prometheus_snapshot_over_http(self, small_workload):
+        import urllib.error
         import urllib.request
 
         batch, _ = small_workload
@@ -637,15 +640,48 @@ class TestMetricsEndpoint:
             httpd = start_metrics_http(0, registry)
             try:
                 base = f"http://127.0.0.1:{httpd.server_port}"
-                body = urllib.request.urlopen(
+                with urllib.request.urlopen(
                     f"{base}/metrics", timeout=5
-                ).read().decode()
+                ) as response:
+                    body = response.read().decode()
                 assert "serve_sessions_total" in body
                 assert "serve_events_total" in body
-                with pytest.raises(Exception):
+                with pytest.raises(urllib.error.HTTPError) as refused:
                     urllib.request.urlopen(f"{base}/nope", timeout=5)
+                assert refused.value.code == 404
+                refused.value.close()  # the error holds the response open
             finally:
                 httpd.shutdown()
+                httpd.server_close()
+
+
+class TestClientHandshake:
+    def test_garbled_hello_reply_closes_the_socket(self):
+        """A HELLO reply that is not a frame raises ProtocolError, and
+        the failed connect leaves no socket open behind it."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def bad_server():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)  # swallow the HELLO
+                conn.sendall(b"\xff" * 32)  # not a frame header
+
+        thread = threading.Thread(target=bad_server, daemon=True)
+        thread.start()
+        client = RaceClient(
+            "127.0.0.1", listener.getsockname()[1], timeout=5
+        )
+        try:
+            with pytest.raises(ProtocolError):
+                client.connect()
+            assert client._sock is None
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
 
 
 class TestConfigValidation:
