@@ -35,10 +35,6 @@ import sys
 #: ``differential.<flag>`` entries that must be ``True``:
 #: (flag, required, what it certifies)
 DIFFERENTIAL_FLAGS = (
-    ("depa_agrees", True,
-     "array-native DePa backend == union-find referee"),
-    ("serve_depa_agrees", True,
-     "depa-negotiated serve session == local lattice2d replay"),
     ("predict_sound", True,
      "predicted race set covers every observed race"),
     ("compressed_agrees", True,
@@ -50,7 +46,6 @@ DIFFERENTIAL_FLAGS = (
 #: ``events_per_sec.<key>`` series whose presence proves the leg ran:
 #: (key, required)
 REQUIRED_SERIES = (
-    ("serve_depa_1s", True),
     ("predict", True),
     ("compressed", True),
     ("serve_multinode_2w", True),

@@ -13,11 +13,7 @@ The numbers merge into ``BENCH_engine.json`` (read-modify-write: the
 engine benchmark owns the record and runs first in CI) as
 ``events_per_sec.serve_1s/_4s/_16s`` plus the headline
 ``serve_vs_batched_overhead`` ratio, which the CI regression gate
-tracks alongside the batched series.  A fourth series,
-``serve_depa_1s``, replays the single-session load over a
-depa-negotiated session (v3 HELLO ``backend="depa"``) so the record
-shows what backend negotiation buys on the wire; its differential
-(served depa races == local lattice2d races) is asserted on every run.
+tracks alongside the batched series.
 
 The multi-node tier rides the same harness: ``serve_multinode_2w`` and
 ``serve_multinode_4w`` replay the single-session load through a
@@ -82,9 +78,7 @@ def _time_batched(batch) -> float:
     return best
 
 
-def _time_served(
-    port: int, batch, sessions: int, backend: str = None
-) -> tuple:
+def _time_served(port: int, batch, sessions: int) -> tuple:
     """Best-of load-generator seconds plus the races of the last run
     (identical across runs: every session replays the same batch)."""
     best = float("inf")
@@ -93,7 +87,6 @@ def _time_served(
         result = run_load(
             "127.0.0.1", port, batch,
             sessions=sessions, batch_size=BATCH_SIZE, timeout=120.0,
-            backend=backend,
         )
         assert result.events == sessions * len(batch)
         best = min(best, result.seconds)
@@ -116,13 +109,6 @@ def record():
             key = f"serve_{sessions}s"
             seconds[key] = served_s
             eps[key] = sessions * len(batch) / served_s
-        # The depa-negotiated session rides the same server: the v3
-        # HELLO requests the backend per session, nothing is restarted.
-        depa_s, depa_races = _time_served(
-            srv.port, batch, 1, backend="depa"
-        )
-        seconds["serve_depa_1s"] = depa_s
-        eps["serve_depa_1s"] = len(batch) / depa_s
     # The multi-node legs each get a fresh gateway: worker processes
     # are part of what is being measured, not amortisable fixtures.
     multinode_races = {}
@@ -151,11 +137,9 @@ def record():
         "serve_vs_batched_overhead": eps["batched_reference"]
         / eps["serve_1s"],
         "differential": {
-            "serve_depa_agrees": depa_races == local_races,
             "serve_multinode_agrees": multinode_agrees,
             "races": {
                 "local": local_races,
-                "serve_depa": depa_races,
                 "serve_multinode": {
                     str(w): r for w, r in multinode_races.items()
                 },
@@ -176,10 +160,9 @@ def record():
         {k: v for k, v in seconds.items() if k.startswith("serve_")}
     )
     stored["serve_vs_batched_overhead"] = rec["serve_vs_batched_overhead"]
-    stored.setdefault("differential", {})["serve_depa_agrees"] = rec[
-        "differential"
-    ]["serve_depa_agrees"]
-    stored["differential"]["serve_multinode_agrees"] = multinode_agrees
+    stored.setdefault("differential", {})[
+        "serve_multinode_agrees"
+    ] = multinode_agrees
     RECORD_PATH.write_text(
         json.dumps(stored, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -193,8 +176,7 @@ def record():
             }
             for name in (
                 "batched_reference", "serve_1s", "serve_4s",
-                "serve_16s", "serve_depa_1s",
-                "serve_multinode_2w", "serve_multinode_4w",
+                "serve_16s", "serve_multinode_2w", "serve_multinode_4w",
             )
         ],
         title=f"serving layer vs direct ingest ({ACCESSES // 1000}k accesses)",
@@ -217,16 +199,6 @@ def test_concurrent_sessions_sustain_throughput(record):
 
 
 @pytest.mark.shape
-def test_depa_session_changes_no_verdicts(record):
-    """A depa-negotiated session must stream the exact race count a
-    local lattice2d engine finds -- negotiation moves work, never
-    verdicts."""
-    assert record["differential"]["serve_depa_agrees"] is True, record[
-        "differential"
-    ]
-
-
-@pytest.mark.shape
 def test_multinode_gateway_changes_no_verdicts(record):
     """Sharding by location across worker processes is exact: every
     worker count streams back the local lattice2d race count."""
@@ -238,10 +210,8 @@ def test_multinode_gateway_changes_no_verdicts(record):
 def test_record_merged_into_engine_record(record):
     stored = json.loads(RECORD_PATH.read_text(encoding="utf-8"))
     assert "serve_4s" in stored["events_per_sec"]
-    assert "serve_depa_1s" in stored["events_per_sec"]
     assert "serve_multinode_2w" in stored["events_per_sec"]
     assert "serve_multinode_4w" in stored["events_per_sec"]
-    assert stored["differential"]["serve_depa_agrees"] is True
     assert stored["differential"]["serve_multinode_agrees"] is True
     assert stored["serve_vs_batched_overhead"] == pytest.approx(
         record["serve_vs_batched_overhead"]

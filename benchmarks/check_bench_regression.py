@@ -12,15 +12,6 @@ run overwrote it). The gated series:
   loopback throughput, the steady-state shape of a real deployment.
   Skipped (with a note) when the baseline predates the serving layer,
   so the gate can introduce itself without failing its own PR.
-* ``events_per_sec.depa`` -- the array-native DePa backend behind the
-  vectorized kernel; its own shape test pins the ratio over
-  ``batched`` (2.8x floor, 4x on the multi-run median), this gate pins
-  the absolute number.  Skipped (with a note) when the baseline
-  predates the backend.
-* ``events_per_sec.serve_depa_1s`` -- a depa-negotiated serve
-  session's loopback throughput.  Self-introducing: skipped (with a
-  note) when the baseline predates it, matching the convention every
-  tier above followed.
 * ``events_per_sec.predict`` -- the sound race-prediction engine (shb
   vector clocks plus candidate-pair windows).  Skipped (with a note)
   when the baseline predates prediction, so the gate can introduce
@@ -72,8 +63,6 @@ TOLERANCE = 0.25
 GATES = (
     (("events_per_sec", "batched"), True),
     (("events_per_sec", "serve_4s"), False),
-    (("events_per_sec", "depa"), False),
-    (("events_per_sec", "serve_depa_1s"), False),
     (("events_per_sec", "serve_multinode_2w"), False),
     (("events_per_sec", "serve_multinode_4w"), False),
     (("events_per_sec", "predict"), False),

@@ -121,24 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="lattice2d",
         choices=sorted(DETECTOR_FACTORIES),
     )
-    from repro.engine.ingest import BACKENDS
-
-    p_rep.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        help="compact traces only: let the batch engine pick the "
-        "detector for a named ingest backend (lattice2d: inlined "
-        "union-find kernel; depa: array-native vectorized kernel); "
-        "mutually exclusive with a non-default --detector",
-    )
     p_rep.add_argument(
         "--predict",
         action="store_true",
         help="sound race prediction: replay under the shb engine and "
         "report every racing pair feasible in some reordering of the "
         "trace, not just the observed interleaving (see "
-        "docs/PREDICTION.md); mutually exclusive with --backend and a "
-        "non-default --detector",
+        "docs/PREDICTION.md); mutually exclusive with a non-default "
+        "--detector",
     )
     p_rep.add_argument("--max-races", type=int, default=20)
     p_rep.add_argument(
@@ -214,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_be = sub.add_parser(
         "bench-engine",
         help="measure the ingestion paths (replay / per-event / batched / "
-        "sharded / depa / compressed) on a racegen bulk workload",
+        "sharded / compressed) on a racegen bulk workload",
     )
     p_be.add_argument("--accesses", type=int, default=100_000)
     p_be.add_argument("--fanout", type=int, default=8)
@@ -319,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir; see docs/PREDICTION.md)",
     )
     p_sv.add_argument(
-        "--backend", default="lattice2d", metavar="NAME",
-        help="default engine backend for sessions (lattice2d or depa; "
-        "default: lattice2d); v3 clients may request a different one "
-        "per session in their HELLO",
-    )
-    p_sv.add_argument(
         "--metrics-port", type=int, metavar="PORT",
         help="also serve the live Prometheus snapshot on "
         "http://HOST:PORT/metrics (stdlib http.server thread)",
@@ -335,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "processes (multi-node scale-out; accesses route to worker "
         "lid %% N and a killed worker is respawned with its sessions "
         "migrated -- see docs/SCALE_OUT.md); incompatible with "
-        "--predict and a non-default --backend (default: 1, single "
-        "node)",
+        "--predict (default: 1, single node)",
     )
     p_sv.add_argument(
         "--log-dir", metavar="DIR",
@@ -391,12 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub2.add_argument(
         "--timeout", type=float, default=60.0,
         help="per-socket-operation timeout in seconds (default: 60)",
-    )
-    p_sub2.add_argument(
-        "--backend", metavar="NAME",
-        help="request this engine backend for the session(s) via the "
-        "v3 HELLO (lattice2d or depa); the server refuses names it "
-        "cannot honour with a typed error",
     )
     p_sub2.add_argument(
         "--session", metavar="TOKEN",
@@ -524,23 +501,11 @@ def _replay_compact(args) -> int:
 
     if args.shards < 1:
         raise ReproError(f"need at least one shard, got {args.shards}")
-    if args.predict:
-        if args.backend is not None:
-            raise ReproError(
-                "--predict runs the engine's own shb prediction "
-                f"detector; drop --backend {args.backend} or drop "
-                "--predict"
-            )
-        if args.detector != "lattice2d":
-            raise ReproError(
-                "--predict runs the engine's own shb prediction "
-                f"detector; drop --detector {args.detector} or drop "
-                "--predict"
-            )
-    if args.backend is not None and args.detector != "lattice2d":
+    if args.predict and args.detector != "lattice2d":
         raise ReproError(
-            "--backend picks the engine's own detector; drop "
-            f"--detector {args.detector} or drop --backend"
+            "--predict runs the engine's own shb prediction "
+            f"detector; drop --detector {args.detector} or drop "
+            "--predict"
         )
     ctrace = None
     if is_compressed_tracefile(args.trace):
@@ -559,15 +524,6 @@ def _replay_compact(args) -> int:
         else:
             engine = BatchEngine(predict=True, interner=interner)
             name = "shb predict"
-    elif args.backend is not None:
-        if args.shards > 1:
-            engine = ShardedBatchEngine(
-                args.shards, backend=args.backend, interner=interner
-            )
-            name = f"{args.backend} backend x{args.shards} shards"
-        else:
-            engine = BatchEngine(backend=args.backend, interner=interner)
-            name = f"{args.backend} backend"
     elif args.shards > 1:
         engine = ShardedBatchEngine(
             args.shards,
@@ -770,11 +726,9 @@ def _bench_engine(args) -> int:
     diff = record["differential"]
     print(
         f"batched vs per-event: {record['speedup_batched_vs_per_event']}x; "
-        f"depa vs batched: {record['speedup_depa_vs_batched']}x; "
         f"differential: {diff['divergences']} divergence(s) across "
         f"{', '.join(diff['detectors'])}; sharded agrees: "
-        f"{diff['sharded_agrees']}; depa agrees: "
-        f"{diff['depa_agrees']}; predict sound: "
+        f"{diff['sharded_agrees']}; predict sound: "
         f"{diff['predict_sound']}; compressed agrees: "
         f"{diff['compressed_agrees']} "
         f"({record['compression_ratio']}x smaller, "
@@ -809,7 +763,6 @@ def _serve(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         predict=args.predict,
-        backend=args.backend,
     )
 
     def banner(server, port: int) -> str:
@@ -822,8 +775,7 @@ def _serve(args) -> int:
         mode = ", predict mode (shb)" if config.predict else ""
         return (
             f"serving RPRSERVE on {config.host}:{port} "
-            f"(credit window {config.credit_window}, "
-            f"backend {config.backend}"
+            f"(credit window {config.credit_window}"
             f"{durability}{mode}); SIGTERM drains"
         )
 
@@ -837,12 +789,6 @@ def _serve_cluster(args) -> int:
         raise ReproError(
             "the gateway serves observed-order detection only: "
             "--predict cannot be combined with --workers > 1"
-        )
-    if args.backend != "lattice2d":
-        raise ReproError(
-            f"the gateway's workers default to lattice2d (clients may "
-            f"still request {args.backend!r} per session in their "
-            f"HELLO); drop --backend or --workers"
         )
 
     config = ClusterConfig(
@@ -963,8 +909,7 @@ def _submit(args) -> int:
             result = run_load(
                 args.host, args.port, batch,
                 sessions=args.sessions, batch_size=args.batch_size,
-                timeout=args.timeout, backend=args.backend,
-                compress=args.compress,
+                timeout=args.timeout, compress=args.compress,
             )
             print(
                 f"{args.sessions} sessions x {len(batch)} events from "
@@ -978,8 +923,7 @@ def _submit(args) -> int:
             with RaceClient(
                 args.host, args.port, timeout=args.timeout,
                 interner=interner, ship_locations=args.ship_locations,
-                session=args.session, backend=args.backend,
-                compress=args.compress,
+                session=args.session, compress=args.compress,
             ) as client:
                 if args.compress:
                     client.send_batches_compressed(batch)
@@ -991,7 +935,7 @@ def _submit(args) -> int:
                 args.host, args.port, batch, interner=interner,
                 batch_size=args.batch_size,
                 ship_locations=args.ship_locations, timeout=args.timeout,
-                backend=args.backend, compress=args.compress,
+                compress=args.compress,
             )
         reports = summary.reports
         if not args.ship_locations and interner is not None:

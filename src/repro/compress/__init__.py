@@ -2,7 +2,7 @@
 
 The loop-heavy streams :mod:`repro.workloads.racegen` emits are
 massively repetitive, yet every layer built before this one -- RPR2TRC
-files, serve BATCH frames, the depa kernel -- moves and scans raw
+files, serve BATCH frames, the batch kernels -- moves and scans raw
 columnar events.  Following "Data Race Detection on Compressed Traces"
 (Kini/Mathur/Viswanathan, PAPERS.md), this package makes repetition pay
 three times over:

@@ -16,14 +16,13 @@ Soundness
 ---------
 A block is *memo-eligible* (:meth:`CompressedTrace.block_info`) when it
 is access-only and single-task.  During such a block no structural
-event runs, so the happens-before state (union-find / interval columns)
-is frozen; the access kernels then read only
+event runs, so the happens-before state (the union-find) is frozen;
+the access kernel then reads only
 
 * the raw per-location shadow cells,
 * the *resolution* of each cell value against the acting task
-  (``label[find(x)]`` + effective visited flag for the 2D kernel,
-  ``ordered(x)`` for depa), and
-* the per-location access epoch (2D kernel, when enabled),
+  (``label[find(x)]`` + effective visited flag), and
+* the per-location access epoch (when enabled),
 
 all of which the entry digest captures exactly -- including raw cell
 values, because race reports carry them as ``prior_repr`` and folds
@@ -43,8 +42,8 @@ path already lets those diverge from the per-event run (see
 precedent from repeated accesses to repeated blocks.
 
 Anything else -- structural blocks, multi-task blocks, foreign
-detectors, entry states the digest cannot capture (wrong depa stack
-top, unknown/halted task) -- falls back to the ordinary batch kernels
+detectors, entry states the digest cannot capture (unknown/halted
+task) -- falls back to the ordinary batch kernels
 via :func:`repro.engine.ingest._ingest_batch`, preserving exact typed
 errors at the exact ``op_index``.
 """
@@ -55,7 +54,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.detector import RaceDetector2D
 from repro.core.reports import RaceReport
-from repro.detectors.depa import DePaDetector
 from repro.engine.batch import EventBatch
 
 from repro.compress.blocks import CompressedTrace
@@ -95,7 +93,7 @@ class BlockMemo:
     """
 
     __slots__ = (
-        "detector", "hits", "misses", "fallbacks", "_mode", "_slots",
+        "detector", "hits", "misses", "fallbacks", "_kernel", "_slots",
         "_entries",
     )
 
@@ -104,12 +102,11 @@ class BlockMemo:
         self.hits = 0
         self.misses = 0
         self.fallbacks = 0
-        if type(detector) is RaceDetector2D and not detector._literal:
-            self._mode: Optional[str] = "kernel"
-        elif isinstance(detector, DePaDetector):
-            self._mode = "depa"
-        else:
-            self._mode = None
+        # Only the inlined 2D kernel's state is digestable; every other
+        # detector runs its blocks through the ordinary dispatch.
+        self._kernel = (
+            type(detector) is RaceDetector2D and not detector._literal
+        )
         # content triple -> dense slot id; (slot, digest) -> _Summary
         self._slots: Dict[Tuple[bytes, bytes, bytes], int] = {}
         self._entries: Dict[Tuple[int, Any], _Summary] = {}
@@ -117,11 +114,6 @@ class BlockMemo:
     # -- entry state digests -------------------------------------------------
 
     def _digest(self, t: int, locs: Tuple[int, ...]) -> Any:
-        if self._mode == "kernel":
-            return self._digest_kernel(t, locs)
-        return self._digest_depa(t, locs)
-
-    def _digest_kernel(self, t: int, locs: Tuple[int, ...]) -> Any:
         """Entry state of the 2D kernel over ``locs`` for acting task
         ``t``, or None when the block must fall back (bad/halted task).
 
@@ -169,38 +161,6 @@ class BlockMemo:
             )
         return tuple(parts)
 
-    def _digest_depa(self, t: int, locs: Tuple[int, ...]) -> Any:
-        """Entry state of the depa kernel: raw cells + ordered bits.
-
-        Digestable only when ``t`` is already the stack top (the
-        per-access precondition) and every location is a dense interned
-        id living in the flat cell column.
-        """
-        det = self.detector
-        stack = det._stack
-        if not stack or stack[-1] != t:
-            return None
-        cells = det._cells
-        n2 = len(cells)
-        ordered = det.ordered
-        parts: List[Any] = []
-        for k in locs:
-            if k < 0:
-                return None
-            i = k + k
-            if i < n2:
-                r, w = cells[i], cells[i + 1]
-            else:
-                r, w = -1, -1
-            parts.append(
-                (
-                    r, w,
-                    ordered(r) if r >= 0 else None,
-                    ordered(w) if w >= 0 else None,
-                )
-            )
-        return tuple(parts)
-
     # -- scan (miss) and replay (hit) ----------------------------------------
 
     def _scan(
@@ -219,21 +179,14 @@ class BlockMemo:
             (r.loc, r.kind, r.prior_kind, r.prior_repr, r.op_index - base)
             for r in det.races[nr:]
         )
-        if self._mode == "kernel":
-            cells = det.shadow._cells
-            exit_cells = tuple(
-                (k, cells[k][0], cells[k][1]) for k in locs
-            )
-            epoch = det._epoch
-            epochs: Tuple[Tuple[int, Optional[int]], ...] = (
-                tuple((k, epoch.get(k)) for k in locs)
-                if epoch is not None
-                else ()
-            )
-        else:
-            cell = det._cell
-            exit_cells = tuple((k,) + tuple(cell(k)) for k in locs)
-            epochs = ()
+        cells = det.shadow._cells
+        exit_cells = tuple((k, cells[k][0], cells[k][1]) for k in locs)
+        epoch = det._epoch
+        epochs: Tuple[Tuple[int, Optional[int]], ...] = (
+            tuple((k, epoch.get(k)) for k in locs)
+            if epoch is not None
+            else ()
+        )
         return _Summary(
             len(block), races, exit_cells, epochs, self._digest(t, locs)
         )
@@ -242,30 +195,23 @@ class BlockMemo:
         det = self.detector
         base = det.op_index
         det.op_index = base + summary.n
-        if self._mode == "kernel":
-            det._visited[t] = True
-            shadow = det.shadow
-            cells = shadow._cells
-            entries = shadow._entries
-            peak = shadow.peak_entries_per_loc
-            for k, r, w in summary.cells:
-                cells[k] = [r, w]
-                n = (r is not None) + (w is not None)
-                entries[k] = n
-                if n > peak:
-                    peak = n
-            shadow.peak_entries_per_loc = peak
-            epoch = det._epoch
-            if epoch is not None:
-                for k, v in summary.epochs:
-                    if v is not None:
-                        epoch[k] = v
-        else:
-            cells = det._cells
-            for k, r, w in summary.cells:
-                det._ensure_loc(k)
-                cells[k + k] = r
-                cells[k + k + 1] = w
+        det._visited[t] = True
+        shadow = det.shadow
+        cells = shadow._cells
+        entries = shadow._entries
+        peak = shadow.peak_entries_per_loc
+        for k, r, w in summary.cells:
+            cells[k] = [r, w]
+            n = (r is not None) + (w is not None)
+            entries[k] = n
+            if n > peak:
+                peak = n
+        shadow.peak_entries_per_loc = peak
+        epoch = det._epoch
+        if epoch is not None:
+            for k, v in summary.epochs:
+                if v is not None:
+                    epoch[k] = v
         if summary.races:
             races = det.races
             for loc, kind, pkind, prepr, rel in summary.races:
@@ -305,7 +251,7 @@ class BlockMemo:
 
         det = self.detector
         blocks = ctrace.blocks
-        if self._mode is None:
+        if not self._kernel:
             for bid, rep in ctrace.rules:
                 block = blocks[bid]
                 for _ in range(rep):

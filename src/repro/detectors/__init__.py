@@ -9,7 +9,6 @@ harness can swap them freely:
 detector           applicability                                space per location
 ================  ===========================================  =========================
 ``Lattice2D``      any structured fork-join (2D lattices)       Θ(1)  (this paper)
-``DePa``           spawn-sync streams (false races on grids)    Θ(1)  (array-native, DePa-style)
 ``SPBags``         spawn-sync programs only (SP graphs)         Θ(1)  (Feng-Leiserson [12])
 ``ESPBags``        async-finish programs only                   Θ(1)  (Raman et al. [18])
 ``OffsetSpan``     spawn-sync programs only                     Θ(nesting depth) (Mellor-Crummey '91)
@@ -26,7 +25,6 @@ detector           applicability                                space per locati
 from typing import Callable, Dict
 
 from repro.detectors.base import Detector, NullObserver, EventTracer
-from repro.detectors.depa import DePaDetector
 from repro.detectors.lattice2d import Lattice2DDetector
 from repro.detectors.vector_clock import VectorClockDetector
 from repro.detectors.vector_clock_dense import DenseVectorClockDetector
@@ -53,7 +51,6 @@ from repro.detectors.oracle import (
 #: name -> zero-argument factory, for CLI and benchmark parametrisation
 DETECTOR_FACTORIES: Dict[str, Callable[[], Detector]] = {
     "lattice2d": Lattice2DDetector,
-    "depa": DePaDetector,
     "vectorclock": VectorClockDetector,
     "vectorclock-dense": DenseVectorClockDetector,
     "fasttrack": FastTrackDetector,
@@ -70,7 +67,6 @@ __all__ = [
     "NullObserver",
     "EventTracer",
     "Lattice2DDetector",
-    "DePaDetector",
     "VectorClockDetector",
     "DenseVectorClockDetector",
     "FastTrackDetector",

@@ -51,7 +51,7 @@ races must be a superset (as a multiset of flagged accesses) of what
 the observed-order detectors report, and every reported pair is
 HB-unordered by the vector-clock algebra above.
 
-The detector is structure-generic: unlike ``depa``/``spbags`` it
+The detector is structure-generic: unlike ``spbags`` it
 accepts any structured fork/halt/join stream, not just serial
 fork-first ones.  Hostile streams get the family's typed posture:
 :class:`~repro.errors.DetectorError` at the exact ``op_index`` of the

@@ -1,17 +1,15 @@
 """Batched event-ingestion engine: the detector's serving fast path.
 
-Five pieces, layered so each is useful alone:
+Four pieces, layered so each is useful alone:
 
 * :mod:`repro.engine.batch` -- dense columnar event batches (parallel
   opcode / task-id / interned-location arrays) and the
   :class:`BatchBuilder` observer that captures them from a run;
 * :mod:`repro.engine.ingest` -- :class:`BatchEngine`, the tight
-  pre-bound per-batch loop over a detector (with named ``backend``
-  selection, :data:`BACKENDS`), and :class:`ShardedBatchEngine`, which
-  partitions the shadow map by location id across independent detector
-  instances;
-* :mod:`repro.engine.vectorized` -- the numpy segment kernel behind
-  the ``depa`` backend: whole batch columns per precedence query;
+  pre-bound per-batch loop over a detector (the paper's lattice2d
+  detector unless told otherwise; SHB in prediction mode), and
+  :class:`ShardedBatchEngine`, which partitions the shadow map by
+  location id across independent detector instances;
 * :mod:`repro.engine.tracefile` -- the compact binary record/replay
   format (capture a workload once, replay it into any detector),
   with ``mmap``-backed zero-copy reads;
@@ -53,7 +51,7 @@ from repro.engine.differential import (
     Divergence,
     check_conformance,
 )
-from repro.engine.ingest import BACKENDS, BatchEngine, ShardedBatchEngine
+from repro.engine.ingest import BatchEngine, ShardedBatchEngine
 from repro.engine.tracefile import (
     is_tracefile,
     read_trace,
@@ -74,7 +72,6 @@ __all__ = [
     "LocationInterner",
     "batch_from_events",
     "events_from_batch",
-    "BACKENDS",
     "BatchEngine",
     "ShardedBatchEngine",
     "CONFIGS",

@@ -17,10 +17,6 @@ The measured contenders, slowest to fastest:
 * ``batched-noobs`` -- the same engine bound to the disabled
   :data:`~repro.obs.registry.NULL_REGISTRY`, isolating what the
   per-batch counters cost (the gate keeps the ratio within 5%);
-* ``depa``      -- :class:`~repro.engine.ingest.BatchEngine` with the
-  array-native ``depa`` backend: the numpy segment kernel over
-  :class:`~repro.detectors.depa.DePaDetector`'s flat columns
-  (judged against the per-event lattice2d referee every run);
 * ``predict``   -- :class:`~repro.engine.ingest.BatchEngine` in sound
   race-prediction mode (:class:`~repro.detectors.shb.SHBDetector`):
   vector-clock epochs plus per-location candidate windows, reporting
@@ -223,7 +219,7 @@ def run_engine_benchmark(
 
     The returned dict is what ``BENCH_engine.json`` stores: workload
     shape, per-path wall seconds and events/sec, the batched-over-
-    per-event and depa-over-batched speedups, race counts, and the
+    per-event and compressed-over-batched speedups, race counts, and the
     differential verdicts.
     """
     body = build_workload(
@@ -266,11 +262,6 @@ def run_engine_benchmark(
         engine.ingest_all(batch.slices(batch_size))
         return engine
 
-    def run_depa():
-        engine = BatchEngine(interner=interner, backend="depa")
-        engine.ingest_all(batch.slices(batch_size))
-        return engine
-
     def run_predict():
         engine = BatchEngine(interner=interner, predict=True)
         engine.ingest_all(batch.slices(batch_size))
@@ -279,24 +270,16 @@ def run_engine_benchmark(
     batched_s, batched_noobs_s = _best_of_paired(
         repeats, run_batched, run_batched_noobs
     )
-    # depa's headline is the ratio against batched, so the two are
-    # timed interleaved as well -- drift hits both sides equally.  The
-    # per-pair samples also feed the median ratio, which the shape gate
-    # asserts the hard target on (the single best-of ratio only has to
-    # clear a 2.8x hysteresis floor, so one noisy repeat cannot flip
-    # CI).
-    depa_samples = _paired_samples(max(repeats, 5), run_batched, run_depa)
-    batched_b = min(a for a, _ in depa_samples)
-    depa_s = min(b for _, b in depa_samples)
-    depa_ratio_median = statistics.median(
-        a / b for a, b in depa_samples
-    )
+    # The headline also takes max(repeats, 5) unpaired runs: the
+    # committed baseline's batched figure is a best of that many plus
+    # ``repeats`` samples, and the regression gate compares like with
+    # like.
+    batched_s = min(batched_s, _best_of(max(repeats, 5), run_batched))
     timings = {
         "replay": _best_of(repeats, run_replay),
         "per-event": _best_of(repeats, run_per_event),
-        "batched": min(batched_s, batched_b),
+        "batched": batched_s,
         "batched-noobs": batched_noobs_s,
-        "depa": depa_s,
         "predict": _best_of(repeats, run_predict),
         "sharded": _best_of(repeats, run_sharded),
     }
@@ -347,7 +330,7 @@ def run_engine_benchmark(
     memo_engine = run_compressed()
     memo = memo_engine._memo
     compressed_races = memo_engine.races()
-    memo_paths = ("memo:lattice2d", "memo:depa", "memo:sharded")
+    memo_paths = ("memo:lattice2d", "memo:sharded")
     memo_loops = check_conformance(
         loop_batch, loop_interner, memo_paths
     ).agreed
@@ -374,7 +357,7 @@ def run_engine_benchmark(
     )
     paths = check_conformance(
         batch, interner,
-        ("engine:depa", sharded, "predict", *memo_paths),
+        (sharded, "predict", *memo_paths),
         batch_size=batch_size,
     )
     diff = check_conformance(batch, interner, detectors)
@@ -436,10 +419,6 @@ def run_engine_benchmark(
         "speedup_batched_vs_replay": round(
             timings["replay"] / timings["batched"], 3
         ),
-        "speedup_depa_vs_batched": round(
-            timings["batched"] / timings["depa"], 3
-        ),
-        "speedup_depa_vs_batched_median": round(depa_ratio_median, 3),
         # How much the per-batch counters cost when metrics are live,
         # and what a disabled (null) registry costs relative to that.
         # Both engines run the same kernels; the ratio should hug 1.0.
@@ -451,7 +430,6 @@ def run_engine_benchmark(
         "races": {
             "per_event": len(per_event_races),
             "batched": len(batched_races),
-            "depa": paths.races["engine:depa"],
             "predict": paths.races["predict"],
             "sharded": paths.races["sharded"],
             "compressed": len(compressed_races),
@@ -460,7 +438,6 @@ def run_engine_benchmark(
             "detectors": list(diff.configs),
             "races": diff.races,
             "divergences": len(diff.divergences),
-            "depa_agrees": paths.cells["engine:depa"],
             "sharded_agrees": paths.cells["sharded"],
             "predict_sound": paths.cells["predict"],
             "compressed_agrees": memo_loops

@@ -11,8 +11,7 @@ the relation the row names:
   referee: the same per-access verdict ("did this read/write get
   flagged?") at every access;
 * ``multiset`` -- engine paths: the same multiset of flagged
-  ``(task, loc, kind)`` (backends may name different prior
-  representatives, and sharded streams renumber ``op_index``);
+  ``(task, loc, kind)`` (sharded streams renumber ``op_index``);
 * ``covers`` -- prediction: a superset of that multiset, since it also
   reports the pairs a feasible reordering would race;
 * ``exact`` -- memoized lattice2d over the compressed form: the same
@@ -43,7 +42,7 @@ from repro.engine.batch import (
     EventBatch,
     LocationInterner,
 )
-from repro.engine.ingest import BACKENDS, BatchEngine, ShardedBatchEngine
+from repro.engine.ingest import BatchEngine, ShardedBatchEngine
 from repro.errors import ProgramError
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "DEFAULT_DETECTORS",
     "Divergence",
     "DifferentialReport",
-    "KNOWN_WRONG",
-    "KnownWrong",
     "check_conformance",
 ]
 
@@ -83,15 +80,6 @@ class Config:
     every_race: bool = True
 
 
-@dataclass(frozen=True)
-class KnownWrong:
-    """Cells that disagree with the referee until a ROADMAP item lands."""
-
-    roadmap: str
-    shape: str
-    configs: Tuple[str, ...]
-
-
 def _table() -> Dict[str, Config]:
     sp_only = {"spbags": ("sp_bulk",), "offsetspan": ("sp_bulk",),
                "espbags": ()}  # ESP-bags needs async-finish programs
@@ -101,17 +89,13 @@ def _table() -> Dict[str, Config]:
                every_race=name != "fasttrack")
         for name, factory in DETECTOR_FACTORIES.items()
     ]
-    for backend in BACKENDS:
-        rows.append(Config(f"engine:{backend}", "multiset",
-                           partial(BatchEngine, backend=backend), "batches"))
-        rows.extend(
-            Config(f"sharded:{n}:{backend}", "multiset",
-                   partial(ShardedBatchEngine, n, backend=backend), "batches")
-            for n in (1, 2, 4)
-        )
-        rows.append(Config(f"memo:{backend}",
-                           "exact" if backend == REFEREE else "multiset",
-                           partial(BatchEngine, backend=backend), "compressed"))
+    rows.append(Config("engine:lattice2d", "multiset", BatchEngine, "batches"))
+    rows.extend(
+        Config(f"sharded:{n}:lattice2d", "multiset",
+               partial(ShardedBatchEngine, n), "batches")
+        for n in (1, 2, 4)
+    )
+    rows.append(Config("memo:lattice2d", "exact", BatchEngine, "compressed"))
     rows.append(Config("memo:sharded", "multiset",
                        partial(ShardedBatchEngine, 4), "compressed"))
     rows.append(Config("predict", "covers",
@@ -121,15 +105,6 @@ def _table() -> Dict[str, Config]:
 
 #: every detection path in use, by name
 CONFIGS: Dict[str, Config] = _table()
-
-#: the depa interval store mis-orders halts on grid lattices, so every
-#: depa path reports false races there
-KNOWN_WRONG = KnownWrong(
-    roadmap="Make the depa backend exact on pipelines and wavefronts",
-    shape="grid",
-    configs=("depa", "engine:depa", "sharded:1:depa", "sharded:2:depa",
-             "sharded:4:depa", "memo:depa"),
-)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,10 @@ guarantees documented in ``docs/FAULT_TOLERANCE.md``:
   ``docs/SCALE_OUT.md``).
 * **Duplicated frames** -- :func:`resend_unacked` replays a batch the
   server may already hold; sequence-number dedup must absorb it.
-* **Backend negotiation under faults** -- every round also replays the
-  workload over a depa-negotiated session (v3 HELLO) against the same
-  server and requires the exact local race multiset, then asserts that
-  a *durable* depa session is refused with a typed ``ERR_CHECKPOINT``
-  at the RESUME handshake -- non-checkpointable backends must never be
-  silently swapped for one that is.
+* **A plain session after the kill** -- every round also replays the
+  workload over a second, non-durable session against the same,
+  possibly restarted server and requires the exact local race
+  multiset: a restart must leave fresh sessions' verdicts untouched.
 
 :func:`run_soak` drives randomized rounds of all three for a bounded
 wall-clock budget; ``python -m repro.engine.faults`` is the entry the
@@ -330,8 +328,7 @@ def run_soak(
     from repro.engine.benchlib import build_workload, capture
     from repro.engine.ingest import BatchEngine
     from repro.engine.snapshot import load_checkpoint, save_checkpoint
-    from repro.serve import protocol as wire
-    from repro.serve.client import RaceClient, RemoteError
+    from repro.serve.client import RaceClient
     from repro.obs.registry import MetricsRegistry
     from repro.serve.cluster import ClusterConfig, ClusterThread
 
@@ -347,8 +344,7 @@ def run_soak(
     stats: Dict[str, Any] = {
         "seed": seed, "legs": list(legs), "rounds": 0, "kills": 0,
         "reconnects": 0, "duplicates": 0, "corruptions_rejected": 0,
-        "events": 0, "races": 0, "depa_sessions": 0,
-        "depa_resume_refusals": 0, "worker_kills": 0,
+        "events": 0, "races": 0, "plain_sessions": 0, "worker_kills": 0,
         "worker_respawns": 0, "cluster_events": 0, "cluster_races": 0,
     }
     deadline = time.monotonic() + seconds
@@ -451,53 +447,25 @@ def run_soak(
                 stats["events"] += summary.events
                 stats["races"] += sum(got.values())
 
-                # Depa leg: a depa-negotiated session (v3 HELLO) against
-                # the same, possibly-restarted server must stream the
-                # exact local multiset -- negotiation moves work, never
-                # verdicts, kills included.
-                depa_client = RaceClient(
-                    "127.0.0.1", port, timeout=15.0, backend="depa"
-                ).connect()
+                # A second, non-durable session against the same,
+                # possibly restarted server must stream the exact local
+                # multiset: a restart moves no fresh session's verdicts.
+                plain = RaceClient("127.0.0.1", port, timeout=15.0).connect()
                 try:
                     for piece in pieces:
-                        depa_client.send_batch(piece)
-                    depa_summary = depa_client.finish()
+                        plain.send_batch(piece)
+                    plain_summary = plain.finish()
                 finally:
-                    depa_client.close()
-                got_depa = _race_multiset(depa_summary.reports)
-                if got_depa != expected:
+                    plain.close()
+                got_plain = _race_multiset(plain_summary.reports)
+                if got_plain != expected:
                     raise AssertionError(
-                        f"depa session race multiset diverged "
+                        f"plain session race multiset diverged "
                         f"(seed={seed}, round_seed={round_seed}): got "
-                        f"{sum(got_depa.values())} reports, expected "
+                        f"{sum(got_plain.values())} reports, expected "
                         f"{sum(expected.values())}"
                     )
-                stats["depa_sessions"] += 1
-
-                # A *durable* depa session must be refused typed at the
-                # RESUME handshake: the backend is not checkpointable
-                # and must never be silently swapped for one that is.
-                try:
-                    leak = RaceClient(
-                        "127.0.0.1", port,
-                        session=f"soak-depa-{round_seed}",
-                        timeout=15.0, backend="depa",
-                    ).connect()
-                except RemoteError as exc:
-                    if exc.code != wire.ERR_CHECKPOINT:
-                        raise AssertionError(
-                            f"durable depa session refused with code "
-                            f"{exc.code}, expected ERR_CHECKPOINT "
-                            f"(seed={seed}, round_seed={round_seed})"
-                        )
-                    stats["depa_resume_refusals"] += 1
-                else:
-                    leak.close()
-                    raise AssertionError(
-                        f"durable depa session was accepted -- RESUME on "
-                        f"a non-checkpointable backend must be refused "
-                        f"(seed={seed}, round_seed={round_seed})"
-                    )
+                stats["plain_sessions"] += 1
             finally:
                 server.terminate()
 

@@ -43,7 +43,6 @@ import numpy as _np
 
 from repro.core.detector import RaceDetector2D
 from repro.core.reports import AccessKind, RaceReport
-from repro.detectors.depa import DePaDetector
 from repro.detectors.shb import TASK_MASK, SHBDetector
 from repro.engine.batch import (
     OP_FORK,
@@ -55,21 +54,14 @@ from repro.engine.batch import (
     EventBatch,
     LocationInterner,
 )
-from repro.engine.vectorized import ingest_depa
 from repro.errors import DetectorError, ProgramError
 from repro.obs.phases import get_tracer
 from repro.obs.registry import MetricsRegistry, get_registry
 
-__all__ = ["BatchEngine", "ShardedBatchEngine", "BACKENDS"]
+__all__ = ["BatchEngine", "ShardedBatchEngine"]
 
 _READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
-
-#: engine ingest backends selectable by name (``BatchEngine(backend=...)``
-#: and the CLI ``--backend`` flag): the paper's union-find detector
-#: behind the inlined kernel, or the array-native DePa backend behind
-#: the vectorized kernel.
-BACKENDS = ("lattice2d", "depa")
 
 
 def _ingest_generic(det: Any, batch: EventBatch) -> None:
@@ -530,15 +522,13 @@ def _ingest_predict(det: SHBDetector, batch: EventBatch) -> None:
 def _ingest_batch(det: Any, batch: EventBatch) -> str:
     """Route a batch to the fastest loop that applies.
 
-    Returns the dispatch path taken (``"kernel"``, ``"vectorized"``,
-    ``"predict"`` or ``"generic"``) so callers can count how often each
-    loop actually runs.
+    Returns the dispatch path taken (``"kernel"``, ``"predict"`` or
+    ``"generic"``) so callers can count how often each loop actually
+    runs.
     """
     if type(det) is RaceDetector2D and not det._literal:
         _ingest_fast(det, batch)
         return "kernel"
-    if isinstance(det, DePaDetector):
-        return ingest_depa(det, batch)
     if isinstance(det, SHBDetector):
         _ingest_predict(det, batch)
         return "predict"
@@ -546,26 +536,13 @@ def _ingest_batch(det: Any, batch: EventBatch) -> str:
     return "generic"
 
 
-_DISPATCH_PATHS = ("kernel", "vectorized", "predict", "generic", "memo")
+_DISPATCH_PATHS = ("kernel", "predict", "generic", "memo")
 
 
 def _default_detector() -> RaceDetector2D:
     det = RaceDetector2D()
     det.spawn_root()
     return det
-
-
-def _backend_detector(backend: str) -> Any:
-    """A root-announced detector instance for a named engine backend."""
-    if backend == "lattice2d":
-        return _default_detector()
-    if backend == "depa":
-        det = DePaDetector()
-        det.on_root(0)
-        return det
-    raise ProgramError(
-        f"unknown engine backend {backend!r}; expected one of {BACKENDS}"
-    )
 
 
 class BatchEngine:
@@ -579,20 +556,14 @@ class BatchEngine:
         already spawned.  A detector you pass in must already know task
         0 (call ``on_root(0)`` / ``spawn_root`` yourself).  Plain
         :class:`RaceDetector2D` instances (without the Figure-6-literal
-        erratum knob) get the inlined kernel,
-        :class:`~repro.detectors.depa.DePaDetector` instances get the
-        vectorized kernel; everything else gets the generic pre-bound
-        loop.
-    backend:
-        Alternative to ``detector``: a backend name from
-        :data:`BACKENDS` (``"lattice2d"``, the default, or ``"depa"``).
-        The engine constructs and root-announces the detector itself.
+        erratum knob) get the inlined kernel; everything else gets the
+        generic pre-bound loop.
     predict:
-        Alternative to both: run the engine in sound race-*prediction*
+        Alternative to ``detector``: run the engine in sound race-*prediction*
         mode over a fresh :class:`~repro.detectors.shb.SHBDetector`
         (one report per feasibly-reorderable racing pair rather than
         one per flagged access; see ``docs/PREDICTION.md``).  Mutually
-        exclusive with ``detector`` and ``backend``.
+        exclusive with ``detector``.
     interner:
         The :class:`LocationInterner` the batches were built with; only
         needed to decode locations in :meth:`races`.
@@ -621,25 +592,20 @@ class BatchEngine:
         self,
         detector: Optional[Any] = None,
         *,
-        backend: Optional[str] = None,
         predict: bool = False,
         interner: Optional[LocationInterner] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if detector is not None and backend is not None:
-            raise ProgramError(
-                "pass either a detector instance or a backend name, not both"
-            )
-        if predict and (detector is not None or backend is not None):
+        if predict and detector is not None:
             raise ProgramError(
                 "predict mode constructs its own shb detector; drop the "
-                "detector/backend argument or drop predict=True"
+                "detector argument or drop predict=True"
             )
         if predict:
             detector = SHBDetector()
             detector.on_root(0)
         if detector is None:
-            detector = _backend_detector(backend or "lattice2d")
+            detector = _default_detector()
         self.detector = detector
         self.interner = interner
         self.events_ingested = 0
@@ -800,11 +766,8 @@ class ShardedBatchEngine:
 
     See the module docstring for the model.  ``detector_factory`` must
     produce observer-protocol detectors that have *not* seen the root
-    yet; the engine announces task 0 to every shard itself.
-    Alternatively pass ``backend`` (a name from :data:`BACKENDS`) to let
-    the engine pick the factory -- sharding composes with the DePa
-    backend unchanged, because every shard still sees the full
-    lifecycle stream and hence the same fork-first structure.
+    yet; the engine announces task 0 to every shard itself.  It
+    defaults to :class:`RaceDetector2D`.
 
     Each incoming batch is split once into per-shard sub-batches
     (lifecycle events replicated, accesses routed by ``lid % shards``)
@@ -833,21 +796,16 @@ class ShardedBatchEngine:
         num_shards: int,
         *,
         detector_factory: Optional[Callable[[], Any]] = None,
-        backend: Optional[str] = None,
         predict: bool = False,
         interner: Optional[LocationInterner] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if num_shards < 1:
             raise ProgramError(f"need at least one shard, got {num_shards}")
-        if detector_factory is not None and backend is not None:
-            raise ProgramError(
-                "pass either a detector factory or a backend name, not both"
-            )
-        if predict and (detector_factory is not None or backend is not None):
+        if predict and detector_factory is not None:
             raise ProgramError(
                 "predict mode constructs its own shb detectors; drop the "
-                "factory/backend argument or drop predict=True"
+                "factory argument or drop predict=True"
             )
         if predict:
             # Sharding composes with prediction unchanged: lifecycle
@@ -855,20 +813,7 @@ class ShardedBatchEngine:
             # clocks see the full happens-before structure and its
             # windows cover exactly its own locations.
             detector_factory = SHBDetector
-        if detector_factory is None:
-            if backend is None:
-                factory: Callable[[], Any] = RaceDetector2D
-            elif backend == "lattice2d":
-                factory = RaceDetector2D
-            elif backend == "depa":
-                factory = DePaDetector
-            else:
-                raise ProgramError(
-                    f"unknown engine backend {backend!r}; "
-                    f"expected one of {BACKENDS}"
-                )
-        else:
-            factory = detector_factory
+        factory = detector_factory or RaceDetector2D
         self.num_shards = num_shards
         self.shards: List[Any] = [factory() for _ in range(num_shards)]
         for det in self.shards:

@@ -31,10 +31,8 @@ it on the same port and each affected link reconnects, RESUMEs its
 ``(session, shard)`` token, and replays the unacked slices; replayed
 duplicates are skipped idempotently server-side and RACES frames are
 keyed by sequence, so the client's final race multiset is exactly
-that of an uninterrupted run.  Sessions on a non-checkpointable
-backend (``depa``) use plain worker sessions instead and a worker
-kill surfaces as a typed ``ERR_DETECTOR`` -- recovery is a lattice2d
-feature, negotiated, never silently substituted.
+that of an uninterrupted run.  Every session's worker links are
+durable: the one grantable backend, lattice2d, is checkpointable.
 
 Client-side durability (RESUME *from* a client) is refused with a
 typed ``ERR_CHECKPOINT``: through the gateway, durability is an
@@ -72,6 +70,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.serve import protocol as wire
 from repro.serve.client import RaceClient, RemoteError
 from repro.serve.session import (
+    BACKEND,
     CoreMetrics,
     CoreThread,
     Session,
@@ -329,30 +328,26 @@ class RaceCluster(SessionCore):
     @staticmethod
     def _worker_error(exc: ServeError, when: str) -> Tuple[int, str]:
         """The ERROR for a worker-link failure: a worker's typed refusal
-        (e.g. an unknown backend variant) is forwarded verbatim,
-        anything else is ERR_DETECTOR."""
+        is forwarded verbatim, anything else is ERR_DETECTOR."""
         if isinstance(exc, RemoteError):
             return exc.code, exc.remote_message
         return wire.ERR_DETECTOR, f"engine worker {when}: {exc}"
 
     async def _open(self, session: _GatewaySession) -> None:
-        """Open one worker session per shard, concurrently -- the
-        (session, shard) key.  Non-checkpointable backends get plain
-        links: kill recovery is a lattice2d feature, never silently
-        substituted.  CBATCH is grantable unconditionally: the gateway
-        expands CBATCH frames itself and routes raw slices."""
+        """Open one durable worker session per shard, concurrently --
+        the (session, shard) key.  CBATCH is grantable unconditionally:
+        the gateway expands CBATCH frames itself and routes raw
+        slices."""
         loop = asyncio.get_running_loop()
-        durable = session.backend == "lattice2d"
 
         def dial(k: int) -> RaceClient:
-            token = f"gw{self._nonce}-{session.sid}-s{k}" if durable else None
             return RaceClient(
                 "127.0.0.1", self.workers[k].port,
                 timeout=_LINK_TIMEOUT,
-                session=token,
+                session=f"gw{self._nonce}-{session.sid}-s{k}",
                 max_retries=self.config.link_retries,
                 retry_backoff=self.config.link_backoff,
-                backend=session.backend,
+                backend=BACKEND,
             ).connect()
 
         results = await asyncio.gather(*[

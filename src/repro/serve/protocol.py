@@ -72,13 +72,12 @@ ACK       server->   u64 durable sequence number, sent after every
 ========  =========  =============================================
 
 Backend negotiation (v3): the client HELLO may append a 16-byte
-NUL-padded ASCII engine backend name (``lattice2d``, ``depa``, or
-all-NUL for the server default); the server's reply appends the
-backend the session actually got.  The reply always mirrors the
-*client's* version and payload shape, so a v2 client talking to a v3
-server sees a byte-identical v2 exchange -- negotiation is purely
-additive.  A backend the server cannot honour (unknown, or
-incompatible with its configuration) is refused with a typed
+NUL-padded ASCII engine backend name (``lattice2d``, the one name
+servers grant, or all-NUL for the default); the server's reply
+appends the backend the session actually got.  The reply always
+mirrors the *client's* version and payload shape, so a v2 client
+talking to a v3 server sees a byte-identical v2 exchange --
+negotiation is purely additive.  Any other backend name is refused with a typed
 ``ERR_BACKEND`` ERROR frame before the session starts.
 
 Compression negotiation (v4): a v4 client HELLO carries u32 feature

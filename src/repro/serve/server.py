@@ -9,8 +9,8 @@ teardown on a violation, BYE, graceful drain on ``SIGTERM``/``SIGINT``
 module is the *sink* behind it:
 
 * each session gets an isolated
-  :class:`~repro.engine.ingest.BatchEngine` for its negotiated backend
-  (or in prediction mode); every queued batch runs through it --
+  :class:`~repro.engine.ingest.BatchEngine` (lattice2d, or SHB in
+  prediction mode); every queued batch runs through it --
   CBATCH frames through the memoized kernel
   (:meth:`~repro.engine.ingest.BatchEngine.ingest_compressed`) without
   ever being expanded -- and newly detected races stream back as
@@ -46,7 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.batch import EventBatch
-from repro.engine.ingest import BACKENDS, BatchEngine
+from repro.engine.ingest import BatchEngine
 from repro.engine.snapshot import load_checkpoint, save_checkpoint
 from repro.errors import (
     CheckpointError,
@@ -94,18 +94,9 @@ class ServeConfig(SessionConfig):
     ``docs/PREDICTION.md``).  Prediction is per-session only, and the
     checkpoint format captures the union-find engine's state, so
     ``predict`` is rejected in combination with ``checkpoint_dir``.
-
-    ``backend`` names the engine backend sessions get by default (one
-    of :data:`~repro.engine.ingest.BACKENDS`); a v3 client may request
-    a different one per session in its HELLO.  The ``depa`` backend is
-    not checkpointable and has no prediction mode, so a non-default
-    ``backend`` is rejected in combination with ``checkpoint_dir`` or
-    ``predict`` (and a per-session *request* for it on such a server
-    is refused with a typed ``ERR_BACKEND`` frame).
     """
 
     predict: bool = False  #: serve shb prediction instead of observed races
-    backend: str = "lattice2d"  #: default engine backend for sessions
 
 
 class _Metrics(CoreMetrics):
@@ -181,25 +172,6 @@ class RaceServer(SessionCore):
                 "format captures the union-find engine): drop "
                 "checkpoint_dir or drop predict"
             )
-        if self.config.backend not in BACKENDS:
-            raise ServeError(
-                f"unknown serve backend {self.config.backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
-        if self.config.backend != "lattice2d":
-            if self.config.checkpoint_dir is not None:
-                raise ServeError(
-                    f"the {self.config.backend!r} backend is not "
-                    "checkpointable: drop checkpoint_dir or use the "
-                    "lattice2d backend"
-                )
-            if self.config.predict:
-                raise ServeError(
-                    f"the {self.config.backend!r} backend has no "
-                    "prediction mode: drop predict or use the "
-                    "lattice2d backend"
-                )
-        self.default_backend = self.config.backend
 
     def _make_metrics(self) -> _Metrics:
         return _Metrics(self.registry)
@@ -211,28 +183,15 @@ class RaceServer(SessionCore):
     # -- the session engine --------------------------------------------------
 
     async def _open(self, session: _ServerSession) -> None:
-        if self.config.predict and session.backend != "lattice2d":
-            raise ProtocolError(
-                f"this server runs prediction sessions, which the "
-                f"{session.backend!r} backend does not support",
-                code=wire.ERR_BACKEND,
-            )
         if self.config.predict and session.cbatch:
             raise ProtocolError(
                 "prediction sessions ingest raw batches; drop the "
                 "compress request or use an observed-order server",
                 code=wire.ERR_COMPRESS,
             )
-        # BatchEngine treats backend and predict as mutually exclusive;
-        # the checks above leave exactly one of the two to apply.
-        if session.backend != "lattice2d":
-            session.engine = BatchEngine(
-                registry=self.registry, backend=session.backend
-            )
-        else:
-            session.engine = BatchEngine(
-                registry=self.registry, predict=self.config.predict
-            )
+        session.engine = BatchEngine(
+            registry=self.registry, predict=self.config.predict
+        )
 
     @staticmethod
     def _engine(session: _ServerSession) -> BatchEngine:
@@ -370,14 +329,6 @@ class RaceServer(SessionCore):
         if self.config.checkpoint_dir is None:
             raise ProtocolError(
                 "server runs without a checkpoint directory",
-                code=wire.ERR_CHECKPOINT,
-            )
-        if session.backend != "lattice2d":
-            # Restoring would silently swap the negotiated engine for a
-            # lattice2d one; refuse instead.
-            raise ProtocolError(
-                f"the {session.backend!r} backend is not checkpointable; "
-                "durable sessions require the lattice2d backend",
                 code=wire.ERR_CHECKPOINT,
             )
         if session.token is not None or session.saw_batch:

@@ -5,7 +5,8 @@ A race is witnessed at one memory location, so sharding accesses by
 session does on the wire.  :class:`SessionCore` is that session, once:
 
 * the listener and the per-connection handler with its teardown;
-* HELLO: the version check, the engine-backend check, the CBATCH
+* HELLO: the version check, the engine-backend check (only
+  :data:`BACKEND` is grantable), the CBATCH
   feature grant, the frame-size cap, and a reply that mirrors the
   client's version byte for byte (v2..v5 shapes);
 * the read loop: credit accounting, batch-sequence contiguity (and the
@@ -49,18 +50,22 @@ from itertools import count
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.batch import EventBatch
-from repro.engine.ingest import BACKENDS
 from repro.errors import ProtocolError, ServeError
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.serve import protocol as wire
 
 __all__ = [
+    "BACKEND",
     "SessionConfig",
     "CoreMetrics",
     "Session",
     "SessionCore",
     "CoreThread",
 ]
+
+#: the one engine backend a HELLO may name (the paper's detector); a
+#: HELLO that names none gets it too, any other name gets ERR_BACKEND
+BACKEND = "lattice2d"
 
 
 @dataclass
@@ -153,13 +158,10 @@ class CoreMetrics:
             "duplicate_batches_total",
             "already-applied BATCH frames skipped idempotently on resume",
         )
-        self.sessions_backend = {
-            name: self.counter(
-                "sessions_backend_total",
-                "sessions by negotiated engine backend", backend=name,
-            )
-            for name in BACKENDS
-        }
+        self.sessions_backend = self.counter(
+            "sessions_backend_total",
+            "sessions by negotiated engine backend", backend=BACKEND,
+        )
 
     def _labels(self, extra: Dict[str, str]) -> Dict[str, str]:
         return {"component": self._component, **extra}
@@ -191,8 +193,7 @@ class Session:
 
     __slots__ = (
         "sid", "writer", "queue", "queued", "credits", "withheld",
-        "write_lock", "failed", "draining", "max_frame", "backend",
-        "cbatch", "token", "enqueued_seq", "table", "saw_batch",
+        "write_lock", "failed", "draining", "max_frame", "cbatch", "token", "enqueued_seq", "table", "saw_batch",
         "released",
     )
 
@@ -209,7 +210,6 @@ class Session:
         self.failed: Optional[BaseException] = None
         self.draining = False
         self.max_frame = max_frame
-        self.backend = "lattice2d"  # negotiated engine backend (v3)
         self.cbatch = False  # CBATCH feature granted (v4)
         self.token: Optional[str] = None  # durable session id (RESUME)
         self.enqueued_seq = 0  # highest seq accepted off the wire
@@ -245,7 +245,6 @@ class SessionCore:
     role = "server"  #: how ERROR messages name this front end
     config_class: Any = SessionConfig
     session_class: Any = Session
-    default_backend = "lattice2d"  #: for a HELLO that requests none
 
     def __init__(
         self,
@@ -509,20 +508,18 @@ class SessionCore:
                 f"client sent {version}",
                 code=wire.ERR_VERSION,
             )
-        backend = requested if requested is not None else self.default_backend
-        if backend not in BACKENDS:
+        if requested is not None and requested != BACKEND:
             raise ProtocolError(
-                f"unknown engine backend {backend!r}; "
-                f"expected one of {BACKENDS}",
+                f"unknown engine backend {requested!r}; "
+                f"this {self.role} runs only {BACKEND!r}",
                 code=wire.ERR_BACKEND,
             )
-        session.backend = backend
         # Compression is negotiated exactly like a backend: a request
         # the front end cannot honour is a typed refusal from _open,
         # never a silent downgrade the client discovers mid-stream.
         session.cbatch = bool(features & wire.FLAG_CBATCH) and version >= 4
         await self._open(session)
-        self._m.sessions_backend[backend].inc()
+        self._m.sessions_backend.inc()
         session.max_frame = min(self.config.max_frame, client_max)
         # The reply mirrors the client's version and wire shape: a v2
         # client sees a byte-identical v2 exchange, and only a v5 reply
@@ -532,7 +529,7 @@ class SessionCore:
             wire.encode_hello_reply(
                 self.config.credit_window, session.max_frame,
                 version=version,
-                backend=backend if version >= 3 else None,
+                backend=BACKEND if version >= 3 else None,
                 features=wire.FLAG_CBATCH if session.cbatch else 0,
                 workers=self._fan_out() if version >= 5 else 1,
             ),

@@ -35,7 +35,7 @@ from repro.engine.batch import (
     BatchBuilder,
     EventBatch,
 )
-from repro.engine.ingest import BatchEngine
+from repro.engine.ingest import BatchEngine, ShardedBatchEngine
 from repro.errors import DetectorError, ProgramError
 from repro.forkjoin.interpreter import run
 from repro.workloads.access_patterns import uniform_shared
@@ -296,7 +296,11 @@ class TestHostileStreams:
         with pytest.raises(ProgramError, match="predict"):
             BatchEngine(SHBDetector(), predict=True)
         with pytest.raises(ProgramError, match="predict"):
-            BatchEngine(backend="depa", predict=True)
+            ShardedBatchEngine(2, detector_factory=SHBDetector, predict=True)
+        # No backend knob is left to combine with predict: the engine
+        # runs one exact detector per mode.
+        with pytest.raises(TypeError):
+            BatchEngine(backend="lattice2d", predict=True)
 
 
 #: (op_index, thread_count, metadata_entries, shadow_peak_per_location,

@@ -18,10 +18,6 @@ racing location twice in one epoch: the batch kernels cache clean
 repeats per epoch and must not skip racy ones.  FastTrack flags only
 the first of such reads by design (``every_race=False``), so it sits
 those instances out.
-
-The depa cells on ``grid`` are the matrix's one
-:data:`~repro.engine.differential.KNOWN_WRONG` entry: strict xfails, so
-the depa fix has to flip them.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from typing import Callable, Dict
 import pytest
 
 from repro.engine.batch import BatchBuilder
-from repro.engine.differential import CONFIGS, KNOWN_WRONG, check_conformance
+from repro.engine.differential import CONFIGS, check_conformance
 from repro.forkjoin.interpreter import run
 from repro.forkjoin.pipeline import PipelineSpec, pipeline_body
 from repro.forkjoin.program import fork, join, read, write
@@ -136,14 +132,8 @@ def _cells():
                     instance.endswith("+reread") and not config.every_race
                 ):
                     continue
-                marks = ()
-                if shape == KNOWN_WRONG.shape and name in KNOWN_WRONG.configs:
-                    marks = pytest.mark.xfail(
-                        strict=True, reason=f"ROADMAP: {KNOWN_WRONG.roadmap}"
-                    )
                 yield pytest.param(
-                    shape, instance, name, marks=marks,
-                    id=f"{shape}-{instance}-{name}",
+                    shape, instance, name, id=f"{shape}-{instance}-{name}"
                 )
 
 
@@ -169,18 +159,6 @@ def test_every_shape_is_exercised():
             for body in instances.values()
         ]
         assert any(races), shape
-
-
-@pytest.mark.parametrize("instance", sorted(SHAPES[KNOWN_WRONG.shape]))
-def test_prediction_is_not_blamed_for_the_depa_defect(instance):
-    """The predict cell passes on every grid instance while every depa
-    cell there fails: prediction is judged against the referee only."""
-    batch, interner = capture(SHAPES[KNOWN_WRONG.shape][instance]())
-    report = check_conformance(
-        batch, interner, ("predict", *KNOWN_WRONG.configs)
-    )
-    assert report.cells["predict"]
-    assert not any(report.cells[name] for name in KNOWN_WRONG.configs)
 
 
 @pytest.mark.parametrize(

@@ -91,8 +91,7 @@ class TestSoak:
         assert stats["rounds"] == 1
         assert stats["kills"] == 1
         assert stats["corruptions_rejected"] == 1
-        assert stats["depa_sessions"] == 1
-        assert stats["depa_resume_refusals"] == 1
+        assert stats["plain_sessions"] == 1
         assert stats["events"] > 0 and stats["races"] > 0
         assert lines and "ok" in lines[0]
 

@@ -220,8 +220,7 @@ class TestBatchEngine:
     def test_unknown_opcode_rejected_on_every_ingest_path(self):
         """Corrupt batches (e.g. off the serve wire) must raise a typed
         ProgramError, never be absorbed as step events -- on the inlined
-        kernel, the generic loop, and the vectorized depa kernel
-        alike."""
+        kernel and the generic loop alike."""
         from repro.engine.batch import OP_READ, EventBatch
 
         bad = EventBatch()
@@ -237,11 +236,6 @@ class TestBatchEngine:
         with pytest.raises(ProgramError, match="unknown opcode 99"):
             BatchEngine(ft).ingest(bad)
 
-        # Vectorized depa kernel (and its scalar fallback for tiny
-        # batches -- both paths covered in tests/engine/test_depa.py).
-        with pytest.raises(ProgramError, match="unknown opcode 99"):
-            BatchEngine(backend="depa").ingest(bad)
-
         # A valid prefix must not mask the corrupt row.
         prefixed = EventBatch()
         for _ in range(40):
@@ -249,8 +243,6 @@ class TestBatchEngine:
         prefixed.append(99, 0, 0)
         with pytest.raises(ProgramError, match="unknown opcode 99"):
             BatchEngine().ingest(prefixed)
-        with pytest.raises(ProgramError, match="unknown opcode 99"):
-            BatchEngine(backend="depa").ingest(prefixed)
 
     def test_literal_mode_falls_back_to_generic_path(self):
         events, batch, interner = capture(BODY)

@@ -7,7 +7,7 @@ Three guarantees, each over arbitrary inputs:
   batch at any block width, and the RPR2TRZ container round-trips the
   compressed form (plus interner) identically;
 * detection over the compressed form -- the memoized kernel under
-  serial lattice2d, depa, and the sharded engine -- reports exactly
+  serial lattice2d and the sharded engine -- reports exactly
   the race multiset of ingesting the raw batch;
 * every corrupted RPR2TRZ container (any strict prefix, any single
   flipped bit, any lying header field) answers with a typed
@@ -125,20 +125,6 @@ class TestDetectionEquivalence:
         ref.ingest(batch)
 
         alt = BatchEngine(registry=MetricsRegistry())
-        alt.ingest_compressed(compress(batch, width))
-        assert _multiset(alt.races()) == _multiset(ref.races())
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        case=spawn_sync_cases(max_leaves=8),
-        width=st.sampled_from(BLOCK_WIDTHS),
-    )
-    def test_depa_backend(self, case, width):
-        batch = _capture(case)
-        ref = BatchEngine(backend="depa", registry=MetricsRegistry())
-        ref.ingest(batch)
-
-        alt = BatchEngine(backend="depa", registry=MetricsRegistry())
         alt.ingest_compressed(compress(batch, width))
         assert _multiset(alt.races()) == _multiset(ref.races())
 

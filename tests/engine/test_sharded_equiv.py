@@ -5,7 +5,7 @@ the race reports and shadow occupancy of the unsharded engine on the
 same trace, and its routing counters must account for every ingested
 event exactly once (accesses against their owner shard, replicated
 lifecycle events once).  Random spawn-sync programs ride the same
-check as a property sweep, under both the lattice2d and depa backends.
+check as a property sweep.
 """
 
 from __future__ import annotations
@@ -107,12 +107,11 @@ def test_batch_size_does_not_matter(shards, reference):
 @given(
     case=spawn_sync_cases(max_leaves=8),
     shards=st.sampled_from(SHARD_COUNTS),
-    backend=st.sampled_from(("lattice2d", "depa")),
     slice_size=st.sampled_from((None, 5)),
 )
-def test_random_spawn_sync_programs(case, shards, backend, slice_size):
+def test_random_spawn_sync_programs(case, shards, slice_size):
     """Random spawn-sync programs as one more input: whole or sliced
-    into odd payloads, under either backend, the sharded engine flags
+    into odd payloads, the sharded engine flags
     exactly the accesses the serial lattice2d engine flags."""
     tree, plan = case
     builder = BatchBuilder()
@@ -120,9 +119,7 @@ def test_random_spawn_sync_programs(case, shards, backend, slice_size):
     batch = builder.batch
     ref = BatchEngine(registry=MetricsRegistry())
     ref.ingest(batch)
-    engine = ShardedBatchEngine(
-        shards, backend=backend, registry=MetricsRegistry()
-    )
+    engine = ShardedBatchEngine(shards, registry=MetricsRegistry())
     if slice_size is None:
         engine.ingest(batch)
     else:

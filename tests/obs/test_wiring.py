@@ -51,7 +51,6 @@ EXPECTED_COUNTERS = {
     'engine_dispatch_total{engine="batch",path="kernel"}': 1,
     'engine_dispatch_total{engine="batch",path="memo"}': 0,
     'engine_dispatch_total{engine="batch",path="predict"}': 0,
-    'engine_dispatch_total{engine="batch",path="vectorized"}': 0,
     'engine_events_total{engine="batch"}': 6,
     'engine_memo_hits_total{engine="batch"}': 0,
     'engine_memo_misses_total{engine="batch"}': 0,

@@ -67,17 +67,17 @@ class TestCompressedRoundTrip:
         compressed = counter_value(registry, "serve_compressed_bytes_total")
         assert 0 < compressed <= raw_bytes / 3
 
-    def test_compressed_depa_session(self, loop_workload):
+    def test_compressed_lattice2d_session(self, loop_workload):
         """compress=True composes with backend negotiation."""
         batch, _ = loop_workload
         local = local_race_multiset(batch)
         with make_server() as srv:
             with RaceClient(
-                "127.0.0.1", srv.port, backend="depa", compress=True
+                "127.0.0.1", srv.port, backend="lattice2d", compress=True
             ) as client:
                 client.send_batches_compressed(batch)
                 summary = client.finish()
-            assert client.negotiated_backend == "depa"
+            assert client.negotiated_backend == "lattice2d"
         assert race_multiset(summary.reports) == local
 
     def test_mixed_raw_and_compressed_frames(self, loop_workload):

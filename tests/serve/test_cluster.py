@@ -2,10 +2,9 @@
 
 Negotiation first (the v5 worker-count field, the typed refusals),
 then routing exactness (gateway-sharded detection equals a serial
-local replay, for raw, depa, and compressed sessions), then migration
+local replay, for raw and compressed sessions), then migration
 under kill (SIGKILL a worker mid-stream; the respawn/RESUME/replay
-machinery must deliver the identical race multiset, while a
-non-checkpointable depa session must fail typed instead), and
+machinery must deliver the identical race multiset), and
 teardown (a finished session's worker checkpoints are released, and no
 worker process outlives its gateway, however its start ends).
 """
@@ -24,12 +23,7 @@ from repro.errors import WorkloadError
 from repro.forkjoin import fork, join, write
 from repro.forkjoin.interpreter import run
 from repro.obs.registry import MetricsRegistry
-from repro.serve import (
-    ClusterConfig,
-    ClusterThread,
-    RaceClient,
-    RemoteError,
-)
+from repro.serve import ClusterConfig, ClusterThread, RaceClient
 from repro.serve import protocol as wire
 
 from .conftest import RawConn, local_race_multiset, race_multiset
@@ -76,11 +70,22 @@ class TestNegotiation:
             assert "gateway" in message
 
     def test_unknown_backend_refused(self, cluster2):
-        with RawConn(cluster2.port, hello=False) as conn:
-            conn.send_frame(
-                wire.FRAME_HELLO, wire.encode_hello(backend="warp9")
-            )
-            conn.expect_error(wire.ERR_BACKEND)
+        # The retired depa backend is as unknown as any other name.
+        for name in ("warp9", "depa"):
+            with RawConn(cluster2.port, hello=False) as conn:
+                conn.send_frame(
+                    wire.FRAME_HELLO, wire.encode_hello(backend=name)
+                )
+                conn.expect_error(wire.ERR_BACKEND)
+
+    def test_lattice2d_request_granted(self, cluster2):
+        client = RaceClient(
+            "127.0.0.1", cluster2.port, backend="lattice2d"
+        ).connect()
+        try:
+            assert client.negotiated_backend == "lattice2d"
+        finally:
+            client.close()
 
     def test_client_exposes_worker_count(self, cluster2):
         client = RaceClient("127.0.0.1", cluster2.port).connect()
@@ -98,17 +103,6 @@ class TestRouting:
             client.send_batches(batch, batch_size=1024)
             summary = client.finish()
         assert summary.events == len(batch)
-        assert race_multiset(summary.reports) == local
-
-    def test_depa_sessions_agree(self, cluster2, small_workload):
-        batch, _interner = small_workload
-        local = local_race_multiset(batch)
-        with RaceClient(
-            "127.0.0.1", cluster2.port, backend="depa"
-        ) as client:
-            client.send_batches(batch, batch_size=1024)
-            summary = client.finish()
-        assert client.negotiated_backend == "depa"
         assert race_multiset(summary.reports) == local
 
     def test_compressed_sessions_agree(self, cluster2, small_workload):
@@ -234,29 +228,6 @@ class TestMigration:
             finally:
                 client.close()
         assert race_multiset(summary.reports) == local
-
-    def test_kill_under_depa_session_fails_typed(self, small_workload):
-        # depa links are not durable: a worker kill must surface as a
-        # typed ERR_DETECTOR, never hang and never silently downgrade.
-        batch, _interner = small_workload
-        with ClusterThread(
-            ClusterConfig(workers=2, link_retries=1, link_backoff=0.05),
-            registry=MetricsRegistry(),
-        ) as cluster:
-            pieces = list(batch.slices(256))
-            client = RaceClient(
-                "127.0.0.1", cluster.port, backend="depa", timeout=30.0
-            ).connect()
-            try:
-                with pytest.raises(RemoteError) as excinfo:
-                    for k, piece in enumerate(pieces):
-                        if k == len(pieces) // 2:
-                            cluster.kill_worker(0)
-                        client.send_batch(piece)
-                    client.finish()
-                assert excinfo.value.code == wire.ERR_DETECTOR
-            finally:
-                client.close()
 
 
 class TestTeardown:

@@ -501,22 +501,22 @@ class TestGatewayFrontEnd(TestProtocolViolations):
 
 
 class TestBackendNegotiation:
-    def test_depa_session_matches_local_replay(self, small_workload):
-        """A v3 HELLO requesting depa gets a depa engine and streams
-        the exact race multiset of a local lattice2d replay."""
+    def test_lattice2d_session_matches_local_replay(self, small_workload):
+        """A v3 HELLO naming lattice2d is granted and streams the exact
+        race multiset of a local replay."""
         batch, _ = small_workload
         local = local_race_multiset(batch)
         registry = MetricsRegistry()
         with make_server(registry) as srv:
             with RaceClient(
-                "127.0.0.1", srv.port, backend="depa"
+                "127.0.0.1", srv.port, backend="lattice2d"
             ) as client:
                 client.send_batches(batch, 1024)
                 summary = client.finish()
-            assert client.negotiated_backend == "depa"
+            assert client.negotiated_backend == "lattice2d"
         assert race_multiset(summary.reports) == local
         assert counter_value(
-            registry, "serve_sessions_backend_total", backend="depa"
+            registry, "serve_sessions_backend_total", backend="lattice2d"
         ) == 1
 
     def test_v2_client_runs_unchanged(self, small_workload):
@@ -546,12 +546,14 @@ class TestBackendNegotiation:
         assert race_multiset(reports) == local
 
     def test_unknown_backend_refused_with_typed_error(self):
+        # The retired depa backend is as unknown as any other name.
         with make_server() as srv:
-            with pytest.raises(RemoteError) as exc_info:
-                RaceClient(
-                    "127.0.0.1", srv.port, backend="quantum"
-                ).connect()
-            assert exc_info.value.code == wire.ERR_BACKEND
+            for name in ("quantum", "depa"):
+                with pytest.raises(RemoteError) as exc_info:
+                    RaceClient(
+                        "127.0.0.1", srv.port, backend=name
+                    ).connect()
+                assert exc_info.value.code == wire.ERR_BACKEND
 
     def test_predict_server_refuses_depa_request(self):
         with make_server(predict=True) as srv:
@@ -560,18 +562,6 @@ class TestBackendNegotiation:
                     "127.0.0.1", srv.port, backend="depa"
                 ).connect()
             assert exc_info.value.code == wire.ERR_BACKEND
-
-    def test_depa_session_refuses_resume(self, tmp_path):
-        """Durable sessions need checkpointable engines: a depa session
-        sending RESUME gets a typed checkpoint refusal, never a silent
-        engine swap."""
-        with make_server(checkpoint_dir=str(tmp_path)) as srv:
-            with pytest.raises(RemoteError) as exc_info:
-                RaceClient(
-                    "127.0.0.1", srv.port, backend="depa",
-                    session="tok-1",
-                ).connect()
-            assert exc_info.value.code == wire.ERR_CHECKPOINT
 
     def test_requested_backend_is_required_not_preferred(self):
         """Against a pre-negotiation (v2-replying) server, a client
@@ -609,23 +599,11 @@ class TestBackendNegotiation:
         try:
             with pytest.raises(ServeError, match="granted"):
                 RaceClient(
-                    "127.0.0.1", port, backend="depa", timeout=10.0
+                    "127.0.0.1", port, backend="lattice2d", timeout=10.0
                 ).connect()
         finally:
             srv_sock.close()
             thread.join(5.0)
-
-    def test_config_backend_validation(self, tmp_path):
-        with pytest.raises(ServeError, match="unknown serve backend"):
-            ServerThread(ServeConfig(backend="nope")).start()
-        with pytest.raises(ServeError, match="prediction"):
-            ServerThread(
-                ServeConfig(backend="depa", predict=True)
-            ).start()
-        with pytest.raises(ServeError, match="checkpoint"):
-            ServerThread(
-                ServeConfig(backend="depa", checkpoint_dir=str(tmp_path))
-            ).start()
 
 
 class TestMetricsEndpoint:

@@ -63,7 +63,7 @@ class TestCompare:
     def test_registry_complete(self):
         assert set(DETECTOR_FACTORIES) == {
             "lattice2d", "vectorclock", "vectorclock-dense", "fasttrack",
-            "spbags", "espbags", "offsetspan", "shb", "naive", "depa",
+            "spbags", "espbags", "offsetspan", "shb", "naive",
         }
 
 

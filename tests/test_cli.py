@@ -137,24 +137,20 @@ class TestCommands:
         assert main(["replay", trace, "--shards", "3"]) == 1
         assert "x3 shards" in capsys.readouterr().out
 
-    def test_replay_compact_depa_backend(self, program_file, tmp_path, capsys):
-        trace = str(tmp_path / "run.rtrc")
-        main(["record", program_file, "--compact", "-o", trace])
-        capsys.readouterr()
-        assert main(["replay", trace, "--backend", "depa"]) == 1
-        out = capsys.readouterr().out
-        assert "depa backend" in out and "1 race(s)" in out and "'x'" in out
-        assert main(["replay", trace, "--backend", "depa", "--shards", "2"]) == 1
-        assert "x2 shards" in capsys.readouterr().out
-
     def test_replay_backend_misuse_errors(self, program_file, tmp_path, capsys):
+        # The engine has one exact detector per mode: there is no
+        # --backend to pick, and no depa detector to name.
         trace = str(tmp_path / "run.rtrc")
         main(["record", program_file, "--compact", "-o", trace])
         capsys.readouterr()
-        assert main(
-            ["replay", trace, "--backend", "depa", "--detector", "fasttrack"]
-        ) == 2
+        with pytest.raises(SystemExit) as exc_info:
+            main(["replay", trace, "--backend", "lattice2d"])
+        assert exc_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            main(["replay", trace, "--detector", "depa"])
+        assert exc_info.value.code == 2
+        assert "'depa'" in capsys.readouterr().err
 
     def test_replay_predict(self, program_file, tmp_path, capsys):
         trace = str(tmp_path / "run.rtrc")
@@ -178,8 +174,6 @@ class TestCommands:
         trace = str(tmp_path / "run.rtrc")
         main(["record", program_file, "--compact", "-o", trace])
         capsys.readouterr()
-        assert main(["replay", trace, "--predict", "--backend", "depa"]) == 2
-        assert "--backend" in capsys.readouterr().err
         assert main(
             ["replay", trace, "--predict", "--detector", "fasttrack"]
         ) == 2
