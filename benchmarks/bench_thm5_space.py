@@ -58,6 +58,53 @@ def test_space_table_and_shape():
     assert peaks["fasttrack"][-1] > 8 * max(1, peaks["lattice2d"][-1])
 
 
+def shadow_bytes_per_location(task: int, locations: int = 100_000) -> float:
+    """``tracemalloc`` bytes the batch engine's shadow state holds per
+    location after ``task`` (forked after ``task`` forks) writes and
+    then reads ``locations`` distinct locations in one batch."""
+    import gc
+    import tracemalloc
+
+    from repro.engine.batch import OP_FORK, OP_READ, OP_WRITE, EventBatch
+    from repro.engine.ingest import BatchEngine
+    from repro.obs.registry import NULL_REGISTRY
+
+    batch = EventBatch()
+    for t in range(1, task + 1):
+        batch.ops.append(OP_FORK)
+        batch.a.append(t - 1)
+        batch.b.append(t)
+    for op in (OP_WRITE, OP_READ):
+        for loc in range(locations):
+            batch.ops.append(op)
+            batch.a.append(task)
+            batch.b.append(loc)
+    engine = BatchEngine(registry=NULL_REGISTRY)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine.ingest(batch)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / locations
+
+
+def test_shadow_bytes_per_location():
+    """The two conceptual words per location in real bytes: the slot map
+    plus three int columns, flat in the acting task's id (the kernel
+    stores one int object per access run, not one per location)."""
+    rows = [
+        {"acting task": task, "bytes/loc": round(shadow_bytes_per_location(task), 1)}
+        for task in (0, 1000)
+    ]
+    print_table(rows, title="Theorem 5: tracemalloc bytes per location")
+    for row in rows:
+        assert row["bytes/loc"] < 200
+
+
 def test_metadata_per_thread_constant():
     """Θ(1) per thread: detector metadata grows linearly in task count
     with a constant per-task word budget."""

@@ -118,15 +118,6 @@ class CompressedTrace:
             info = self._info[bid] = _block_info(self.blocks[bid])
         return info
 
-    def payload_bytes(self) -> int:
-        """Bytes of unique-block column payload plus rules -- the size
-        the compressed form moves/stores, excluding fixed headers."""
-        per_block = sum(
-            len(block.ops) * (block.ops.itemsize + 2 * block.a.itemsize)
-            for block in self.blocks
-        )
-        return per_block + 8 * len(self.rules)
-
     def __repr__(self) -> str:
         return (
             f"CompressedTrace(width={self.block_width}, "

@@ -64,20 +64,19 @@ __all__ = ["BlockMemo"]
 class _Summary:
     """One recorded block transition: apply-able exit state."""
 
-    __slots__ = ("n", "races", "cells", "epochs", "exit_digest")
+    __slots__ = ("n", "races", "cells", "exit_digest")
 
     def __init__(
         self,
         n: int,
         races: Tuple[Tuple[Any, Any, Any, Any, int], ...],
-        cells: Tuple[Tuple[int, Any, Any], ...],
-        epochs: Tuple[Tuple[int, Optional[int]], ...],
+        cells: Tuple[Tuple[int, int, int, int], ...],
         exit_digest: Any,
     ) -> None:
         self.n = n
         self.races = races
+        #: ``(location, R, W, E)`` column values at block exit
         self.cells = cells
-        self.epochs = epochs
         self.exit_digest = exit_digest
 
 
@@ -131,34 +130,26 @@ class BlockMemo:
         uf = det._uf
         parent = uf._parent
         label = uf._label
-        cells = det.shadow._cells
-        epoch = det._epoch
+        sh = det.shadow
+        slot_get = sh.slot.get
+        R, W, E = sh.R, sh.W, sh.E
         parts: List[Any] = []
         for k in locs:
-            cell = cells.get(k)
-            if cell is None:
+            s = slot_get(k)
+            if s is None:
                 parts.append(None)
                 continue
-            r, w = cell
-            if r is None:
-                rr = None
-            else:
-                x = r
+            cell: List[Any] = [E[s]]
+            for v in (R[s], W[s]):
+                if v < 0:
+                    cell.append(None)
+                    continue
+                x = v
                 while parent[x] != x:
                     x = parent[x]
                 lbl = label[x]
-                rr = (r, lbl, lbl == t or visited[lbl])
-            if w is None:
-                ww = None
-            else:
-                x = w
-                while parent[x] != x:
-                    x = parent[x]
-                lbl = label[x]
-                ww = (w, lbl, lbl == t or visited[lbl])
-            parts.append(
-                (rr, ww, epoch.get(k) if epoch is not None else None)
-            )
+                cell.append((v, lbl, lbl == t or visited[lbl]))
+            parts.append(tuple(cell))
         return tuple(parts)
 
     # -- scan (miss) and replay (hit) ----------------------------------------
@@ -179,53 +170,37 @@ class BlockMemo:
             (r.loc, r.kind, r.prior_kind, r.prior_repr, r.op_index - base)
             for r in det.races[nr:]
         )
-        cells = det.shadow._cells
-        exit_cells = tuple((k, cells[k][0], cells[k][1]) for k in locs)
-        epoch = det._epoch
-        epochs: Tuple[Tuple[int, Optional[int]], ...] = (
-            tuple((k, epoch.get(k)) for k in locs)
-            if epoch is not None
-            else ()
+        sh = det.shadow
+        slot = sh.slot
+        exit_cells = tuple(
+            (k, sh.R[slot[k]], sh.W[slot[k]], sh.E[slot[k]]) for k in locs
         )
-        return _Summary(
-            len(block), races, exit_cells, epochs, self._digest(t, locs)
-        )
+        return _Summary(len(block), races, exit_cells, self._digest(t, locs))
 
     def _apply(self, summary: _Summary, t: int) -> None:
+        """Replay one occurrence: write its exit columns, then advance
+        the stream and replicate the races as a fixpoint does."""
         det = self.detector
-        base = det.op_index
-        det.op_index = base + summary.n
         det._visited[t] = True
-        shadow = det.shadow
-        cells = shadow._cells
-        entries = shadow._entries
-        peak = shadow.peak_entries_per_loc
-        for k, r, w in summary.cells:
-            cells[k] = [r, w]
-            n = (r is not None) + (w is not None)
-            entries[k] = n
-            if n > peak:
-                peak = n
-        shadow.peak_entries_per_loc = peak
-        epoch = det._epoch
-        if epoch is not None:
-            for k, v in summary.epochs:
-                if v is not None:
-                    epoch[k] = v
-        if summary.races:
-            races = det.races
-            for loc, kind, pkind, prepr, rel in summary.races:
-                races.append(
-                    RaceReport(
-                        loc=loc, task=t, kind=kind, prior_kind=pkind,
-                        prior_repr=prepr, op_index=base + rel,
-                    )
-                )
+        sh = det.shadow
+        slot_get = sh.slot.get
+        R, W, E = sh.R, sh.W, sh.E
+        for k, r, w, e in summary.cells:
+            s = slot_get(k)
+            if s is None:
+                s = sh.new_slot(k)
+            old_r, old_w = R[s], W[s]
+            R[s], W[s], E[s] = r, w, e
+            if old_r < 0 <= r:
+                sh.filled(s)
+            if old_w < 0 <= w:
+                sh.filled(s)
+        self._apply_fixpoint(summary, t, 1)
 
     def _apply_fixpoint(self, summary: _Summary, t: int, reps: int) -> None:
-        """Replay ``reps`` further occurrences whose entry state equals
-        the summary's exit state: the transition is idempotent on
-        cells/epochs, so only the stream position moves and the races
+        """Replay ``reps`` occurrences whose entry state equals the
+        summary's exit state: the transition is idempotent on the
+        columns, so only the stream position moves and the races
         replicate."""
         det = self.detector
         n = summary.n

@@ -39,10 +39,10 @@ additionally flags concurrent read pairs.)
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import List
 
 from repro.core.reports import AccessKind, RaceReport
-from repro.core.shadow import ShadowMap
+from repro.core.shadow import ShadowColumns
 from repro.core.unionfind import IntUnionFind
 from repro.errors import DetectorError
 from repro.events import Location
@@ -71,10 +71,6 @@ def detect_races(body, *args, **run_kwargs):
     detector = RaceDetector2D()
     run(body, *args, observers=[detector], **run_kwargs)
     return detector.races
-
-
-def _cell_entries(cell: List[Optional[int]]) -> int:
-    return (cell[0] is not None) + (cell[1] is not None)
 
 
 class RaceDetector2D:
@@ -135,11 +131,10 @@ class RaceDetector2D:
         self._halted: List[bool] = []
         self._joined: List[bool] = []
         self._literal = paper_figure6_literal
-        #: batch-kernel access-epoch cache: location id -> encoded
-        #: ``(task, kind)`` of the last clean access (``None`` disables)
-        self._epoch: Optional[dict] = {} if epoch_cache else None
-        #: per-location cells ``[read_sup, write_sup]``
-        self.shadow: ShadowMap[List[Optional[int]]] = ShadowMap(_cell_entries)
+        #: whether the batch kernel may use the ``E`` column
+        self._epoch_cache = epoch_cache
+        #: per-location ``R``/``W`` suprema and ``E`` epochs
+        self.shadow = ShadowColumns()
         #: all reports, in detection order (precise up to the first one)
         self.races: List[RaceReport] = []
         self.op_index = 0
@@ -223,6 +218,8 @@ class RaceDetector2D:
         task's end is now ordered before the joiner's future operations.
         """
         self._check_alive(joiner)
+        if joined >= len(self._halted) or joined < 0:
+            raise DetectorError(f"unknown thread id {joined}")
         if not self._halted[joined]:
             raise DetectorError(f"joining running thread {joined}")
         if self._joined[joined]:
@@ -262,12 +259,14 @@ class RaceDetector2D:
 
     # -- memory accesses (Figure 6) -------------------------------------------
 
-    def _cell(self, loc: Location) -> List[Optional[int]]:
-        cell = self.shadow.get(loc)
-        if cell is None:
-            cell = [None, None]
-            self.shadow.put(loc, cell)
-        return cell
+    def _slot(self, loc: Location) -> int:
+        s = self.shadow.slot.get(loc)
+        if s is None:
+            return self.shadow.new_slot(loc)
+        # Keep the batch kernel's epoch cache coherent when the two
+        # driving styles are mixed on one detector instance.
+        self.shadow.E[s] = -1
+        return s
 
     def _report(
         self,
@@ -296,26 +295,20 @@ class RaceDetector2D:
         self._check_alive(t)
         self.op_index += 1
         self._visited[t] = True
-        ep = self._epoch
-        if ep:
-            # Keep the batch kernel's epoch cache coherent when the two
-            # driving styles are mixed on one detector instance.
-            ep.pop(loc, None)
-        cell = self._cell(loc)
-        if self._literal:
-            # Figure 6 exactly as printed: compare against R, update R.
-            r = cell[0]
-            if r is not None and self.sup(r, t) != t:
-                self._report(loc, t, AccessKind.READ, AccessKind.READ, r, label)
-            cell[0] = t if r is None else self.sup(r, t)
-            self.shadow.touch(loc)
-            return
-        w = cell[1]
-        if w is not None and self.sup(w, t) != t:
-            self._report(loc, t, AccessKind.READ, AccessKind.WRITE, w, label)
-        r = cell[0]
-        cell[0] = t if r is None else self.sup(r, t)
-        self.shadow.touch(loc)
+        sh = self.shadow
+        s = self._slot(loc)
+        r = sh.R[s]
+        # Figure 6 as printed compares against R; the prose, against W.
+        prior, prior_kind = (
+            (r, AccessKind.READ) if self._literal else (sh.W[s], AccessKind.WRITE)
+        )
+        if prior >= 0 and self.sup(prior, t) != t:
+            self._report(loc, t, AccessKind.READ, prior_kind, prior, label)
+        if r < 0:
+            sh.R[s] = t
+            sh.filled(s)
+        else:
+            sh.R[s] = self.sup(r, t)
 
     def on_write(self, t: int, loc: Location, label: str = "") -> None:
         """``t`` writes ``loc``: check against both suprema, fold the write
@@ -323,17 +316,18 @@ class RaceDetector2D:
         self._check_alive(t)
         self.op_index += 1
         self._visited[t] = True
-        ep = self._epoch
-        if ep:
-            ep.pop(loc, None)
-        cell = self._cell(loc)
-        r, w = cell
-        if r is not None and self.sup(r, t) != t:
+        sh = self.shadow
+        s = self._slot(loc)
+        r, w = sh.R[s], sh.W[s]
+        if r >= 0 and self.sup(r, t) != t:
             self._report(loc, t, AccessKind.WRITE, AccessKind.READ, r, label)
-        elif w is not None and self.sup(w, t) != t:
+        elif w >= 0 and self.sup(w, t) != t:
             self._report(loc, t, AccessKind.WRITE, AccessKind.WRITE, w, label)
-        cell[1] = t if w is None else self.sup(w, t)
-        self.shadow.touch(loc)
+        if w < 0:
+            sh.W[s] = t
+            sh.filled(s)
+        else:
+            sh.W[s] = self.sup(w, t)
 
     # -- accounting -----------------------------------------------------------
 

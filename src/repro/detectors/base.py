@@ -79,13 +79,14 @@ class Detector(abc.ABC):
         """Whether at least one race was flagged."""
         return bool(self.races)
 
-    @abc.abstractmethod
     def shadow_peak_per_location(self) -> int:
-        """Peak word entries any single location's shadow cell used."""
+        """Peak word entries any single location's shadow cell used
+        (default: read off the detector's ``shadow`` map)."""
+        return self.shadow.peak_entries_per_loc  # type: ignore[attr-defined]
 
-    @abc.abstractmethod
     def shadow_total_entries(self) -> int:
         """Current total shadow entries across all locations."""
+        return self.shadow.total_entries()  # type: ignore[attr-defined]
 
     @abc.abstractmethod
     def metadata_entries(self) -> int:

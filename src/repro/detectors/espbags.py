@@ -190,12 +190,6 @@ class ESPBagsDetector(Detector):
 
     # -- accounting -----------------------------------------------------------
 
-    def shadow_peak_per_location(self) -> int:
-        return self.shadow.peak_entries_per_loc
-
-    def shadow_total_entries(self) -> int:
-        return self.shadow.total_entries()
-
     def metadata_entries(self) -> int:
         # s_label + governing + is_p + union-find node (2) per task, plus
         # one slot per open finish frame.

@@ -188,11 +188,5 @@ class FastTrackDetector(Detector):
 
     # -- accounting -----------------------------------------------------------
 
-    def shadow_peak_per_location(self) -> int:
-        return self.shadow.peak_entries_per_loc
-
-    def shadow_total_entries(self) -> int:
-        return self.shadow.total_entries()
-
     def metadata_entries(self) -> int:
         return sum(len(c) for c in self._clocks.values())

@@ -27,7 +27,7 @@ class Lattice2DDetector(Detector):
 
     @property
     def shadow(self):
-        """The engine's shadow map (location-level space accounting)."""
+        """The engine's shadow columns (location-level space accounting)."""
         return self.engine.shadow
 
     def on_root(self, root: int) -> None:
@@ -50,12 +50,6 @@ class Lattice2DDetector(Detector):
 
     def on_write(self, task: int, loc: Hashable, label: str = "") -> None:
         self.engine.on_write(task, loc, label)
-
-    def shadow_peak_per_location(self) -> int:
-        return self.engine.shadow.peak_entries_per_loc
-
-    def shadow_total_entries(self) -> int:
-        return self.engine.shadow.total_entries()
 
     def metadata_entries(self) -> int:
         return self.engine.thread_count * self.engine.space_per_thread()

@@ -164,12 +164,6 @@ class NaiveDetector(Detector):
 
     # -- accounting -----------------------------------------------------------
 
-    def shadow_peak_per_location(self) -> int:
-        return self.shadow.peak_entries_per_loc
-
-    def shadow_total_entries(self) -> int:
-        return self.shadow.total_entries()
-
     def metadata_entries(self) -> int:
         """The whole retained DAG counts as metadata."""
         return sum(1 + len(p) for p in self._preds)

@@ -182,12 +182,6 @@ class OffsetSpanDetector(Detector):
 
     # -- accounting -----------------------------------------------------------
 
-    def shadow_peak_per_location(self) -> int:
-        return self.shadow.peak_entries_per_loc
-
-    def shadow_total_entries(self) -> int:
-        return self.shadow.total_entries()
-
     def metadata_entries(self) -> int:
         return sum(
             2 * len(lbl) for lbl in self._label.values()

@@ -165,12 +165,6 @@ class SPBagsDetector(Detector):
 
     # -- accounting -----------------------------------------------------------
 
-    def shadow_peak_per_location(self) -> int:
-        return self.shadow.peak_entries_per_loc
-
-    def shadow_total_entries(self) -> int:
-        return self.shadow.total_entries()
-
     def metadata_entries(self) -> int:
         # parent + s_label + p_label + is_p + union-find node (2) per task
         return 6 * len(self._s_label)

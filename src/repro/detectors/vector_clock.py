@@ -160,12 +160,6 @@ class VectorClockDetector(Detector):
 
     # -- accounting -----------------------------------------------------------
 
-    def shadow_peak_per_location(self) -> int:
-        return self.shadow.peak_entries_per_loc
-
-    def shadow_total_entries(self) -> int:
-        return self.shadow.total_entries()
-
     def metadata_entries(self) -> int:
         """Current live clock entries (joined tasks' clocks are freed)."""
         return sum(len(c) for c in self._clocks.values())

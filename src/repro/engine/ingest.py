@@ -8,14 +8,16 @@
   interned to dense ints;
 * a **specialised kernel** for :class:`RaceDetector2D` (the common
   case) that inlines the detector's Figure-6 access rules and Figure-8
-  union-find directly over the detector's own state: no per-event
-  method calls, no per-access shadow accounting (entry counts are
-  reconciled once per batch -- cells only ever grow, so the final
-  counts and peaks are identical), and the union-find ``find`` unrolled
-  into the loop.  The kernel leaves the detector in *exactly* the state
-  the per-event calls would -- same races (including ``op_index``),
-  same op counters, same shadow accounting -- which
-  :mod:`repro.engine.differential` cross-checks on every benchmark run;
+  union-find directly over the detector's own state -- a slot map and
+  the ``R``/``W``/``E`` int columns of
+  :class:`~repro.core.shadow.ShadowColumns`: no per-event method calls,
+  thread checks hoisted once per run of accesses by one task, shadow
+  accounting bumped only when an empty entry fills, and the union-find
+  ``find`` unrolled into the loop.  The kernel leaves the detector in
+  *exactly* the state the per-event calls would -- same races
+  (including ``op_index``), same op counters, same shadow columns and
+  accounting -- which :mod:`repro.engine.differential` cross-checks on
+  every benchmark run;
 * a **predict kernel** for :class:`SHBDetector` that answers accesses
   in place over the detector's packed candidate windows, one hoisted
   thread check per run of accesses by one task (see
@@ -43,6 +45,7 @@ import numpy as _np
 
 from repro.core.detector import RaceDetector2D
 from repro.core.reports import AccessKind, RaceReport
+from repro.core.shadow import EPOCH_DIRTY
 from repro.detectors.shb import TASK_MASK, SHBDetector
 from repro.engine.batch import (
     OP_FORK,
@@ -98,22 +101,23 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
     """The inlined :class:`RaceDetector2D` kernel (see module docstring).
 
     Mirrors ``on_fork/on_join/on_halt/on_step/on_read/on_write`` and the
-    ``sup`` query line by line; any behavioural change to the detector
-    must be replicated here (the differential harness will catch a
-    missed one).
+    ``sup`` query over the detector's union-find and shadow columns; any
+    behavioural change to the detector must be replicated here (the
+    differential harness will catch a missed one).  The thread checks,
+    ``visited[t] = True`` and the task's epoch keys are hoisted once per
+    run of accesses by one task: only a structural event can change
+    them, and each one ends the run (``cur`` back to ``None``, never an
+    int sentinel -- any int can arrive as a hostile thread id).
 
-    When the detector's access-epoch cache is enabled (the default),
-    the kernel additionally keeps, per location, the encoded
-    ``(task, kind)`` of the last *clean* access -- one that reported no
-    race and left the relevant supremum at the task itself -- and skips
-    the ``Sup`` machinery entirely when the same task repeats the same
-    kind of access.  The skip is sound because happens-before is
-    monotone (once the tracked history is ordered before a live task it
-    stays ordered) and state-preserving because the fold
-    ``Sup(t, t) = t`` is the identity for a live task; only the
-    union-find ``find``/hop counters (and compressed parent pointers)
-    can differ from the per-event run.  Racing repeats are never cached,
-    so repeated reports are emitted exactly like the per-event path.
+    With the access-epoch cache on (the default), the ``E`` column keeps
+    per location the encoded ``(task, kind)`` of the last *clean* access
+    -- no race reported, supremum folded to the task itself -- and a
+    repeat of it skips the ``Sup`` queries.  That is sound because
+    happens-before is monotone (a history ordered before a live task
+    stays ordered) and state-preserving because ``Sup(t, t) = t`` for a
+    live task; only the union-find ``find``/hop counters (and compressed
+    parent pointers) can differ from the per-event run.  Racing repeats
+    are never cached, so repeated reports match the per-event path.
     """
     uf = det._uf
     parent = uf._parent
@@ -129,49 +133,66 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
     halted = det._halted
     joined_flags = det._joined
     shadow = det.shadow
-    cells = shadow._cells
+    slot_of = shadow.slot
+    slot_get = slot_of.get
+    R = shadow.R
+    W = shadow.W
+    E = shadow.E
+    total = shadow.total
+    peak = shadow.peak_entries_per_loc
     races = det.races
     op_index = det.op_index
-    epoch = det._epoch  # None: same-epoch fast path disabled
-    touched: set = set()
+    use_epoch = det._epoch_cache
+    dirty = EPOCH_DIRTY
 
     read_op, write_op = OP_READ, OP_WRITE
     fork_op, join_op, halt_op = OP_FORK, OP_JOIN, OP_HALT
     step_op = OP_STEP
     kind_read, kind_write = _READ, _WRITE
     n_threads = len(visited)
+    # the task of the current access run; None after a structural event
+    cur: Optional[int] = None
+    key_r = key_w = 0
 
     try:
         for op, t, b in zip(batch.ops, batch.a, batch.b):
             if op == read_op or op == write_op:
-                if t >= n_threads or t < 0:
-                    raise DetectorError(f"unknown thread id {t}")
-                if halted[t]:
-                    raise DetectorError(f"thread {t} already halted")
+                if t != cur:
+                    if t >= n_threads or t < 0:
+                        raise DetectorError(f"unknown thread id {t}")
+                    if halted[t]:
+                        raise DetectorError(f"thread {t} already halted")
+                    visited[t] = True
+                    cur = t
+                    key_r = t << 1
+                    key_w = key_r | 1
                 op_index += 1
-                visited[t] = True
-                cell = cells.get(b)
-                if cell is None:
+                s = slot_get(b)
+                if s is None:
                     # First access to this location: no suprema to query,
                     # the access simply becomes the relevant supremum.
+                    slot_of[b] = len(R)
                     if op == read_op:
-                        cells[b] = [t, None]
+                        R.append(cur)
+                        W.append(-1)
                     else:
-                        cells[b] = [None, t]
-                    touched.add(b)
+                        R.append(-1)
+                        W.append(cur)
+                    E.append(-1)
+                    total += 1
+                    if not peak:
+                        peak = 1
                     continue
-                key = (t << 1) | (op - read_op)
-                if epoch is not None and epoch.get(b) == key:
-                    # Same-epoch repeat of a clean access: verdict and
-                    # state are provably unchanged (see docstring).
-                    continue
-                touched.add(b)
-                r, w = cell
                 if op == read_op:
+                    if use_epoch and E[s] == key_r:
+                        # Same-epoch repeat of a clean access: verdict and
+                        # state are provably unchanged (see docstring).
+                        continue
                     # on_read: check against the write supremum, fold the
                     # read into the read supremum.
-                    raced = False
-                    if w is not None:
+                    clean = True
+                    w = W[s]
+                    if w >= 0:
                         finds += 1
                         x = w
                         while parent[x] != x:
@@ -181,8 +202,9 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
                             i = w
                             while parent[i] != x:
                                 parent[i], i = x, parent[i]
-                        sup_w = t if visited[label[x]] else label[x]
-                        if sup_w != t:
+                        # cur is visited, so Sup(w, t) != t iff the
+                        # set's label is unvisited
+                        if not visited[label[x]]:
                             races.append(
                                 RaceReport(
                                     loc=b, task=t, kind=kind_read,
@@ -190,9 +212,13 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
                                     op_index=op_index,
                                 )
                             )
-                            raced = True
-                    if r is None:
-                        cell[0] = t
+                            clean = False
+                    r = R[s]
+                    if r < 0:
+                        # an existing slot already holds W: now two entries
+                        R[s] = cur
+                        total += 1
+                        peak = 2
                     else:
                         finds += 1
                         x = r
@@ -203,20 +229,23 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
                             i = r
                             while parent[i] != x:
                                 parent[i], i = x, parent[i]
-                        cell[0] = t if visited[label[x]] else label[x]
-                    if epoch is not None:
-                        epoch[b] = (
-                            key if not raced and cell[0] == t else -1
-                        )
+                        x = label[x]
+                        if visited[x]:
+                            R[s] = cur
+                        else:
+                            R[s] = x
+                            clean = False
+                    if use_epoch:
+                        E[s] = key_r if clean else dirty
                 else:
+                    if use_epoch and E[s] == key_w:
+                        continue
                     # on_write: check both suprema, fold the write into
-                    # the write supremum.  Mirrors the detector's exact
-                    # find sequence (including the repeated sup(w, t) in
-                    # check and update) so the union-find op counters
-                    # come out identical; the repeat is one hop after
-                    # compression.
-                    reported = False
-                    if r is not None:
+                    # the write supremum.
+                    clean = True
+                    r = R[s]
+                    w = W[s]
+                    if r >= 0:
                         finds += 1
                         x = r
                         while parent[x] != x:
@@ -226,7 +255,7 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
                             i = r
                             while parent[i] != x:
                                 parent[i], i = x, parent[i]
-                        if (t if visited[label[x]] else label[x]) != t:
+                        if not visited[label[x]]:
                             races.append(
                                 RaceReport(
                                     loc=b, task=t, kind=kind_write,
@@ -234,48 +263,57 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
                                     op_index=op_index,
                                 )
                             )
-                            reported = True
-                    if not reported and w is not None:
-                        finds += 1
-                        x = w
-                        while parent[x] != x:
-                            x = parent[x]
-                            hops += 1
-                        if compress:
-                            i = w
-                            while parent[i] != x:
-                                parent[i], i = x, parent[i]
-                        if (t if visited[label[x]] else label[x]) != t:
-                            races.append(
-                                RaceReport(
-                                    loc=b, task=t, kind=kind_write,
-                                    prior_kind=kind_write, prior_repr=w,
-                                    op_index=op_index,
-                                )
-                            )
-                            reported = True
-                    if w is None:
-                        cell[1] = t
+                            clean = False
+                    if w < 0:
+                        W[s] = cur
+                        total += 1
+                        peak = 2
                     else:
+                        # One walk answers both the check and the fold of
+                        # sup(w, t).  The per-event detector walks twice,
+                        # so the counters book its repeat: one hop after
+                        # compression, else the same hops again.
                         finds += 1
                         x = w
+                        h = 0
                         while parent[x] != x:
                             x = parent[x]
-                            hops += 1
+                            h += 1
                         if compress:
                             i = w
                             while parent[i] != x:
                                 parent[i], i = x, parent[i]
-                        cell[1] = t if visited[label[x]] else label[x]
-                    if epoch is not None:
-                        epoch[b] = (
-                            key if not reported and cell[1] == t else -1
-                        )
-            elif op == fork_op:
-                if t >= n_threads or t < 0:
-                    raise DetectorError(f"unknown thread id {t}")
-                if halted[t]:
-                    raise DetectorError(f"thread {t} already halted")
+                        hops += h
+                        lx = label[x]
+                        if clean:
+                            finds += 1
+                            hops += (x != w) if compress else h
+                            if not visited[lx]:
+                                races.append(
+                                    RaceReport(
+                                        loc=b, task=t, kind=kind_write,
+                                        prior_kind=kind_write, prior_repr=w,
+                                        op_index=op_index,
+                                    )
+                                )
+                                clean = False
+                        if visited[lx]:
+                            W[s] = cur
+                        else:
+                            W[s] = lx
+                            clean = False
+                    if use_epoch:
+                        E[s] = key_w if clean else dirty
+                continue
+            # A structural event ends the access run.
+            cur = None
+            if op > step_op:
+                raise ProgramError(f"unknown opcode {op}")
+            if t >= n_threads or t < 0:
+                raise DetectorError(f"unknown thread id {t}")
+            if halted[t]:
+                raise DetectorError(f"thread {t} already halted")
+            if op == fork_op:
                 op_index += 1
                 visited[t] = True
                 tid = n_threads
@@ -292,10 +330,6 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
                         f"allocated {tid}"
                     )
             elif op == join_op:
-                if t >= n_threads or t < 0:
-                    raise DetectorError(f"unknown thread id {t}")
-                if halted[t]:
-                    raise DetectorError(f"thread {t} already halted")
                 if b >= n_threads or b < 0:
                     raise DetectorError(f"unknown thread id {b}")
                 if not halted[b]:
@@ -333,22 +367,12 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
                     label[rt] = lab
                 visited[t] = True
             elif op == halt_op:
-                if t >= n_threads or t < 0:
-                    raise DetectorError(f"unknown thread id {t}")
-                if halted[t]:
-                    raise DetectorError(f"thread {t} already halted")
                 op_index += 1
                 halted[t] = True
                 visited[t] = False
-            elif op == step_op:
-                if t >= n_threads or t < 0:
-                    raise DetectorError(f"unknown thread id {t}")
-                if halted[t]:
-                    raise DetectorError(f"thread {t} already halted")
+            else:
                 op_index += 1
                 visited[t] = True
-            else:
-                raise ProgramError(f"unknown opcode {op}")
     finally:
         # Reconcile the deferred bookkeeping even on error, so partially
         # ingested state stays consistent with the per-event semantics.
@@ -356,19 +380,8 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
         uf.find_count += finds
         uf.hop_count += hops
         uf.union_count += unions
-        # Shadow accounting: 2D cells only ever gain entries, so the
-        # final per-location counts (and thus the peak) match what
-        # per-access touch() calls would have accumulated.
-        with get_tracer().span("shadow-update"):
-            entries = shadow._entries
-            peak = shadow.peak_entries_per_loc
-            for lid in touched:
-                cell = cells[lid]
-                n = (cell[0] is not None) + (cell[1] is not None)
-                entries[lid] = n
-                if n > peak:
-                    peak = n
-            shadow.peak_entries_per_loc = peak
+        shadow.total = total
+        shadow.peak_entries_per_loc = peak
 
 
 def _ingest_predict(det: SHBDetector, batch: EventBatch) -> None:
@@ -858,10 +871,6 @@ class ShardedBatchEngine:
             "lifecycle events replicated to every shard (counted once)",
             labels=labels,
         )
-
-    def shard_of(self, loc_id: int) -> int:
-        """Which shard owns interned location ``loc_id``."""
-        return loc_id % self.num_shards
 
     def split(self, batch: EventBatch) -> List[EventBatch]:
         """Partition one batch into per-shard sub-batches (see

@@ -9,9 +9,9 @@ with the thread count.  This module serializes that cut:
 * the union-find forest (``parent`` / ``rank`` / ``label``) including
   its operation counters,
 * the per-thread ``visited`` / ``halted`` / ``joined`` flags,
-* the shadow map of ``[read_sup, write_sup]`` cells (plus the space
-  accounting peak),
-* the batch kernel's access-epoch cache,
+* the shadow columns: each location's ``read_sup`` / ``write_sup``
+  (plus the space accounting peak) and the batch kernel's access
+  epoch,
 * the race reports found so far, the op index, the engine's event
   counter, and (when present) the location interner.
 
@@ -61,6 +61,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detector import RaceDetector2D
 from repro.core.reports import AccessKind, RaceReport
+from repro.core.shadow import EPOCH_DIRTY
 from repro.engine.batch import LocationInterner
 from repro.engine.ingest import BatchEngine
 from repro.errors import CheckpointError
@@ -325,8 +326,13 @@ def engine_to_blob(
     """
     det = _check_detector(engine.detector)
     uf = det._uf
-    cells = det.shadow._cells
-    epoch = det._epoch
+    sh = det.shadow
+    # The epoch cache as (location, value) pairs in slot order: a slot
+    # with no entry is left out, a dirty one is written as -1.
+    E = sh.E
+    epoch = [
+        (loc, max(E[s], -1)) for loc, s in sh.slot.items() if E[s] != -1
+    ] if det._epoch_cache else None
 
     obj: Dict[str, Any] = {
         "kind": "engine",
@@ -334,12 +340,12 @@ def engine_to_blob(
             "literal": det._literal,
             "path_compression": uf.path_compression,
             "link_by_rank": uf.link_by_rank,
-            "epoch_cache": epoch is not None,
+            "epoch_cache": det._epoch_cache,
         },
         "op_index": det.op_index,
         "events_ingested": engine.events_ingested,
         "uf_counts": [uf.find_count, uf.union_count, uf.hop_count],
-        "peak_entries": det.shadow.peak_entries_per_loc,
+        "peak_entries": sh.peak_entries_per_loc,
         "races": _encode_races(det.races),
         "interner": (
             [encode_location(loc) for loc in engine.interner.locations()]
@@ -360,31 +366,28 @@ def engine_to_blob(
         ("joined", array("B", det._joined)),
     ]
 
-    if _int_keyed(cells) and (epoch is None or _int_keyed(epoch)):
-        # The common case: locations are interned dense ids, so the
-        # whole shadow map packs into three parallel columns.
-        lids = array("q")
-        rsup = array("i")
-        wsup = array("i")
-        for lid, (r, w) in cells.items():
-            lids.append(lid)
-            rsup.append(-1 if r is None else r)
-            wsup.append(-1 if w is None else w)
-        sections += [("cell_lid", lids), ("cell_r", rsup), ("cell_w", wsup)]
+    if _int_keyed(sh.slot):
+        # The common case: locations are interned dense ids, and the
+        # slot map lists them in slot order, so the shadow columns are
+        # the cell sections as they stand.
+        sections += [
+            ("cell_lid", array("q", sh.slot)),
+            ("cell_r", array("i", sh.R)),
+            ("cell_w", array("i", sh.W)),
+        ]
         if epoch is not None:
-            ekeys = array("q", epoch.keys())
-            evals = array("q", epoch.values())
-            sections += [("epoch_key", ekeys), ("epoch_val", evals)]
+            sections += [
+                ("epoch_key", array("q", [k for k, _ in epoch])),
+                ("epoch_val", array("q", [v for _, v in epoch])),
+            ]
     else:
         # Per-event detectors may shadow arbitrary hashable locations;
         # fall back to the tagged JSON codec for those.
         obj["cells_json"] = [
-            [encode_location(loc), r, w] for loc, (r, w) in cells.items()
+            [encode_location(loc), r, w] for loc, (r, w) in sh.items()
         ]
         if epoch is not None:
-            obj["epoch_json"] = [
-                [encode_location(loc), v] for loc, v in epoch.items()
-            ]
+            obj["epoch_json"] = [[encode_location(k), v] for k, v in epoch]
     return pack_state(obj, sections)
 
 
@@ -422,29 +425,27 @@ def engine_from_blob(
         det.op_index = head["op_index"]
         det.races = _decode_races(head["races"])
 
-        cells: Dict[Any, List[Optional[int]]] = {}
+        sh = det.shadow
         if head.get("cells_json") is not None:
             for loc, r, w in head["cells_json"]:
-                cells[decode_location(loc)] = [r, w]
-            if head.get("epoch_json") is not None:
-                det._epoch = {
-                    decode_location(loc): v for loc, v in head["epoch_json"]
-                }
+                s = sh.new_slot(decode_location(loc))
+                sh.R[s] = -1 if r is None else r
+                sh.W[s] = -1 if w is None else w
+            epoch = [(decode_location(k), v) for k, v in head.get("epoch_json") or ()]
         else:
-            for lid, r, w in zip(
-                arrays["cell_lid"], arrays["cell_r"], arrays["cell_w"]
-            ):
-                cells[lid] = [None if r < 0 else r, None if w < 0 else w]
-            if det._epoch is not None:
-                det._epoch = dict(
-                    zip(arrays.get("epoch_key", ()), arrays.get("epoch_val", ()))
-                )
-        det.shadow._cells = cells
-        det.shadow._entries = {
-            loc: (c[0] is not None) + (c[1] is not None)
-            for loc, c in cells.items()
-        }
-        det.shadow.peak_entries_per_loc = head["peak_entries"]
+            lids = arrays["cell_lid"]
+            sh.slot = {lid: s for s, lid in enumerate(lids)}
+            sh.R = [r if r >= 0 else -1 for r in arrays["cell_r"]]
+            sh.W = [w if w >= 0 else -1 for w in arrays["cell_w"]]
+            sh.E = [-1] * len(lids)
+            epoch = zip(arrays.get("epoch_key", ()), arrays.get("epoch_val", ()))
+        if not len(sh.slot) == len(sh.R) == len(sh.W):
+            raise CheckpointError("checkpoint cell columns are misaligned")
+        if det._epoch_cache:
+            for loc, v in epoch:
+                sh.E[sh.slot[loc]] = v if v >= 0 else EPOCH_DIRTY
+        sh.total = sum(r >= 0 for r in sh.R) + sum(w >= 0 for w in sh.W)
+        sh.peak_entries_per_loc = head["peak_entries"]
 
         n = len(uf._parent)
         if not (
@@ -509,10 +510,12 @@ def state_digest(engine: BatchEngine) -> Dict[str, Any]:
     Two engines with equal digests behave identically on any future
     event stream: the digest covers the union-find forest (raw parent
     pointers included, so even path-compression state matches), thread
-    flags, shadow cells, epoch cache, races, counters, and interner.
+    flags, shadow columns (epochs included), races, counters, and
+    interner.
     """
     det = _check_detector(engine.detector)
     uf = det._uf
+    sh = det.shadow
     return {
         "parent": tuple(uf._parent),
         "rank": tuple(uf._rank),
@@ -522,11 +525,11 @@ def state_digest(engine: BatchEngine) -> Dict[str, Any]:
         "joined": tuple(det._joined),
         "uf_counts": (uf.find_count, uf.union_count, uf.hop_count),
         "cells": {
-            loc: tuple(cell) for loc, cell in det.shadow._cells.items()
+            loc: (sh.R[s], sh.W[s], sh.E[s]) for loc, s in sh.slot.items()
         },
-        "entries": dict(det.shadow._entries),
-        "peak_entries": det.shadow.peak_entries_per_loc,
-        "epoch": None if det._epoch is None else dict(det._epoch),
+        "shadow_total": sh.total,
+        "peak_entries": sh.peak_entries_per_loc,
+        "epoch_cache": det._epoch_cache,
         "races": tuple(
             (r.loc, r.task, r.kind, r.prior_kind, r.prior_repr, r.op_index,
              r.label)

@@ -96,8 +96,9 @@ class RaceClient:
     :attr:`races`; location ids in them are the client's own interned
     ids unless the session ships its table (``ship_locations=True``).
 
-    Passing ``backend="lattice2d"`` (the one name servers grant)
-    requests that engine backend via the v3 HELLO; the grant is
+    Passing ``backend="lattice2d"`` (the name an observed-race server
+    grants; a ``--predict`` server grants ``"shb"``) requests that
+    engine backend via the v3 HELLO; the grant is
     readable as :attr:`negotiated_backend` after :meth:`connect`, and
     any other name is refused with a typed ``ERR_BACKEND``.  A
     pre-negotiation (v2) server answers with a v2-shaped reply, which

@@ -72,8 +72,9 @@ ACK       server->   u64 durable sequence number, sent after every
 ========  =========  =============================================
 
 Backend negotiation (v3): the client HELLO may append a 16-byte
-NUL-padded ASCII engine backend name (``lattice2d``, the one name
-servers grant, or all-NUL for the default); the server's reply
+NUL-padded ASCII engine backend name (``lattice2d``, or ``shb`` on a
+prediction server -- each server grants the one engine it runs -- or
+all-NUL for the default); the server's reply
 appends the backend the session actually got.  The reply always
 mirrors the *client's* version and payload shape, so a v2 client
 talking to a v3 server sees a byte-identical v2 exchange --

@@ -10,7 +10,8 @@ module is the *sink* behind it:
 
 * each session gets an isolated
   :class:`~repro.engine.ingest.BatchEngine` (lattice2d, or SHB in
-  prediction mode); every queued batch runs through it --
+  prediction mode -- HELLO grants that engine's name, ``lattice2d`` or
+  ``shb``, and refuses the other); every queued batch runs through it --
   CBATCH frames through the memoized kernel
   (:meth:`~repro.engine.ingest.BatchEngine.ingest_compressed`) without
   ever being expanded -- and newly detected races stream back as
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.detectors.shb import SHBDetector
 from repro.engine.batch import EventBatch
 from repro.engine.ingest import BatchEngine
 from repro.engine.snapshot import load_checkpoint, save_checkpoint
@@ -58,6 +60,7 @@ from repro.obs.export import to_prometheus
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.serve import protocol as wire
 from repro.serve.session import (
+    BACKEND,
     CoreMetrics,
     CoreThread,
     Session,
@@ -102,8 +105,8 @@ class ServeConfig(SessionConfig):
 class _Metrics(CoreMetrics):
     """The serve-layer instrument bundle (one lookup at server start)."""
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        super().__init__(registry, "serve")
+    def __init__(self, registry: MetricsRegistry, backend: str) -> None:
+        super().__init__(registry, "serve", backend)
         self.batches = self.counter("batches_total", "BATCH frames ingested")
         self.cbatches = self.counter(
             "cbatches_total", "compressed CBATCH frames ingested"
@@ -173,8 +176,13 @@ class RaceServer(SessionCore):
                 "checkpoint_dir or drop predict"
             )
 
+    @property
+    def backend(self) -> str:  # type: ignore[override]
+        """The engine the sessions run, the one name HELLO grants."""
+        return SHBDetector.name if self.config.predict else BACKEND
+
     def _make_metrics(self) -> _Metrics:
-        return _Metrics(self.registry)
+        return _Metrics(self.registry, self.backend)
 
     async def _acquire(self) -> None:
         if self.config.checkpoint_dir is not None:

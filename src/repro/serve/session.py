@@ -5,8 +5,8 @@ A race is witnessed at one memory location, so sharding accesses by
 session does on the wire.  :class:`SessionCore` is that session, once:
 
 * the listener and the per-connection handler with its teardown;
-* HELLO: the version check, the engine-backend check (only
-  :data:`BACKEND` is grantable), the CBATCH
+* HELLO: the version check, the engine-backend check (only the
+  front end's :attr:`SessionCore.backend` is grantable), the CBATCH
   feature grant, the frame-size cap, and a reply that mirrors the
   client's version byte for byte (v2..v5 shapes);
 * the read loop: credit accounting, batch-sequence contiguity (and the
@@ -63,8 +63,8 @@ __all__ = [
     "CoreThread",
 ]
 
-#: the one engine backend a HELLO may name (the paper's detector); a
-#: HELLO that names none gets it too, any other name gets ERR_BACKEND
+#: the observed-race engine backend (the paper's detector); a HELLO
+#: may name only its front end's :attr:`SessionCore.backend`, or none
 BACKEND = "lattice2d"
 
 
@@ -97,7 +97,9 @@ class CoreMetrics:
     ``{component}_*`` and labelled ``component=...``; front ends
     subclass it to add their own through the same helpers."""
 
-    def __init__(self, registry: MetricsRegistry, component: str) -> None:
+    def __init__(
+        self, registry: MetricsRegistry, component: str, backend: str = BACKEND
+    ) -> None:
         self._registry = registry
         self._component = component
         self.sessions_total = self.counter(
@@ -160,7 +162,7 @@ class CoreMetrics:
         )
         self.sessions_backend = self.counter(
             "sessions_backend_total",
-            "sessions by negotiated engine backend", backend=BACKEND,
+            "sessions by negotiated engine backend", backend=backend,
         )
 
     def _labels(self, extra: Dict[str, str]) -> Dict[str, str]:
@@ -243,6 +245,7 @@ class SessionCore:
     (see the module docstring)."""
 
     role = "server"  #: how ERROR messages name this front end
+    backend = BACKEND  #: the one engine backend HELLO grants
     config_class: Any = SessionConfig
     session_class: Any = Session
 
@@ -508,10 +511,10 @@ class SessionCore:
                 f"client sent {version}",
                 code=wire.ERR_VERSION,
             )
-        if requested is not None and requested != BACKEND:
+        if requested is not None and requested != self.backend:
             raise ProtocolError(
                 f"unknown engine backend {requested!r}; "
-                f"this {self.role} runs only {BACKEND!r}",
+                f"this {self.role} runs only {self.backend!r}",
                 code=wire.ERR_BACKEND,
             )
         # Compression is negotiated exactly like a backend: a request
@@ -529,7 +532,7 @@ class SessionCore:
             wire.encode_hello_reply(
                 self.config.credit_window, session.max_frame,
                 version=version,
-                backend=BACKEND if version >= 3 else None,
+                backend=self.backend if version >= 3 else None,
                 features=wire.FLAG_CBATCH if session.cbatch else 0,
                 workers=self._fan_out() if version >= 5 else 1,
             ),

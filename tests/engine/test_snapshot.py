@@ -12,18 +12,28 @@ Two obligations, mirroring the module's contract:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import struct
+import sys
 import zlib
 
 import pytest
 
+from repro.core.detector import RaceDetector2D
+from repro.core.shadow import EPOCH_DIRTY
 from repro.engine import snapshot as snap
+from repro.engine.batch import OP_READ
 from repro.engine.benchlib import build_workload, capture
 from repro.engine.faults import corrupt_flip, corrupt_truncate
 from repro.engine.ingest import BatchEngine
 from repro.errors import CheckpointError
+from repro.workloads.access_patterns import uniform_shared
+from repro.workloads.racegen import bulk_access_program
+from repro.workloads.synthetic import SyntheticConfig, random_program
+from tests.detectors.test_shb import drive, make_batch
+from tests.engine.test_conformance import capture as capture_trace
 
 pytestmark = pytest.mark.engine
 
@@ -196,3 +206,110 @@ class TestCorruptionRefusal:
         corrupt_flip(path, rng)
         with pytest.raises(CheckpointError):
             snap.load_checkpoint(path)
+
+
+#: sha256 of ``engine_to_blob(engine, meta={"seq": 7})`` for each fixed
+#: stream, taken with the dict-of-cells layout that preceded the shadow
+#: columns: ``(program, batch size, epoch_cache) -> digest``
+PINNED_BLOBS = {
+    "bulk-racy": (
+        lambda: bulk_access_program(3, 3, 30, racy_rounds=(1,)), 64, True,
+        "33ed85b433eae202e66a91368b498a97e4091ba3b0f7d61d6494523dc9dd8f2b",
+    ),
+    "bulk-no-epoch-cache": (
+        lambda: bulk_access_program(
+            4, 4, 25, racy_rounds=(0, 2), n_shared=3
+        ),
+        7, False,
+        "c4733cfd71942d81c931d39430878be3918c175672e080e5125156b9f7e2c036",
+    ),
+    "lattice-155-races": (
+        lambda: random_program(SyntheticConfig(
+            seed=5, max_tasks=30, ops_per_task=8, leftover_probability=0.3,
+            write_ratio=0.5, pattern=uniform_shared(6),
+        )),
+        64, True,
+        "ac902aabc77ce7c468ca8123d7af6be29adf0aaa3e75316cf10d641a6ea1d19a",
+    ),
+}
+
+
+def _mixed_feed(engine, rows, chunk, start=0):
+    """Alternate ``chunk``-row pieces of ``rows[start:]`` between the
+    batch kernel (even pieces) and the detector's per-event methods."""
+    for i in range(start, len(rows), chunk):
+        piece = rows[i:i + chunk]
+        if i // chunk % 2:
+            drive(engine.detector, piece)
+        else:
+            engine.ingest(make_batch(piece))
+
+
+class TestPinnedFormat:
+    @pytest.mark.skipif(
+        sys.byteorder != "little", reason="digests of little-endian blobs"
+    )
+    @pytest.mark.parametrize("name", sorted(PINNED_BLOBS))
+    def test_blob_bytes_are_pinned(self, name):
+        """The shadow columns serialise to the very bytes the earlier
+        layout wrote.  (The epoch pairs are listed in slot order; these
+        streams revisit their locations in first-touch order, which is
+        the order the earlier layout listed them in.)"""
+        body, size, epoch_cache, digest = PINNED_BLOBS[name]
+        batch, interner = capture_trace(body())
+        det = RaceDetector2D(epoch_cache=epoch_cache)
+        det.spawn_root()
+        engine = BatchEngine(det, interner=interner)
+        engine.ingest_all(batch.slices(size))
+        blob = snap.engine_to_blob(engine, meta={"seq": 7})
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_hashable_locations_round_trip(self):
+        """A per-event detector shadowing non-int locations takes the
+        JSON cell codec; its columns, dirty epochs included, survive."""
+        det = RaceDetector2D()
+        root = det.spawn_root()
+        child = det.on_fork(root)
+        det.on_write(child, "x")
+        det.on_halt(child)
+        engine = BatchEngine(det)
+        det.on_read(root, ("row", 1))
+        det.on_write(root, "x")  # races with the child's write
+        engine.ingest(make_batch([(OP_READ, root, 7), (OP_READ, root, 7)]))
+        det.shadow.E[det.shadow.slot["x"]] = EPOCH_DIRTY
+        restored, _meta = snap.engine_from_blob(snap.engine_to_blob(engine))
+        assert snap.state_digest(restored) == snap.state_digest(engine)
+        assert dict(restored.detector.shadow.items()) == {
+            "x": (None, child), ("row", 1): (root, None), 7: (root, None),
+        }
+
+    @pytest.mark.parametrize("pieces", [1, 5, 13])
+    def test_mixed_drive_resumes_to_the_uncheckpointed_digest(self, pieces):
+        """A detector driven alternately by the batch kernel and the
+        per-event methods, checkpointed mid-stream, resumes to the
+        digest of the same drive with no checkpoint, and its reports
+        are the per-event detector's: the per-event accesses keep the
+        kernel's epoch column coherent across the restore."""
+        batch, _ = capture_trace(
+            bulk_access_program(4, 3, 40, racy_rounds=(1, 3), n_shared=4)
+        )
+        rows = list(zip(batch.ops, batch.a, batch.b))
+        chunk = 37
+        split = pieces * chunk  # an odd count: the kernel fed the last
+
+        uninterrupted = BatchEngine()
+        _mixed_feed(uninterrupted, rows, chunk)
+
+        engine = BatchEngine()
+        _mixed_feed(engine, rows[:split], chunk)
+        assert any(e != -1 for e in engine.detector.shadow.E)
+        restored, _meta = snap.engine_from_blob(snap.engine_to_blob(engine))
+        assert snap.state_digest(restored) == snap.state_digest(engine)
+        _mixed_feed(restored, rows, chunk, start=split)
+        assert snap.state_digest(restored) == snap.state_digest(uninterrupted)
+
+        referee = RaceDetector2D()
+        referee.spawn_root()
+        drive(referee, rows)
+        assert restored.detector.races == referee.races
+        assert restored.detector.shadow.total == referee.shadow.total

@@ -563,6 +563,38 @@ class TestBackendNegotiation:
                 ).connect()
             assert exc_info.value.code == wire.ERR_BACKEND
 
+    def test_predict_server_grants_shb_and_refuses_lattice2d(
+        self, small_workload
+    ):
+        """A --predict server names the engine its sessions run: a
+        HELLO naming none or ``shb`` is granted ``shb``, one naming
+        ``lattice2d`` gets ERR_BACKEND, and the session counter carries
+        the granted name."""
+        batch, _ = small_workload
+        registry = MetricsRegistry()
+        with ServerThread(
+            ServeConfig(predict=True, drain_timeout=2.0), registry=registry
+        ) as srv:
+            with pytest.raises(RemoteError) as exc_info:
+                RaceClient(
+                    "127.0.0.1", srv.port, backend="lattice2d"
+                ).connect()
+            assert exc_info.value.code == wire.ERR_BACKEND
+            for requested in (None, "shb"):
+                with RaceClient(
+                    "127.0.0.1", srv.port, backend=requested
+                ) as client:
+                    client.send_batches(batch, 1024)
+                    summary = client.finish()
+                assert client.negotiated_backend == "shb"
+                assert summary.events == len(batch)
+        assert counter_value(
+            registry, "serve_sessions_backend_total", backend="shb"
+        ) == 2
+        assert counter_value(
+            registry, "serve_sessions_backend_total", backend="lattice2d"
+        ) == 0
+
     def test_requested_backend_is_required_not_preferred(self):
         """Against a pre-negotiation (v2-replying) server, a client
         that requested a backend refuses the session instead of
