@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sub2.add_argument(
         "--compress", action="store_true",
-        help="negotiate the v4 CBATCH frame and ship the trace in "
+        help="negotiate the CBATCH frame and ship the trace in "
         "block-dedup compressed form (the server detects over it "
         "without decompressing); the connection fails with a typed "
         "error if the server cannot honour it",

@@ -96,7 +96,7 @@ def write_tracez(
             "compressed trace too large for the container "
             f"({len(blocks)} blocks, {len(ctrace.rules)} rules)"
         )
-    table = _encode_table(interner)
+    table = _encode_table(interner.locations())
     head = _ZHEADER.pack(
         MAGIC_COMPRESSED,
         _native_flag(),

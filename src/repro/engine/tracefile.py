@@ -38,7 +38,7 @@ import mmap as _mmap
 import struct
 import sys
 from array import array
-from typing import IO, Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.engine.batch import EventBatch, LocationInterner
 from repro.errors import TraceError
@@ -71,7 +71,7 @@ def write_trace(
     if isinstance(fp, str):
         with open(fp, "wb") as handle:
             return write_trace(handle, batch, interner)
-    table = _encode_table(interner)
+    table = _encode_table(interner.locations())
     endian = 0 if sys.byteorder == "little" else 1
     fp.write(_HEADER.pack(MAGIC, endian, VERSION, len(batch), len(table)))
     fp.write(table)
@@ -126,9 +126,9 @@ def _check_bound(n_events: int, table_len: int, remaining: int) -> None:
         )
 
 
-def _encode_table(interner: LocationInterner) -> bytes:
+def _encode_table(locations: Iterable[Any]) -> bytes:
     return json.dumps(
-        [encode_location(loc) for loc in interner.locations()],
+        [encode_location(loc) for loc in locations],
         separators=(",", ":"),
     ).encode("utf-8")
 

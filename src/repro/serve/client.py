@@ -98,21 +98,18 @@ class RaceClient:
 
     Passing ``backend="lattice2d"`` (the name an observed-race server
     grants; a ``--predict`` server grants ``"shb"``) requests that
-    engine backend via the v3 HELLO; the grant is
-    readable as :attr:`negotiated_backend` after :meth:`connect`, and
-    any other name is refused with a typed ``ERR_BACKEND``.  A
-    pre-negotiation (v2) server answers with a v2-shaped reply, which
-    is fine when no backend was requested but raises
-    :class:`~repro.errors.ServeError` when one was -- a requested
-    backend is a requirement, never silently downgraded.
+    engine backend in the HELLO; the grant is readable as
+    :attr:`negotiated_backend` after :meth:`connect`, and any other
+    name is refused with a typed ``ERR_BACKEND`` -- a requested backend
+    is a requirement, never silently downgraded.
 
-    Passing ``compress=True`` requests the v4 CBATCH feature in the
+    Passing ``compress=True`` requests the CBATCH feature in the
     HELLO: :meth:`send_compressed` then ships
     :class:`~repro.compress.CompressedTrace` frames the server ingests
     via its memoized kernel without expanding.  Like a requested
     backend, the feature is a requirement -- a server that cannot
-    grant it (pre-v4, prediction) fails the connect with
-    a typed error rather than silently receiving raw batches.
+    grant it (a prediction server) fails the connect with a typed
+    error rather than silently receiving raw batches.
 
     Passing ``session="some-token"`` makes the session *durable*
     against a server speaking with ``checkpoint_dir``: every batch is
@@ -153,8 +150,7 @@ class RaceClient:
         self.backend = backend
         self.compress = compress
         self.negotiated_backend: Optional[str] = None
-        #: engine workers behind the server (v5 HELLO reply; 1 when a
-        #: pre-v5 server didn't say, or when there's truly one engine)
+        #: engine workers behind the server (from the HELLO reply)
         self.negotiated_workers = 1
         self.credit = 0
         self.events_sent = 0
@@ -223,22 +219,18 @@ class RaceClient:
             raise ProtocolError(
                 f"expected HELLO reply, got {wire.FRAME_NAMES[ftype]}"
             )
-        version, credit, max_frame, granted, features, workers = (
+        credit, max_frame, granted, features, workers = (
             wire.decode_hello_reply(payload)
         )
         if self.backend is not None and granted != self.backend:
-            # A v2 server replies without a backend field; either way a
-            # requested backend is a requirement, not a preference.
             raise ServeError(
                 f"requested the {self.backend!r} backend but the "
-                f"server (protocol v{version}) granted {granted!r}"
+                f"server granted {granted!r}"
             )
         if self.compress and not features & wire.FLAG_CBATCH:
-            # Same contract as a backend request: compression was
-            # asked for, so a reply without the grant fails loudly.
             raise ServeError(
-                f"requested compressed (CBATCH) ingestion but the "
-                f"server (protocol v{version}) did not grant it"
+                "requested compressed (CBATCH) ingestion but the "
+                "server did not grant it"
             )
         self.negotiated_backend = granted
         self.negotiated_workers = workers
@@ -547,7 +539,7 @@ def submit_batch(
 ) -> ClientSummary:
     """Replay one in-memory batch over a fresh session.
 
-    ``compress=True`` negotiates the v4 CBATCH feature and ships each
+    ``compress=True`` negotiates the CBATCH feature and ships each
     slice grammar-compressed; the server ingests it via its memoized
     kernel without expanding."""
     with RaceClient(
@@ -665,8 +657,8 @@ def run_load(
     All sessions connect and handshake first, then start streaming
     together off a barrier so the measured window is pure streaming.
     The first session failure is re-raised after every thread joins.
-    ``backend`` is requested per session via the v3 HELLO and
-    ``compress`` the v4 CBATCH feature (see :class:`RaceClient`).
+    ``backend`` is requested per session in the HELLO and
+    ``compress`` the CBATCH feature (see :class:`RaceClient`).
     """
     if sessions < 1:
         raise ServeError(f"need at least one session, got {sessions}")

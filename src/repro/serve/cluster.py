@@ -4,10 +4,9 @@
 engine **worker** processes, each an ordinary ``repro-race serve``
 (:class:`~repro.serve.server.RaceServer`) with its own per-session
 :class:`~repro.engine.ingest.BatchEngine`.  Clients speak the same
-RPRSERVE protocol they would to a single node -- the v5 HELLO reply
+RPRSERVE protocol they would to a single node -- the HELLO reply
 simply says how many workers answered (:data:`negotiated_workers` on
-the client), and a v2..v4 client gets its usual byte-identical
-exchange.
+the client).
 
 Routing is the per-location argument of the paper lifted to the
 network layer: a race is always witnessed at one memory location, so

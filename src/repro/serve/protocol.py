@@ -16,18 +16,15 @@ Frame types and their payloads:
 type      direction  payload
 ========  =========  =============================================
 HELLO     client->   magic ``RPRSERVE`` + u32 version + u32 max
-                     frame size the client is willing to receive;
-                     v3 appends a 16-byte NUL-padded requested
-                     engine backend name (all-NUL = server default);
-                     v4 additionally appends u32 feature flags
+                     frame size the client is willing to receive +
+                     the 16-byte NUL-padded requested engine backend
+                     (all-NUL = server default) + u32 feature flags
                      (bit 0 = the client wants to send CBATCH)
 HELLO     server->   magic + u32 version + u32 initial credit +
-                     u32 effective max frame size + u32 flags (0);
-                     v3 appends the 16-byte *negotiated* backend;
-                     v4 additionally appends u32 feature flags
-                     (bit 0 = CBATCH granted for this session);
-                     v5 additionally appends u32 engine worker count
-                     (1 on a single-node server, N behind a gateway)
+                     u32 effective max frame size + u32 flags (0) +
+                     the 16-byte granted backend + u32 granted
+                     feature flags + u32 engine worker count (1 on
+                     a single-node server, N behind a gateway)
 BATCH     client->   the ``tracefile`` column layout, minus magic:
                      u8 endian flag, u64 n_events, u64 table byte
                      length, the (optional) location-table JSON,
@@ -36,8 +33,8 @@ BATCH     client->   the ``tracefile`` column layout, minus magic:
                      RPR2TRC file stores, so server-side decode is
                      bulk column copies (and, with numpy, zero-copy
                      views for validation), never per-event parsing
-CBATCH    client->   a grammar-compressed batch (v4, only after the
-                     HELLO exchange granted the CBATCH feature bit):
+CBATCH    client->   a grammar-compressed batch (only after the HELLO
+                     exchange granted the CBATCH feature bit):
                      u8 endian flag, u32 block width, u64 expanded
                      event count, u64 unique block count, u64 rule
                      count, u64 table byte length, u64 seq, the
@@ -54,8 +51,7 @@ RACES     server->   UTF-8 JSON object ``{"seq": n, "reports": [...]}``
                      with interned location ids; ``seq`` names the
                      BATCH the reports were found in, so a resuming
                      client that replays a batch replaces (never
-                     double-counts) its reports.  A bare JSON list
-                     (the v1 shape) is still decoded, with no seq
+                     double-counts) its reports
 ERROR     both       u16 error code + UTF-8 message; sender closes
 BYE       client->   empty (end of stream, drain and summarise), or
                      one u8 of flags: bit 0 = RELEASE, the session
@@ -71,34 +67,21 @@ ACK       server->   u64 durable sequence number, sent after every
                      replay buffer up to and including it
 ========  =========  =============================================
 
-Backend negotiation (v3): the client HELLO may append a 16-byte
-NUL-padded ASCII engine backend name (``lattice2d``, or ``shb`` on a
-prediction server -- each server grants the one engine it runs -- or
-all-NUL for the default); the server's reply
-appends the backend the session actually got.  The reply always
-mirrors the *client's* version and payload shape, so a v2 client
-talking to a v3 server sees a byte-identical v2 exchange --
-negotiation is purely additive.  Any other backend name is refused with a typed
-``ERR_BACKEND`` ERROR frame before the session starts.
+HELLO: there is one client and one server shape, both fixed-size.
+The client names the engine backend it wants (``lattice2d``, or
+``shb`` on a prediction server -- each server grants the one engine it
+runs -- or all-NUL for the default) and its feature flags
+(:data:`FLAG_CBATCH` asks to send CBATCH frames); the reply names the
+backend the session got, echoes the feature bits it granted, and
+carries the **worker count** -- the fan-out of the multi-node gateway
+tier (:mod:`repro.serve.cluster`), or 1 on a single-node server (see
+``docs/SCALE_OUT.md``).  A HELLO of another version or another length
+is refused with a typed ``ERR_VERSION`` ERROR frame, a backend the
+server does not run with ``ERR_BACKEND``, and a CBATCH request a
+prediction server cannot ingest with ``ERR_COMPRESS`` -- a request is
+never silently downgraded.
 
-Compression negotiation (v4): a v4 client HELLO carries u32 feature
-flags; :data:`FLAG_CBATCH` requests permission to send CBATCH frames.
-The server's v4 reply echoes the bit only if it can honour it (a
-prediction server cannot ingest compressed traces and answers with a typed ``ERR_COMPRESS`` ERROR
-frame instead -- a requested feature is negotiated exactly like a
-requested backend, never silently dropped).  A v2/v3 HELLO has no
-flags field and a v4 reply to it carries none, so the exchange stays
-byte-identical for older clients.
-
-Scale-out (v5): a v5 client HELLO is byte-identical to a v4 one (only
-the version field says 5); the server's v5 reply appends a u32 engine
-**worker count** -- the fan-out of the multi-node gateway tier
-(:mod:`repro.serve.cluster`), or 1 on a single-node server.  Like v3
-and v4, the reply mirrors the client's version: a v4 client talking
-to a gateway sees a byte-identical v4 exchange and simply doesn't
-learn the topology.  See ``docs/SCALE_OUT.md``.
-
-Durability (v2): every BATCH carries a u64 sequence number, assigned
+Durability: every BATCH carries a u64 sequence number, assigned
 1, 2, 3... by the client.  The server requires contiguous sequencing;
 on a durable session (one that sent RESUME) an already-applied seq is
 *skipped idempotently* (its credit refunded), which is what makes a
@@ -136,12 +119,12 @@ import numpy as _np
 
 from repro.core.reports import AccessKind, RaceReport
 from repro.engine.batch import OP_READ, OP_WRITE, EventBatch
-from repro.errors import ProtocolError
+from repro.engine.tracefile import _decode_table, _encode_table
+from repro.errors import ProtocolError, TraceError
 
 __all__ = [
     "PROTOCOL_MAGIC",
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "BACKEND_NAME_SIZE",
     "DEFAULT_MAX_FRAME",
     "FRAME_HEADER_SIZE",
@@ -204,21 +187,14 @@ __all__ = [
 ]
 
 PROTOCOL_MAGIC = b"RPRSERVE"
-#: v2 added the BATCH sequence number and the RESUME/ACK frames;
-#: v3 added engine-backend negotiation in HELLO; v4 added HELLO
-#: feature flags and the CBATCH compressed-batch frame; v5 added the
-#: worker-count field to the server HELLO reply (the multi-node
-#: gateway tier advertises its fan-out; a single-node server says 1)
+#: the one wire version: a HELLO of any other version is refused
 PROTOCOL_VERSION = 5
-#: oldest client version the server still speaks (v2 HELLOs get a
-#: v2-shaped reply, so pre-negotiation clients run unchanged)
-MIN_PROTOCOL_VERSION = 2
 
-#: fixed width of the NUL-padded backend name field in v3 HELLO frames
+#: fixed width of the NUL-padded backend name field in HELLO frames
 BACKEND_NAME_SIZE = 16
 
-#: v4 HELLO feature bit: the client wants to send CBATCH frames (and
-#: the server, echoing it, commits to ingesting them)
+#: HELLO feature bit: the client wants to send CBATCH frames (and the
+#: server, echoing it, commits to ingesting them)
 FLAG_CBATCH = 1
 
 #: client BYE flag: the session will never be resumed, so a durable
@@ -249,7 +225,7 @@ FRAME_NAMES = {
 # -- error codes (carried in ERROR frames) ------------------------------------
 
 ERR_PROTOCOL = 1  #: generic framing violation
-ERR_VERSION = 2  #: HELLO version mismatch
+ERR_VERSION = 2  #: HELLO of another version or shape
 ERR_FRAME_TOO_LARGE = 3  #: frame exceeds the negotiated maximum
 ERR_BAD_CRC = 4  #: payload CRC32 disagrees with the header
 ERR_MALFORMED_BATCH = 5  #: BATCH header lies about its column lengths
@@ -258,7 +234,7 @@ ERR_IDLE_TIMEOUT = 7  #: session produced no frame within the idle window
 ERR_CREDIT_OVERRUN = 8  #: client sent a BATCH with no credit outstanding
 ERR_SHUTTING_DOWN = 9  #: server is draining (SIGTERM)
 ERR_CHECKPOINT = 10  #: RESUME hit a corrupt/unloadable checkpoint
-ERR_BACKEND = 11  #: requested engine backend refused (v3 negotiation)
+ERR_BACKEND = 11  #: requested engine backend refused
 ERR_COMPRESS = 12  #: CBATCH feature refused, or a malformed CBATCH frame
 
 ERROR_NAMES = {
@@ -276,27 +252,16 @@ ERROR_NAMES = {
     ERR_COMPRESS: "compress",
 }
 
-_HELLO_C = struct.Struct("<8sII")  # magic, version, client max frame
-_HELLO_S = struct.Struct("<8sIIII")  # magic, version, credit, max frame, flags
-#: the v3 shapes append a 16-byte NUL-padded backend name; v2 and v3
-#: HELLOs are told apart by payload length alone
-_HELLO_C3 = struct.Struct("<8sII16s")
-_HELLO_S3 = struct.Struct("<8sIIII16s")
-#: the v4 shapes append u32 feature flags after the backend name;
-#: like v3, the shape is told apart by payload length alone
-_HELLO_C4 = struct.Struct("<8sII16sI")
-_HELLO_S4 = struct.Struct("<8sIIII16sI")
-#: the v5 *server* shape appends a u32 worker count after the feature
-#: flags (the gateway tier's engine-worker fan-out; 1 on a single-node
-#: server).  The v5 client HELLO reuses the v4 shape byte for byte --
-#: only the version field says 5 -- so a v5 request decodes everywhere
-#: a v4 one does and the reply shape is, as always, the server's call.
-_HELLO_S5 = struct.Struct("<8sIIII16sII")
-#: endian flag, n_events, table_len, seq -- the sequence number is
-#: appended (v2) so the v1 field offsets are unchanged
+#: magic, version, client max frame, requested backend, feature flags
+_HELLO_C = struct.Struct("<8sII16sI")
+#: magic, version, credit, max frame, flags (0), granted backend,
+#: granted feature flags, engine worker count
+_HELLO_S = struct.Struct("<8sIIII16sII")
+_HELLO_VERSION = struct.Struct("<8sI")  # the prefix every version shares
+#: endian flag, n_events, table_len, seq
 _BATCH_HEADER = struct.Struct("<B7xQQQ")
 #: endian flag, block width, expanded n_events, n_blocks, n_rules,
-#: table_len, seq -- the CBATCH (v4) header
+#: table_len, seq -- the CBATCH header
 _CBATCH_HEADER = struct.Struct("<B3xIQQQQQ")
 _CBATCH_LEN = struct.Struct("<I")  # one per-block length entry
 _CBATCH_RULE = struct.Struct("<II")  # (block id, repeat count)
@@ -396,157 +361,94 @@ def _unpack_backend(raw: bytes) -> Optional[str]:
         raise ProtocolError("backend name field is not ASCII") from None
 
 
+def _check_hello(payload: bytes, shape: struct.Struct, what: str) -> None:
+    """Refuse anything but the one HELLO shape: a foreign magic is a
+    framing fault, another version or length (a truncated magic
+    included) an ``ERR_VERSION``."""
+    if payload[:8] != PROTOCOL_MAGIC[:len(payload)]:
+        raise ProtocolError(f"bad protocol magic {bytes(payload[:8])!r}")
+    if len(payload) >= _HELLO_VERSION.size:
+        version = _HELLO_VERSION.unpack_from(payload)[1]
+        if version != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"{what} speaks protocol version {version}, this peer "
+                f"only {PROTOCOL_VERSION}",
+                code=ERR_VERSION,
+            )
+    if len(payload) != shape.size:
+        raise ProtocolError(
+            f"{what} of {len(payload)} bytes; protocol version "
+            f"{PROTOCOL_VERSION} sends {shape.size}",
+            code=ERR_VERSION,
+        )
+
+
 def encode_hello(
     max_frame: int = DEFAULT_MAX_FRAME,
     backend: Optional[str] = None,
-    version: int = PROTOCOL_VERSION,
     features: int = 0,
 ) -> bytes:
     """The client HELLO.  ``backend`` requests an engine backend for
-    the session (v3); ``None`` keeps the server default.  ``features``
-    is the v4 flag word (:data:`FLAG_CBATCH`).  ``version`` pins an
-    older wire shape -- a v2 HELLO cannot carry a backend, and a v2/v3
-    HELLO cannot carry feature flags."""
-    if version >= 4:
-        return _HELLO_C4.pack(
-            PROTOCOL_MAGIC, version, max_frame, _pack_backend(backend),
-            features,
-        )
-    if features:
-        raise ProtocolError(
-            f"protocol v{version} HELLO cannot carry feature flags"
-        )
-    if version >= 3:
-        return _HELLO_C3.pack(
-            PROTOCOL_MAGIC, version, max_frame, _pack_backend(backend)
-        )
-    if backend is not None:
-        raise ProtocolError(
-            f"protocol v{version} HELLO cannot carry a backend request"
-        )
-    return _HELLO_C.pack(PROTOCOL_MAGIC, version, max_frame)
+    the session (``None`` keeps the server default); ``features`` is
+    the flag word (:data:`FLAG_CBATCH`)."""
+    return _HELLO_C.pack(
+        PROTOCOL_MAGIC, PROTOCOL_VERSION, max_frame,
+        _pack_backend(backend), features,
+    )
 
 
-def decode_hello(payload: bytes) -> Tuple[int, int, Optional[str], int]:
-    """Returns ``(version, client_max_frame, requested_backend,
-    features)``; checks the magic only (version mismatches are the
-    *server's* call, so it can answer with a precise ERROR frame).  A
-    v2-sized payload decodes with ``requested_backend = None``; a
-    pre-v4 payload decodes with ``features = 0``."""
-    features = 0
-    if len(payload) == _HELLO_C.size:
-        magic, version, max_frame = _HELLO_C.unpack(payload)
-        backend = None
-    elif len(payload) == _HELLO_C3.size:
-        magic, version, max_frame, raw = _HELLO_C3.unpack(payload)
-        backend = _unpack_backend(raw)
-    elif len(payload) == _HELLO_C4.size:
-        magic, version, max_frame, raw, features = _HELLO_C4.unpack(
-            payload
-        )
-        backend = _unpack_backend(raw)
-    else:
-        raise ProtocolError(
-            f"bad HELLO payload length {len(payload)}"
-        )
-    if magic != PROTOCOL_MAGIC:
-        raise ProtocolError(f"bad protocol magic {magic!r}")
-    return version, max_frame, backend, features
+def decode_hello(payload: bytes) -> Tuple[int, Optional[str], int]:
+    """Returns ``(client_max_frame, requested_backend, features)``.
+    Another version or length raises ``ERR_VERSION``, so the server
+    answers it with a typed ERROR frame."""
+    _check_hello(payload, _HELLO_C, "client HELLO")
+    _magic, _version, max_frame, raw, features = _HELLO_C.unpack(payload)
+    return max_frame, _unpack_backend(raw), features
 
 
 def encode_hello_reply(
     credit: int,
     max_frame: int,
-    version: int = PROTOCOL_VERSION,
     backend: Optional[str] = None,
     features: int = 0,
     workers: int = 1,
 ) -> bytes:
-    """The server HELLO reply, mirroring the *client's* ``version``
-    and payload shape; ``backend`` names the backend the session got
-    (v3+), ``features`` the granted v4 flag word, and ``workers`` the
-    engine-worker fan-out behind this listener (v5; a single-node
+    """The server HELLO reply: ``backend`` names the backend the
+    session got, ``features`` the granted flag word, and ``workers``
+    the engine-worker fan-out behind this listener (a single-node
     server says 1, the gateway tier its worker count)."""
     if workers < 1:
         raise ProtocolError(f"worker count must be positive, got {workers}")
-    if version >= 5:
-        return _HELLO_S5.pack(
-            PROTOCOL_MAGIC, version, credit, max_frame, 0,
-            _pack_backend(backend), features, workers,
-        )
-    if workers != 1:
-        raise ProtocolError(
-            f"protocol v{version} HELLO reply cannot carry a worker count"
-        )
-    if version >= 4:
-        return _HELLO_S4.pack(
-            PROTOCOL_MAGIC, version, credit, max_frame, 0,
-            _pack_backend(backend), features,
-        )
-    if features:
-        raise ProtocolError(
-            f"protocol v{version} HELLO reply cannot carry feature flags"
-        )
-    if version >= 3:
-        return _HELLO_S3.pack(
-            PROTOCOL_MAGIC, version, credit, max_frame, 0,
-            _pack_backend(backend),
-        )
-    return _HELLO_S.pack(PROTOCOL_MAGIC, version, credit, max_frame, 0)
+    return _HELLO_S.pack(
+        PROTOCOL_MAGIC, PROTOCOL_VERSION, credit, max_frame, 0,
+        _pack_backend(backend), features, workers,
+    )
 
 
 def decode_hello_reply(
     payload: bytes,
-) -> Tuple[int, int, int, Optional[str], int, int]:
-    """Returns ``(version, initial_credit, max_frame, backend,
-    features, workers)``.
-
-    The v2, v3, v4, and v5 reply shapes are all accepted; a v2-sized
-    reply (from a pre-negotiation server) decodes with ``backend =
-    None``, a pre-v4 reply with ``features = 0``, and a pre-v5 reply
-    with ``workers = 1`` (one engine behind the listener).
-    """
-    features = 0
-    workers = 1
-    if len(payload) == _HELLO_S.size:
-        magic, version, credit, max_frame, _flags = _HELLO_S.unpack(
-            payload
-        )
-        backend = None
-    elif len(payload) == _HELLO_S3.size:
-        magic, version, credit, max_frame, _flags, raw = (
-            _HELLO_S3.unpack(payload)
-        )
-        backend = _unpack_backend(raw)
-    elif len(payload) == _HELLO_S4.size:
-        magic, version, credit, max_frame, _flags, raw, features = (
-            _HELLO_S4.unpack(payload)
-        )
-        backend = _unpack_backend(raw)
-    elif len(payload) == _HELLO_S5.size:
-        magic, version, credit, max_frame, _flags, raw, features, \
-            workers = _HELLO_S5.unpack(payload)
-        backend = _unpack_backend(raw)
-        if workers < 1:
-            raise ProtocolError(
-                f"HELLO reply claims {workers} engine workers"
-            )
-    else:
-        raise ProtocolError(
-            f"bad HELLO reply payload length {len(payload)}"
-        )
-    if magic != PROTOCOL_MAGIC:
-        raise ProtocolError(f"bad protocol magic {magic!r}")
-    if not MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"server speaks protocol version {version}, "
-            f"client speaks {MIN_PROTOCOL_VERSION}"
-            f"..{PROTOCOL_VERSION}"
-        )
-    return version, credit, max_frame, backend, features, workers
+) -> Tuple[int, int, Optional[str], int, int]:
+    """Returns ``(initial_credit, max_frame, backend, features,
+    workers)``."""
+    _check_hello(payload, _HELLO_S, "server HELLO reply")
+    (_magic, _version, credit, max_frame, _flags, raw, features,
+     workers) = _HELLO_S.unpack(payload)
+    if workers < 1:
+        raise ProtocolError(f"HELLO reply claims {workers} engine workers")
+    return credit, max_frame, _unpack_backend(raw), features, workers
 
 
 # -- BATCH --------------------------------------------------------------------
+
+
+def _decode_shipped_table(raw: memoryview, frame: str) -> List:
+    """A shipped location-table delta, decoded by the strict table
+    codec the trace formats use: a malformed, duplicate or unhashable
+    entry is a malformed batch, never a crash."""
+    try:
+        return _decode_table(bytes(raw)).locations()
+    except TraceError as exc:
+        raise ProtocolError(f"bad {frame} location table ({exc})") from None
 
 
 def encode_batch_payload(
@@ -560,15 +462,7 @@ def encode_batch_payload(
     client-assigned sequence number (1, 2, 3...); the server enforces
     contiguity and uses it for idempotent replay after a RESUME.
     """
-    from repro.trace import encode_location
-
-    if new_locations:
-        table = json.dumps(
-            [encode_location(loc) for loc in new_locations],
-            separators=(",", ":"),
-        ).encode("utf-8")
-    else:
-        table = b""
+    table = _encode_table(new_locations) if new_locations else b""
     head = _BATCH_HEADER.pack(_native_flag(), len(batch), len(table), seq)
     return b"".join(
         (head, table, batch.ops.tobytes(), batch.a.tobytes(),
@@ -588,8 +482,6 @@ def decode_batch_payload(
     exactly like :func:`~repro.engine.tracefile.read_trace` rejects a
     lying trace-file header against the bytes on disk.
     """
-    from repro.trace import decode_location
-
     if len(payload) < _BATCH_HEADER.size:
         raise ProtocolError(
             f"truncated BATCH header ({len(payload)} of "
@@ -612,15 +504,7 @@ def decode_batch_payload(
     b_off = a_off + n_events * _INT_SIZE
     locations: Optional[List] = None
     if table_len:
-        try:
-            entries = json.loads(bytes(view[table_off:ops_off]))
-        except ValueError as exc:
-            raise ProtocolError(
-                f"corrupt BATCH location table: {exc}"
-            ) from None
-        if not isinstance(entries, list):
-            raise ProtocolError("corrupt BATCH location table: not a list")
-        locations = [decode_location(entry) for entry in entries]
+        locations = _decode_shipped_table(view[table_off:ops_off], "BATCH")
     ops = array("B")
     av = array("i")
     bv = array("i")
@@ -646,15 +530,7 @@ def encode_cbatch_payload(
     rule pairs.  ``seq`` follows the BATCH discipline exactly --
     CBATCH frames share the session's one sequence space.
     """
-    from repro.trace import encode_location
-
-    if new_locations:
-        table = json.dumps(
-            [encode_location(loc) for loc in new_locations],
-            separators=(",", ":"),
-        ).encode("utf-8")
-    else:
-        table = b""
+    table = _encode_table(new_locations) if new_locations else b""
     blocks = ctrace.blocks
     head = _CBATCH_HEADER.pack(
         _native_flag(), ctrace.block_width, ctrace.n_events,
@@ -689,7 +565,6 @@ def decode_cbatch_payload(payload: bytes):
     before it reaches an engine.
     """
     from repro.compress.blocks import CompressedTrace
-    from repro.trace import decode_location
 
     if len(payload) < _CBATCH_HEADER.size:
         raise ProtocolError(
@@ -738,17 +613,7 @@ def decode_cbatch_payload(payload: bytes):
         )
     locations: Optional[List] = None
     if table_len:
-        try:
-            entries = json.loads(bytes(view[table_off:len_off]))
-        except ValueError as exc:
-            raise ProtocolError(
-                f"corrupt CBATCH location table: {exc}"
-            ) from None
-        if not isinstance(entries, list):
-            raise ProtocolError(
-                "corrupt CBATCH location table: not a list"
-            )
-        locations = [decode_location(entry) for entry in entries]
+        locations = _decode_shipped_table(view[table_off:len_off], "CBATCH")
     a_off = ops_off + total * _OPS_SIZE
     b_off = a_off + total * _INT_SIZE
     rule_off = b_off + total * _INT_SIZE
@@ -957,24 +822,17 @@ def encode_races(reports: Iterable[RaceReport], seq: int = 0) -> bytes:
 
 
 def decode_races(payload: bytes) -> Tuple[int, List[RaceReport]]:
-    """Decode a RACES payload into ``(seq, reports)``.
-
-    A bare JSON list (the v1 shape) is accepted and decodes with
-    ``seq == 0`` (untagged).
-    """
+    """Decode a RACES payload into ``(seq, reports)``."""
     try:
         obj = json.loads(payload)
     except ValueError as exc:
         raise ProtocolError(f"corrupt RACES payload: {exc}") from None
-    if isinstance(obj, dict):
-        rows = obj.get("reports")
-        seq = obj.get("seq", 0)
-        if not isinstance(rows, list) or not isinstance(seq, int):
-            raise ProtocolError("corrupt RACES payload: bad object shape")
-    elif isinstance(obj, list):
-        rows, seq = obj, 0
-    else:
-        raise ProtocolError("corrupt RACES payload: not a list or object")
+    if not isinstance(obj, dict):
+        raise ProtocolError("corrupt RACES payload: not an object")
+    rows = obj.get("reports")
+    seq = obj.get("seq", 0)
+    if not isinstance(rows, list) or not isinstance(seq, int):
+        raise ProtocolError("corrupt RACES payload: bad object shape")
     out: List[RaceReport] = []
     try:
         for row in rows:

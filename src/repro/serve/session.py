@@ -5,10 +5,10 @@ A race is witnessed at one memory location, so sharding accesses by
 session does on the wire.  :class:`SessionCore` is that session, once:
 
 * the listener and the per-connection handler with its teardown;
-* HELLO: the version check, the engine-backend check (only the
-  front end's :attr:`SessionCore.backend` is grantable), the CBATCH
-  feature grant, the frame-size cap, and a reply that mirrors the
-  client's version byte for byte (v2..v5 shapes);
+* HELLO: the version check (one wire shape, anything else is
+  ``ERR_VERSION``), the engine-backend check (only the front end's
+  :attr:`SessionCore.backend` is grantable), the CBATCH feature
+  grant, the frame-size cap, and the reply with the worker count;
 * the read loop: credit accounting, batch-sequence contiguity (and the
   idempotent skip of replayed batches on a durable session), the
   shipped location-table bound, per-unique-block CBATCH validation,
@@ -212,7 +212,7 @@ class Session:
         self.failed: Optional[BaseException] = None
         self.draining = False
         self.max_frame = max_frame
-        self.cbatch = False  # CBATCH feature granted (v4)
+        self.cbatch = False  # CBATCH feature granted in HELLO
         self.token: Optional[str] = None  # durable session id (RESUME)
         self.enqueued_seq = 0  # highest seq accepted off the wire
         self.table: Optional[int] = None  # shipped table size, if any
@@ -317,7 +317,7 @@ class SessionCore:
         raise NotImplementedError
 
     def _fan_out(self) -> int:
-        """Engine workers behind this listener (the v5 HELLO field)."""
+        """Engine workers behind this listener (the HELLO reply field)."""
         return 1
 
     # -- lifecycle -----------------------------------------------------------
@@ -437,7 +437,11 @@ class SessionCore:
             consumer = asyncio.ensure_future(self._consume(session))
             await self._read_loop(session, reader, consumer)
         except asyncio.CancelledError:
-            raise
+            # Only shutdown cancels a handler, once its drain timeout
+            # ran out.  The task ends normally after teardown: a
+            # cancelled connection task is logged by asyncio (before
+            # Python 3.12) as an exception in its done callback.
+            pass
         except (
             asyncio.IncompleteReadError, ConnectionError, OSError
         ):
@@ -499,18 +503,7 @@ class SessionCore:
             raise ProtocolError(
                 f"expected HELLO, got {wire.FRAME_NAMES[ftype]}"
             )
-        version, client_max, requested, features = wire.decode_hello(
-            payload
-        )
-        if not (
-            wire.MIN_PROTOCOL_VERSION <= version <= wire.PROTOCOL_VERSION
-        ):
-            raise ProtocolError(
-                f"{self.role} speaks protocol versions "
-                f"{wire.MIN_PROTOCOL_VERSION}..{wire.PROTOCOL_VERSION}, "
-                f"client sent {version}",
-                code=wire.ERR_VERSION,
-            )
+        client_max, requested, features = wire.decode_hello(payload)
         if requested is not None and requested != self.backend:
             raise ProtocolError(
                 f"unknown engine backend {requested!r}; "
@@ -520,21 +513,17 @@ class SessionCore:
         # Compression is negotiated exactly like a backend: a request
         # the front end cannot honour is a typed refusal from _open,
         # never a silent downgrade the client discovers mid-stream.
-        session.cbatch = bool(features & wire.FLAG_CBATCH) and version >= 4
+        session.cbatch = bool(features & wire.FLAG_CBATCH)
         await self._open(session)
         self._m.sessions_backend.inc()
         session.max_frame = min(self.config.max_frame, client_max)
-        # The reply mirrors the client's version and wire shape: a v2
-        # client sees a byte-identical v2 exchange, and only a v5 reply
-        # has room for the worker count.
         await self._send(
             session, wire.FRAME_HELLO,
             wire.encode_hello_reply(
                 self.config.credit_window, session.max_frame,
-                version=version,
-                backend=self.backend if version >= 3 else None,
+                backend=self.backend,
                 features=wire.FLAG_CBATCH if session.cbatch else 0,
-                workers=self._fan_out() if version >= 5 else 1,
+                workers=self._fan_out(),
             ),
         )
 

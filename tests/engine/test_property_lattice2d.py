@@ -9,7 +9,11 @@ leaves: the same reports down to ``op_index``, the same ``op_index``,
 the same shadow total and peak and the same ``R``/``W`` columns under
 the same slot map, with either union-find ablation knob on or off.  With the epoch
 cache off the union-find counters and the (all-empty) ``E`` column must
-match too.
+match too.  Besides the perfbench shapes the sweep draws nested
+fork/halt/join chains: with link-by-rank off their joins stack a prior
+writer two or more links below its root, so the write that folds it
+walks a deep path (the counters must book the per-event detector's
+repeat of that walk).
 
 A drawn stream may end in a hostile row -- an unknown, negative or
 halted task opening a run, id -1 right after a halt, a run resuming
@@ -28,6 +32,7 @@ from repro.core.detector import RaceDetector2D
 from repro.engine.batch import OP_FORK, OP_HALT, OP_JOIN, OP_READ, OP_WRITE
 from repro.engine.ingest import BatchEngine
 from repro.errors import DetectorError
+from repro.forkjoin.program import fork, join, read, write
 from repro.obs.registry import MetricsRegistry
 from tests.detectors.test_shb import drive, make_batch
 from tests.engine.test_conformance import BATCH_SIZES, capture
@@ -36,6 +41,54 @@ from tests.engine.test_property_predict import SHAPES
 pytestmark = pytest.mark.engine
 
 X = 0  # the location hostile accesses touch
+
+
+@st.composite
+def nested_chains(draw):
+    """A root that runs 1-3 chains in turn.  A chain of depth ``d >= 2``
+    forks its one or two children one after the other, each a chain of
+    depth ``d - 1`` joined before the next is forked; a depth-0 task
+    reads and writes.  Every leaf writes the chain's location, which
+    the root writes again once the chain is joined.  Two children per
+    level stack equal-rank sets, so the path to the last writer is deep
+    with link-by-rank on, too."""
+    locs = st.sampled_from(("x", "y", "z"))
+    chains = draw(
+        st.lists(
+            st.tuples(
+                st.integers(2, 4),
+                st.integers(1, 2),
+                locs,
+                st.lists(st.tuples(st.booleans(), locs), max_size=3),
+            ),
+            min_size=1, max_size=3,
+        )
+    )
+
+    def chain(depth, width, loc, accesses):
+        def task(self):
+            if depth == 0:
+                for is_write, other in accesses:
+                    yield write(other) if is_write else read(other)
+                yield write(loc)
+                return
+            for _ in range(width):
+                child = yield fork(chain(depth - 1, width, loc, accesses))
+                yield join(child)
+
+        return task
+
+    def main(self):
+        for depth, width, loc, accesses in chains:
+            child = yield fork(chain(depth - 1, width, loc, accesses))
+            yield join(child)
+            yield write(loc)
+
+    return main
+
+
+#: the perfbench shapes plus the deep union-find paths they seldom build
+SWEEP_SHAPES = {**SHAPES, "nested_chains": nested_chains()}
 
 
 def _hostile(kind, det):
@@ -154,14 +207,14 @@ def _run(rows, config, feed):
     return det, None
 
 
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("shape", sorted(SWEEP_SHAPES))
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_kernel_equals_per_event_lattice2d(shape, data):
     """Same reports, ``op_index``, accounting and columns as the
     per-event detector, wherever the stream is sliced and whatever
     hostile row ends it."""
-    batch = capture(data.draw(SHAPES[shape]))[0]
+    batch = capture(data.draw(SWEEP_SHAPES[shape]))[0]
     rows = list(zip(batch.ops, batch.a, batch.b))
     config = {
         "epoch_cache": data.draw(st.booleans(), label="epoch_cache"),

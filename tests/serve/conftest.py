@@ -7,6 +7,7 @@ metrics stay isolated.
 
 from __future__ import annotations
 
+import logging
 import socket
 from collections import Counter
 
@@ -15,6 +16,40 @@ import pytest
 from repro.engine.benchlib import build_workload, capture
 from repro.engine.ingest import BatchEngine
 from repro.serve import protocol as wire
+
+
+class _ExceptionRecords(logging.Handler):
+    """Collects every log record that carries an exception."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if record.exc_info:
+            self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_handler_exceptions():
+    """Fail any test whose front end let an exception escape to the
+    event loop ("Unhandled exception in client_connected_cb", "Task
+    exception was never retrieved"): every fault a session handler
+    meets must end in a typed ERROR frame or a clean teardown."""
+    watcher = _ExceptionRecords()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(watcher)
+    try:
+        yield
+    finally:
+        logger.removeHandler(watcher)
+    if watcher.records:
+        pytest.fail(
+            "asyncio logged a handler exception:\n" + "\n".join(
+                watcher.format(r) for r in watcher.records
+            ),
+            pytrace=False,
+        )
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +90,6 @@ class RawConn:
         hello: bool = True,
         timeout: float = 10.0,
         backend: str = None,
-        version: int = wire.PROTOCOL_VERSION,
         features: int = 0,
     ):
         self.sock = socket.create_connection(
@@ -70,15 +104,12 @@ class RawConn:
             self.send(
                 wire.encode_frame(
                     wire.FRAME_HELLO,
-                    wire.encode_hello(
-                        backend=backend, version=version,
-                        features=features,
-                    ),
+                    wire.encode_hello(backend=backend, features=features),
                 )
             )
             ftype, payload = self.recv_frame()
             assert ftype == wire.FRAME_HELLO, wire.FRAME_NAMES[ftype]
-            (_, self.credit, self.max_frame, self.backend, self.features,
+            (self.credit, self.max_frame, self.backend, self.features,
              self.workers) = wire.decode_hello_reply(payload)
 
     def send(self, data: bytes) -> None:

@@ -1,4 +1,4 @@
-"""Integration tests for compressed (CBATCH) serving -- protocol v4.
+"""Integration tests for compressed (CBATCH) serving.
 
 A session that negotiates the CBATCH feature bit ships grammar-
 compressed traces the server ingests through the memoized kernel, and
@@ -129,27 +129,6 @@ class TestCompressedNegotiation:
             with RawConn(srv.port) as conn:
                 conn.send_frame(wire.FRAME_CBATCH, payload)
                 conn.expect_error(wire.ERR_COMPRESS)
-
-    def test_v3_hello_still_round_trips(self, loop_workload):
-        """A v3 client is byte-identically served -- the v4 bump is
-        purely additive."""
-        batch, _ = loop_workload
-        local = local_race_multiset(batch)
-        with make_server() as srv:
-            with RawConn(srv.port, version=3) as conn:
-                conn.send_frame(
-                    wire.FRAME_BATCH, wire.encode_batch_payload(batch)
-                )
-                conn.send_frame(wire.FRAME_BYE)
-                reports = []
-                while True:
-                    ftype, payload = conn.recv_frame()
-                    if ftype == wire.FRAME_RACES:
-                        _seq, rows = wire.decode_races(payload)
-                        reports.extend(rows)
-                    elif ftype == wire.FRAME_BYE:
-                        break
-        assert race_multiset(reports) == local
 
 
 class TestCompressedHostility:

@@ -1,6 +1,6 @@
 """Unit tests for the multi-node gateway (:mod:`repro.serve.cluster`).
 
-Negotiation first (the v5 worker-count field, the typed refusals),
+Negotiation first (the HELLO worker-count field, the typed refusals),
 then routing exactness (gateway-sharded detection equals a serial
 local replay, for raw and compressed sessions), then migration
 under kill (SIGKILL a worker mid-stream; the respawn/RESUME/replay
@@ -46,19 +46,6 @@ class TestNegotiation:
     def test_v5_reply_carries_worker_count(self, cluster2):
         with RawConn(cluster2.port) as conn:
             assert conn.workers == 2
-            conn.send_frame(wire.FRAME_BYE)
-
-    def test_v4_client_gets_v4_shape(self, cluster2):
-        # The reply mirrors the client's version: no worker count on
-        # the wire, the default of one is all a v4 client can know.
-        with RawConn(cluster2.port, version=4) as conn:
-            assert conn.workers == 1
-            conn.send_frame(wire.FRAME_BYE)
-
-    def test_v2_exchange_still_works(self, cluster2):
-        with RawConn(cluster2.port, version=2) as conn:
-            assert conn.workers == 1
-            assert conn.backend is None
             conn.send_frame(wire.FRAME_BYE)
 
     def test_client_resume_refused_typed(self, cluster2):

@@ -88,58 +88,26 @@ class TestFraming:
 
 class TestHello:
     def test_client_hello_round_trip(self):
-        version, max_frame, backend, features = wire.decode_hello(
+        max_frame, backend, features = wire.decode_hello(
             wire.encode_hello(4096)
         )
-        assert version == wire.PROTOCOL_VERSION
         assert max_frame == 4096
         assert backend is None  # all-NUL field = server default
         assert features == 0
 
     def test_client_hello_backend_round_trip(self):
-        version, max_frame, backend, features = wire.decode_hello(
+        assert wire.decode_hello(
             wire.encode_hello(4096, backend="depa")
-        )
-        assert version == wire.PROTOCOL_VERSION
-        assert (max_frame, backend, features) == (4096, "depa", 0)
+        ) == (4096, "depa", 0)
 
     def test_client_hello_features_round_trip(self):
-        version, max_frame, backend, features = wire.decode_hello(
+        max_frame, backend, features = wire.decode_hello(
             wire.encode_hello(
                 4096, backend="depa", features=wire.FLAG_CBATCH
             )
         )
-        assert version == wire.PROTOCOL_VERSION
         assert (max_frame, backend) == (4096, "depa")
         assert features & wire.FLAG_CBATCH
-
-    def test_v2_client_hello_still_decodes(self):
-        payload = wire.encode_hello(4096, version=2)
-        assert len(payload) == 16  # the frozen v2 wire shape
-        version, max_frame, backend, features = wire.decode_hello(payload)
-        assert (version, max_frame, backend, features) == (
-            2, 4096, None, 0
-        )
-
-    def test_v3_client_hello_still_decodes(self):
-        payload = wire.encode_hello(4096, backend="depa", version=3)
-        assert len(payload) == 32  # the frozen v3 wire shape
-        version, max_frame, backend, features = wire.decode_hello(payload)
-        assert (version, max_frame, backend, features) == (
-            3, 4096, "depa", 0
-        )
-
-    def test_v2_hello_cannot_carry_a_backend(self):
-        with pytest.raises(ProtocolError, match="backend"):
-            wire.encode_hello(4096, backend="depa", version=2)
-
-    def test_pre_v4_hello_cannot_carry_features(self):
-        with pytest.raises(ProtocolError, match="feature flags"):
-            wire.encode_hello(4096, features=wire.FLAG_CBATCH, version=3)
-        with pytest.raises(ProtocolError, match="feature flags"):
-            wire.encode_hello_reply(
-                8, 65536, features=wire.FLAG_CBATCH, version=3
-            )
 
     def test_backend_name_bounds(self):
         with pytest.raises(ProtocolError, match="exceeds"):
@@ -148,7 +116,7 @@ class TestHello:
             wire.encode_hello(4096, backend="dépa")
 
     def test_server_reply_round_trip(self):
-        version, credit, max_frame, backend, features, workers = (
+        credit, max_frame, backend, features, workers = (
             wire.decode_hello_reply(
                 wire.encode_hello_reply(
                     8, 65536, backend="lattice2d",
@@ -156,74 +124,55 @@ class TestHello:
                 )
             )
         )
-        assert version == wire.PROTOCOL_VERSION
         assert (credit, max_frame) == (8, 65536)
         assert backend == "lattice2d"
         assert features & wire.FLAG_CBATCH
         assert workers == 4
 
-    def test_v2_server_reply_still_decodes(self):
-        payload = wire.encode_hello_reply(8, 65536, version=2)
-        assert len(payload) == 24  # the frozen v2 wire shape
-        version, credit, max_frame, backend, features, workers = (
-            wire.decode_hello_reply(payload)
-        )
-        assert (version, credit, max_frame, backend, features) == (
-            2, 8, 65536, None, 0
-        )
-        assert workers == 1  # pre-v5 servers never say; one is implied
-
-    def test_v3_server_reply_still_decodes(self):
-        payload = wire.encode_hello_reply(
-            8, 65536, backend="depa", version=3
-        )
-        assert len(payload) == 40  # the frozen v3 wire shape
-        version, credit, max_frame, backend, features, workers = (
-            wire.decode_hello_reply(payload)
-        )
-        assert (version, credit, max_frame, backend, features, workers) == (
-            3, 8, 65536, "depa", 0, 1
-        )
-
-    def test_v4_server_reply_still_decodes(self):
-        payload = wire.encode_hello_reply(
-            8, 65536, backend="depa", features=wire.FLAG_CBATCH, version=4
-        )
-        assert len(payload) == 44  # the frozen v4 wire shape
-        version, credit, max_frame, backend, features, workers = (
-            wire.decode_hello_reply(payload)
-        )
-        assert (version, credit, max_frame, backend, features, workers) == (
-            4, 8, 65536, "depa", wire.FLAG_CBATCH, 1
-        )
-
     def test_v5_server_reply_carries_worker_count(self):
         payload = wire.encode_hello_reply(
-            8, 65536, backend="lattice2d", version=5, workers=2
+            8, 65536, backend="lattice2d", workers=2
         )
         assert len(payload) == 48  # the frozen v5 wire shape
-        version, credit, max_frame, backend, features, workers = (
-            wire.decode_hello_reply(payload)
+        assert wire.decode_hello_reply(payload) == (
+            8, 65536, "lattice2d", 0, 2
         )
-        assert (version, credit, max_frame, backend, features, workers) == (
-            5, 8, 65536, "lattice2d", 0, 2
+
+    def test_pinned_hello_bytes(self):
+        """The one HELLO exchange is the v5 one, byte for byte."""
+        assert wire.PROTOCOL_VERSION == 5
+        assert wire.encode_hello().hex() == (
+            "52505253455256450500000000008000"
+            "00000000000000000000000000000000"
+            "00000000"
+        )
+        assert wire.encode_hello(
+            4096, backend="lattice2d", features=wire.FLAG_CBATCH
+        ).hex() == (
+            "52505253455256450500000000100000"
+            "6c61747469636532640000000000000001000000"
+        )
+        assert wire.encode_hello_reply(8, 65536).hex() == (
+            "52505253455256450500000008000000"
+            "00000100000000000000000000000000"
+            "00000000000000000000000001000000"
+        )
+        assert wire.encode_hello_reply(
+            8, 65536, backend="lattice2d", features=wire.FLAG_CBATCH,
+            workers=2,
+        ).hex() == (
+            "52505253455256450500000008000000"
+            "00000100000000006c61747469636532"
+            "64000000000000000100000002000000"
         )
 
     def test_worker_count_bounds(self):
         with pytest.raises(ProtocolError, match="worker"):
             wire.encode_hello_reply(8, 65536, workers=0)
-        payload = bytearray(
-            wire.encode_hello_reply(8, 65536, version=5, workers=1)
-        )
+        payload = bytearray(wire.encode_hello_reply(8, 65536, workers=1))
         struct.pack_into("<I", payload, len(payload) - 4, 0)
         with pytest.raises(ProtocolError, match="worker"):
             wire.decode_hello_reply(bytes(payload))
-
-    def test_pre_v5_reply_cannot_carry_workers(self):
-        # a multi-worker gateway must not silently drop the count for
-        # an old client asking v4: encode refuses, the server decides
-        with pytest.raises(ProtocolError, match="worker"):
-            wire.encode_hello_reply(8, 65536, version=4, workers=2)
 
     def test_bad_magic_rejected(self):
         payload = struct.pack("<8sII", b"NOTMAGIC", 1, 4096)
@@ -234,15 +183,16 @@ class TestHello:
         payload = struct.pack(
             "<8sIIII", wire.PROTOCOL_MAGIC, 99, 8, 65536, 0
         )
-        with pytest.raises(ProtocolError, match="version"):
+        with pytest.raises(ProtocolError, match="version") as exc_info:
             wire.decode_hello_reply(payload)
-
-    def test_version_left_to_the_server_on_client_hello(self):
-        payload = struct.pack("<8sII", wire.PROTOCOL_MAGIC, 99, 4096)
-        version, _, _, _ = wire.decode_hello(payload)
-        assert version == 99  # decoded, not rejected: the server answers
+        assert exc_info.value.code == wire.ERR_VERSION
 
     def test_bad_lengths_rejected(self):
+        hello = wire.encode_hello()
+        for payload in (b"", hello[:5], hello[:-1], hello + b"\0"):
+            with pytest.raises(ProtocolError, match="bytes") as exc_info:
+                wire.decode_hello(payload)
+            assert exc_info.value.code == wire.ERR_VERSION
         with pytest.raises(ProtocolError):
             wire.decode_hello(b"short")
         with pytest.raises(ProtocolError):
@@ -540,7 +490,19 @@ class TestSmallCodecs:
         assert seq == 9
         assert decoded == reports
 
-    def test_races_accepts_v1_bare_list(self):
+    def test_races_rejects_garbage(self):
+        with pytest.raises(ProtocolError, match="corrupt RACES"):
+            wire.decode_races(b"not json")
+        with pytest.raises(ProtocolError, match="bad object shape"):
+            wire.decode_races(b"{}")
+        with pytest.raises(ProtocolError, match="not an object"):
+            wire.decode_races(b"3")
+        row = json.dumps({"seq": 0, "reports": [{"loc": 1}]}).encode()
+        with pytest.raises(ProtocolError, match="corrupt RACES"):
+            wire.decode_races(row)
+
+    def test_races_refuses_v1_bare_list(self):
+        # the v1 bare list, well-formed rows and all, is refused
         rows = json.dumps(
             [
                 {
@@ -549,20 +511,8 @@ class TestSmallCodecs:
                 }
             ]
         ).encode()
-        seq, decoded = wire.decode_races(rows)
-        assert seq == 0
-        assert decoded[0].loc == 3 and decoded[0].task == 2
-
-    def test_races_rejects_garbage(self):
-        with pytest.raises(ProtocolError, match="corrupt RACES"):
-            wire.decode_races(b"not json")
-        with pytest.raises(ProtocolError, match="bad object shape"):
-            wire.decode_races(b"{}")
-        with pytest.raises(ProtocolError, match="not a list or object"):
-            wire.decode_races(b"3")
-        row = json.dumps([{"loc": 1}]).encode()
-        with pytest.raises(ProtocolError, match="corrupt RACES"):
-            wire.decode_races(row)
+        with pytest.raises(ProtocolError, match="not an object"):
+            wire.decode_races(rows)
 
     def test_resume_and_ack_codecs(self):
         assert wire.decode_resume(wire.encode_resume("sess-1.a_b")) == (

@@ -18,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+from repro.compress import compress
 from repro.engine.batch import OP_JOIN, OP_WRITE, EventBatch
 from repro.engine.ingest import BatchEngine
 from repro.errors import ProtocolError, ServeError
@@ -194,6 +195,42 @@ class TestRoundTrip:
             assert counter_value(registry, "serve_sessions_active") == 0
 
 
+#: HELLOs of the retired shapes (v2: no backend, v3: no flags, v4:
+#: v5's client shape under another version) and a truncated v5 one
+OLD_HELLOS = {
+    "v2": struct.pack("<8sII", wire.PROTOCOL_MAGIC, 2, 1 << 20),
+    "v3": struct.pack(
+        "<8sII16s", wire.PROTOCOL_MAGIC, 3, 1 << 20, b"lattice2d"
+    ),
+    "v4": struct.pack(
+        "<8sII16sI", wire.PROTOCOL_MAGIC, 4, 1 << 20, b"lattice2d",
+        wire.FLAG_CBATCH,
+    ),
+    "truncated": wire.encode_hello()[:-1],
+}
+
+#: shipped location tables the strict table codec refuses: unknown and
+#: malformed tags, a duplicate, and an unhashable tuple element
+BAD_TABLES = {
+    "unknown-tag": b'[{"x":1}]',
+    "bad-tuple": b'[{"t":5}]',
+    "duplicate": b'["a","a"]',
+    "unhashable": b'[{"t":[[1]]}]',
+}
+
+
+def with_table(ftype: int, payload: bytes, table: bytes) -> bytes:
+    """A BATCH/CBATCH ``payload`` encoded without a table, with
+    ``table`` spliced in as its shipped location table."""
+    header = (
+        wire._BATCH_HEADER if ftype == wire.FRAME_BATCH
+        else wire._CBATCH_HEADER
+    )
+    fields = list(header.unpack_from(payload))
+    fields[-2] = len(table)  # table_len precedes seq in both headers
+    return header.pack(*fields) + table + payload[header.size:]
+
+
 class TestProtocolViolations:
     """Every violation gets the same typed ERROR from the single server
     and from the gateway."""
@@ -206,6 +243,15 @@ class TestProtocolViolations:
             conn.send_frame(wire.FRAME_HELLO, bad)
             message = conn.expect_error(wire.ERR_VERSION)
             assert "99" in message
+            conn.expect_eof()
+
+    @pytest.mark.parametrize("hello", sorted(OLD_HELLOS))
+    def test_old_hello_gets_version_error(self, front_end, hello):
+        with make_front_end(front_end) as srv, RawConn(
+            srv.port, hello=False
+        ) as conn:
+            conn.send_frame(wire.FRAME_HELLO, OLD_HELLOS[hello])
+            conn.expect_error(wire.ERR_VERSION)
             conn.expect_eof()
 
     def test_non_hello_first_frame_rejected(self, front_end):
@@ -276,6 +322,31 @@ class TestProtocolViolations:
                 wire.FRAME_BATCH, wire.encode_batch_payload(bad)
             )
             conn.expect_error(wire.ERR_MALFORMED_BATCH)
+
+    @pytest.mark.parametrize("table", sorted(BAD_TABLES))
+    @pytest.mark.parametrize(
+        "ftype", [wire.FRAME_BATCH, wire.FRAME_CBATCH],
+        ids=["BATCH", "CBATCH"],
+    )
+    def test_bad_shipped_table_rejected_as_malformed(
+        self, front_end, ftype, table
+    ):
+        one_write = EventBatch(
+            array("B", [OP_WRITE]), array("i", [0]), array("i", [0])
+        )
+        if ftype == wire.FRAME_BATCH:
+            payload = wire.encode_batch_payload(one_write, seq=1)
+        else:
+            payload = wire.encode_cbatch_payload(compress(one_write), seq=1)
+        with make_front_end(front_end) as srv, RawConn(
+            srv.port, features=wire.FLAG_CBATCH
+        ) as conn:
+            conn.send_frame(
+                ftype, with_table(ftype, payload, BAD_TABLES[table])
+            )
+            conn.send_frame(wire.FRAME_BYE)
+            message = conn.expect_error(wire.ERR_MALFORMED_BATCH)
+            assert "location table" in message
 
     def test_access_beyond_shipped_table_rejected(self, front_end):
         batch = EventBatch(
@@ -502,7 +573,7 @@ class TestGatewayFrontEnd(TestProtocolViolations):
 
 class TestBackendNegotiation:
     def test_lattice2d_session_matches_local_replay(self, small_workload):
-        """A v3 HELLO naming lattice2d is granted and streams the exact
+        """A HELLO naming lattice2d is granted and streams the exact
         race multiset of a local replay."""
         batch, _ = small_workload
         local = local_race_multiset(batch)
@@ -518,32 +589,6 @@ class TestBackendNegotiation:
         assert counter_value(
             registry, "serve_sessions_backend_total", backend="lattice2d"
         ) == 1
-
-    def test_v2_client_runs_unchanged(self, small_workload):
-        """A pre-negotiation client -- v2 HELLO, v2 reply decode -- must
-        complete a full session byte-identically to before."""
-        batch, _ = small_workload
-        local = local_race_multiset(batch)
-        with make_server() as srv:
-            with RawConn(srv.port, version=2) as conn:
-                assert conn.backend is None  # v2-shaped reply
-                conn.send_frame(
-                    wire.FRAME_BATCH, wire.encode_batch_payload(batch)
-                )
-                conn.send_frame(wire.FRAME_BYE)
-                reports = []
-                while True:
-                    ftype, payload = conn.recv_frame()
-                    if ftype == wire.FRAME_RACES:
-                        _seq, rows = wire.decode_races(payload)
-                        reports.extend(rows)
-                    elif ftype == wire.FRAME_BYE:
-                        events, _races = wire.decode_bye_summary(payload)
-                        break
-                    else:
-                        assert ftype == wire.FRAME_CREDIT
-        assert events == len(batch)
-        assert race_multiset(reports) == local
 
     def test_unknown_backend_refused_with_typed_error(self):
         # The retired depa backend is as unknown as any other name.
@@ -596,9 +641,9 @@ class TestBackendNegotiation:
         ) == 0
 
     def test_requested_backend_is_required_not_preferred(self):
-        """Against a pre-negotiation (v2-replying) server, a client
-        that requested a backend refuses the session instead of
-        silently running lattice2d."""
+        """Against a server whose reply grants another engine, a
+        client that requested a backend refuses the session instead of
+        silently running that engine."""
         import socket
         import threading
 
@@ -619,7 +664,7 @@ class TestBackendNegotiation:
                 wire.encode_frame(
                     wire.FRAME_HELLO,
                     wire.encode_hello_reply(
-                        8, wire.DEFAULT_MAX_FRAME, version=2
+                        8, wire.DEFAULT_MAX_FRAME, backend="shb"
                     ),
                 )
             )
