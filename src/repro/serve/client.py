@@ -423,7 +423,10 @@ class RaceClient:
 
         Credit, sequencing, and replay-on-reconnect follow
         :meth:`send_batch` exactly -- CBATCH frames live in the same
-        sequence space, so a durable session may mix the two.
+        sequence space, so a durable session may mix the two.  A
+        trace that expands past ``max_frame // 9`` events (what a raw
+        BATCH could carry) is refused before anything is sent, as the
+        server would refuse it.
         """
         if self._finished is not None:
             raise ServeError("session already finished (BYE sent)")
@@ -432,6 +435,7 @@ class RaceClient:
                 "send_compressed needs a session connected with "
                 "compress=True"
             )
+        wire.check_cbatch_events(len(ctrace), self.max_frame)
         new_locations = self._table_delta()
         seq = self._next_seq if self.session is not None else 0
         payload = wire.encode_cbatch_payload(ctrace, new_locations, seq=seq)
@@ -476,11 +480,13 @@ class RaceClient:
         """Slice ``batch``, compress each piece, and push it as a
         CBATCH frame.  The default slice is wider than
         :meth:`send_batches`'s because compression shrinks the wire
-        frame well below the slice's raw size."""
+        frame well below the slice's raw size; no slice is wider than
+        the session's CBATCH expansion cap."""
         from repro.compress import DEFAULT_BLOCK_WIDTH, compress
 
         width = block_width if block_width else DEFAULT_BLOCK_WIDTH
-        for piece in batch.slices(batch_size):
+        cap = wire.max_cbatch_events(self.max_frame)
+        for piece in batch.slices(min(batch_size, cap)):
             self.send_compressed(compress(piece, width))
 
     def finish(self, release: bool = False) -> ClientSummary:
@@ -569,7 +575,8 @@ def submit_trace(
 
     With ``compress=True`` a compressed container is shipped in its
     stored form -- one CBATCH per container, never expanded on either
-    side -- and raw inputs are compressed slice by slice."""
+    side -- unless it expands past the session's CBATCH cap, when it
+    is expanded here and compressed slice by slice like a raw input."""
     from repro.engine.batch import batch_from_events
     from repro.engine.tracefile import (
         is_compressed_tracefile,
@@ -585,7 +592,10 @@ def submit_trace(
             host, port, timeout=timeout, interner=interner,
             ship_locations=ship_locations, compress=True,
         ) as client:
-            client.send_compressed(ctrace)
+            if len(ctrace) <= wire.max_cbatch_events(client.max_frame):
+                client.send_compressed(ctrace)
+            else:
+                client.send_batches_compressed(ctrace.decompress())
             return client.finish()
     if is_tracefile(path):
         batch, interner = read_trace(path)

@@ -44,7 +44,9 @@ CBATCH    client->   a grammar-compressed batch (only after the HELLO
                      ``(u32 block id, u32 repeat)`` rule pairs --
                      the :class:`repro.compress.CompressedTrace`
                      shape on the wire, ingested server-side by the
-                     memoized kernel without ever expanding
+                     memoized kernel without ever expanding; it may
+                     expand to at most ``max frame // 9`` events,
+                     what a raw BATCH under the same cap can carry
 CREDIT    server->   u32 additional BATCH frames the client may send
                      (CBATCH frames spend the same credit)
 RACES     server->   UTF-8 JSON object ``{"seq": n, "reports": [...]}``
@@ -167,6 +169,8 @@ __all__ = [
     "decode_batch_payload",
     "encode_cbatch_payload",
     "decode_cbatch_payload",
+    "max_cbatch_events",
+    "check_cbatch_events",
     "validate_batch_columns",
     "encode_credit",
     "decode_credit",
@@ -657,6 +661,27 @@ def decode_cbatch_payload(payload: bytes):
             f"claims {n_events}"
         )
     return CompressedTrace(block_width, blocks, rules), locations, seq
+
+
+def max_cbatch_events(max_frame: int) -> int:
+    """The most events a CBATCH may expand to under ``max_frame``:
+    what a raw BATCH of that size could carry (9 bytes per event).  A
+    front end pays for the expansion, not for the wire bytes: the
+    gateway materializes it to route it and the server's memoized
+    kernel walks every repeat, so without this cap a 93-byte frame
+    could claim 17 billion events."""
+    return max_frame // _PER_EVENT
+
+
+def check_cbatch_events(n_events: int, max_frame: int) -> None:
+    """Refuse a CBATCH expanding past :func:`max_cbatch_events`."""
+    limit = max_cbatch_events(max_frame)
+    if n_events > limit:
+        raise ProtocolError(
+            f"CBATCH expands to {n_events} events, over the {limit} a "
+            f"raw BATCH under the {max_frame}-byte frame cap can carry",
+            code=ERR_MALFORMED_BATCH,
+        )
 
 
 def validate_batch_columns(

@@ -16,10 +16,17 @@ module is the *sink* behind it:
   (:meth:`~repro.engine.ingest.BatchEngine.ingest_compressed`) without
   ever being expanded -- and newly detected races stream back as
   RACES frames keyed by the batch's seq;
+* ingest runs on the event loop itself, one batch at a time with one
+  yield after each, so sessions interleave batch by batch.  The
+  detector is sequential, so an executor thread would buy no
+  parallelism under the GIL, only a hand-off per batch.  One frame
+  holds the loop for at most its own ingest, which ``max_frame`` and
+  the CBATCH expansion cap (``max_frame // 9`` events) bound;
 * a durable session (RESUME) is restored from its checkpoint,
   checkpointed every ``checkpoint_interval`` applied batches (each
-  ACKed) and once more at teardown -- unless it ended with a RELEASE
-  BYE, which deletes its checkpoint instead;
+  ACKed, the file I/O in an executor) and once more at teardown --
+  unless it ended with a RELEASE BYE, which deletes its checkpoint
+  instead;
 * teardown drops the engine, so a client that vanishes mid-stream
   leaks no shadow state.
 
@@ -140,18 +147,16 @@ class _ServerSession(Session):
     cannot leak shadow state."""
 
     __slots__ = (
-        "engine", "races_seen", "applied_seq", "durable_seq",
-        "last_table", "busy",
+        "engine", "races_seen", "applied_seq", "durable_seq", "last_table",
     )
 
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
         self.engine: Optional[BatchEngine] = None
         self.races_seen = 0  # races already streamed to the client
-        self.applied_seq = 0  # highest seq the worker has ingested
+        self.applied_seq = 0  # highest seq the engine has ingested
         self.durable_seq = 0  # highest seq covered by a checkpoint
         self.last_table: Optional[int] = None  # table size at applied_seq
-        self.busy = False  # an ingest is running in the executor
 
 
 class RaceServer(SessionCore):
@@ -229,18 +234,20 @@ class RaceServer(SessionCore):
         batch: Any,
         table: Optional[int],
     ) -> bool:
+        """Ingest on the loop thread, then yield once so sessions
+        interleave batch by batch (see the module docstring)."""
         m = self._m
         start = time.perf_counter()
-        session.busy = True
         compressed = not isinstance(batch, EventBatch)
         try:
-            new_races = await asyncio.get_running_loop().run_in_executor(
-                None, self._apply, session, batch, compressed
-            )
+            new_races = self._apply(session, batch, compressed)
         except (DetectorError, ServeError) as exc:
             await self._fail(session, exc, wire.ERR_DETECTOR, str(exc))
             return False
-        session.busy = False
+        # No await between the engine call and this update: a consumer
+        # cancelled at any later await leaves ``applied_seq`` covering
+        # exactly what the engine holds, so the final checkpoint's seq
+        # is right and a RESUME applies no batch twice.
         if seq:
             session.applied_seq = seq
             session.last_table = table
@@ -258,7 +265,9 @@ class RaceServer(SessionCore):
             and seq
             and seq - session.durable_seq >= self.config.checkpoint_interval
         ):
+            # the checkpoint's executor hop doubles as the yield
             return await self._checkpoint(session)
+        await asyncio.sleep(0)
         return True
 
     async def _finish(self, session: _ServerSession) -> Tuple[int, int]:
@@ -268,11 +277,8 @@ class RaceServer(SessionCore):
         # A released session will never be resumed: its checkpoint is
         # dead weight, so delete it instead of writing a final one.
         # Durable sessions otherwise get one last checkpoint so a clean
-        # BYE (or a drop with an idle worker) loses nothing.  Skipped
-        # while an ingest still runs in the executor (its thread
-        # survives consumer cancellation; serializing under it could
-        # tear the state) -- the stale checkpoint stays valid and the
-        # client simply replays more.
+        # BYE (or a drop mid-stream) loses nothing: ingest runs on the
+        # loop, so a cancelled consumer never leaves one half done.
         if session.token is not None and session.released:
             try:
                 os.unlink(self._ckpt_path(session.token))
@@ -281,7 +287,6 @@ class RaceServer(SessionCore):
         elif (
             session.token is not None
             and session.failed is None
-            and not session.busy
             and session.engine is not None
             and session.applied_seq > session.durable_seq
         ):

@@ -11,7 +11,8 @@ session does on the wire.  :class:`SessionCore` is that session, once:
   grant, the frame-size cap, and the reply with the worker count;
 * the read loop: credit accounting, batch-sequence contiguity (and the
   idempotent skip of replayed batches on a durable session), the
-  shipped location-table bound, per-unique-block CBATCH validation,
+  shipped location-table bound, the CBATCH expansion cap
+  (``max_frame // 9`` events), per-unique-block CBATCH validation,
   draining after a failure, and BYE (a RELEASE BYE marks the session
   :attr:`Session.released` once answered, for the sink's teardown);
 * the consume loop: one queued batch at a time through the front
@@ -591,6 +592,9 @@ class SessionCore:
         try:
             if ftype == wire.FRAME_CBATCH:
                 batch, new_locs, seq = wire.decode_cbatch_payload(payload)
+                # before anything expands it (the gateway routes
+                # expanded slices; ingest holds the loop for all of it)
+                wire.check_cbatch_events(len(batch), session.max_frame)
                 m.compressed_bytes.inc(len(payload))
             else:
                 batch, new_locs, seq = wire.decode_batch_payload(payload)

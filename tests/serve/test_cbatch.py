@@ -12,11 +12,11 @@ import struct
 
 import pytest
 
-from repro.compress import compress
+from repro.compress import compress, write_tracez
 from repro.engine.batch import EventBatch
 from repro.engine.benchlib import capture
 from repro.obs.registry import MetricsRegistry
-from repro.serve import RaceClient, RemoteError, submit_batch
+from repro.serve import RaceClient, RemoteError, submit_batch, submit_trace
 from repro.serve import protocol as wire
 from repro.workloads.racegen import loop_program
 
@@ -97,6 +97,32 @@ class TestCompressedRoundTrip:
                 summary = client.finish()
         assert summary.events == len(batch)
         assert race_multiset(summary.reports) == local
+
+
+    @pytest.mark.parametrize("max_frame", [wire.DEFAULT_MAX_FRAME, 9_000])
+    def test_stored_container_ships_under_the_expansion_cap(
+        self, loop_workload, tmp_path, max_frame
+    ):
+        """A stored RPR2TRZ goes out as one CBATCH when it expands
+        within the cap, and slice by slice when it does not (9,000
+        bytes allow 1,000 events per CBATCH)."""
+        batch, interner = loop_workload
+        assert len(batch) > wire.max_cbatch_events(9_000)
+        path = tmp_path / "loops.rpr2trz"
+        write_tracez(str(path), compress(batch), interner)
+        registry = MetricsRegistry()
+        with make_server(registry, max_frame=max_frame) as srv:
+            summary = submit_trace(
+                "127.0.0.1", srv.port, str(path), compress=True
+            )
+        assert summary.events == len(batch)
+        assert race_multiset(summary.reports) == local_race_multiset(batch)
+        cbatches = counter_value(registry, "serve_cbatches_total")
+        if max_frame == wire.DEFAULT_MAX_FRAME:
+            assert cbatches == 1
+        else:
+            cap = wire.max_cbatch_events(9_000)
+            assert cbatches == -(-len(batch) // cap)
 
 
 class TestCompressedNegotiation:

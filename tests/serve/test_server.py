@@ -18,9 +18,10 @@ from collections import Counter
 
 import pytest
 
-from repro.compress import compress
+from repro.compress import CompressedTrace, compress
 from repro.engine.batch import OP_JOIN, OP_WRITE, EventBatch
 from repro.engine.ingest import BatchEngine
+from repro.engine.snapshot import load_checkpoint, state_digest
 from repro.errors import ProtocolError, ServeError
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
@@ -35,6 +36,7 @@ from repro.serve import (
 )
 from repro.serve import protocol as wire
 from repro.serve.server import RaceServer, _ServerSession, start_metrics_http
+from repro.serve.session import _BYE
 
 from .conftest import RawConn, local_race_multiset, race_multiset
 
@@ -219,6 +221,30 @@ BAD_TABLES = {
 }
 
 
+def repeated_write(n: int) -> CompressedTrace:
+    """``n`` writes of location 0 by the root task, as one one-event
+    block repeated ``n`` times."""
+    block = EventBatch(
+        array("B", [OP_WRITE]), array("i", [0]), array("i", [0])
+    )
+    return CompressedTrace(1, [block], [(0, n)])
+
+
+def cbatch_bomb() -> bytes:
+    """A 93-byte CBATCH payload: one one-event block and four rules of
+    repeat 2**32 - 1, expanding to 17,179,869,180 events."""
+    repeat = 2 ** 32 - 1
+    block = repeated_write(1).blocks[0]
+    return b"".join([
+        wire._CBATCH_HEADER.pack(
+            wire._native_flag(), 1, 4 * repeat, 1, 4, 0, 0
+        ),
+        wire._CBATCH_LEN.pack(1),
+        block.ops.tobytes(), block.a.tobytes(), block.b.tobytes(),
+        wire._CBATCH_RULE.pack(0, repeat) * 4,
+    ])
+
+
 def with_table(ftype: int, payload: bytes, table: bytes) -> bytes:
     """A BATCH/CBATCH ``payload`` encoded without a table, with
     ``table`` spliced in as its shipped location table."""
@@ -347,6 +373,38 @@ class TestProtocolViolations:
             conn.send_frame(wire.FRAME_BYE)
             message = conn.expect_error(wire.ERR_MALFORMED_BATCH)
             assert "location table" in message
+
+    def test_cbatch_bomb_rejected_as_malformed(self, front_end):
+        """93 bytes claiming 4 x (2**32 - 1) repeats of a one-event
+        block: refused before anything expands it."""
+        frame = cbatch_bomb()
+        assert len(frame) == 93
+        with make_front_end(front_end) as srv, RawConn(
+            srv.port, features=wire.FLAG_CBATCH
+        ) as conn:
+            conn.send_frame(wire.FRAME_CBATCH, frame)
+            message = conn.expect_error(wire.ERR_MALFORMED_BATCH)
+            assert "17179869180" in message
+            conn.expect_eof()
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-cap", "over-cap"])
+    def test_cbatch_expansion_capped_by_max_frame(self, front_end, extra):
+        # A raw BATCH under a 1,024-byte cap carries at most 113
+        # events; a CBATCH may expand to exactly as many.
+        cap = 1024 // 9
+        ctrace = repeated_write(cap + extra)
+        with make_front_end(front_end, max_frame=1024) as srv, RawConn(
+            srv.port, features=wire.FLAG_CBATCH
+        ) as conn:
+            conn.send_frame(
+                wire.FRAME_CBATCH, wire.encode_cbatch_payload(ctrace)
+            )
+            conn.send_frame(wire.FRAME_BYE)
+            if extra:
+                message = conn.expect_error(wire.ERR_MALFORMED_BATCH)
+                assert f"over the {cap}" in message
+            else:
+                assert conn.expect_bye() == (cap, 0)
 
     def test_access_beyond_shipped_table_rejected(self, front_end):
         batch = EventBatch(
@@ -520,26 +578,69 @@ class TestSessionLifecycle:
 
 
 class TestBackpressure:
-    def test_16_sessions_bounded_queue(self, big_workload):
+    def test_16_sessions_bounded_queue(self, front_end, big_workload):
         """The acceptance bar: 16 sessions under a tiny credit window
-        cannot grow the server queue past ``sessions x window``, and
-        the high-water mark forces real credit stalls."""
+        cannot grow the queue past ``sessions x window``."""
         batch, _ = big_workload
         sessions, window = 16, 2
         registry = MetricsRegistry()
-        with make_server(
-            registry, credit_window=window, queue_high_water=1
+        prefix = FRONT_ENDS[front_end]
+        with make_front_end(
+            front_end, registry, credit_window=window, queue_high_water=1
         ) as srv:
             result = run_load(
                 "127.0.0.1", srv.port, batch,
                 sessions=sessions, batch_size=16384,
             )
         assert result.events == sessions * len(batch)
-        depth_max = counter_value(registry, "serve_queue_depth_max")
+        depth_max = counter_value(registry, f"{prefix}_queue_depth_max")
         assert 0 < depth_max <= sessions * window
-        assert counter_value(registry, "serve_credit_stalls_total") > 0
         # every withheld grant was eventually returned: the stream ran
         # to completion, which send_batch's credit wait already proves
+        if front_end == "cluster":
+            # The gateway's queue builds while its route hop is in
+            # flight, so the high-water mark forces real stalls.  A
+            # single server ingests on its loop, where a session's read
+            # loop rarely outruns its consumer: its stall path is pinned
+            # by test_consume_withholds_credit_above_high_water.
+            stalls = counter_value(registry, f"{prefix}_credit_stalls_total")
+            assert stalls > 0
+
+    def test_consume_withholds_credit_above_high_water(self, small_workload):
+        batch, _ = small_workload
+        registry = MetricsRegistry()
+        server = RaceServer(ServeConfig(queue_high_water=2), registry=registry)
+        session = _ServerSession(1, FrameSink(), wire.DEFAULT_MAX_FRAME)
+        seen = []  # (withheld, credits) as each batch starts its ingest
+        apply = server._apply
+
+        def recording_apply(s, piece, compressed):
+            seen.append((s.withheld, s.credits))
+            return apply(s, piece, compressed)
+
+        server._apply = recording_apply
+
+        async def main():
+            await server._open(session)
+            # the client spent its whole window: four batches queued,
+            # two above the high-water mark
+            session.credits = 4
+            for piece in list(batch.slices(256))[:4]:
+                await server._accept_batch(
+                    session, wire.FRAME_BATCH, wire.encode_batch_payload(piece)
+                )
+            assert session.queued == 4 and session.credits == 0
+            session.queue.put_nowait(_BYE)
+            await server._consume(session)
+
+        asyncio.run(main())
+        # batches 1 and 2 leave the queue at or above the mark: both
+        # grants are withheld; batch 3 drops it below and returns them
+        # with its own, batch 4 returns one
+        assert seen == [(0, 0), (1, 0), (2, 0), (0, 3)]
+        assert session.writer.credits() == [3, 1]
+        assert session.credits == 4 and session.withheld == 0
+        assert counter_value(registry, "serve_credit_stalls_total") == 2
 
     def test_queue_depth_returns_to_zero(self, front_end, small_workload):
         batch, _ = small_workload
@@ -569,6 +670,162 @@ class TestGatewayFrontEnd(TestProtocolViolations):
     test_queue_depth_returns_to_zero = (
         TestBackpressure.test_queue_depth_returns_to_zero
     )
+    test_16_sessions_bounded_queue = (
+        TestBackpressure.test_16_sessions_bounded_queue
+    )
+
+
+class FrameSink:
+    """A stand-in ``StreamWriter`` that keeps every frame written and
+    never blocks, for driving a session's consumer without a socket."""
+
+    def __init__(self) -> None:
+        self.frames = []
+
+    def write(self, data: bytes) -> None:
+        length, ftype, _crc = wire.parse_frame_header(data)
+        self.frames.append((ftype, data[wire.FRAME_HEADER_SIZE:]))
+
+    async def drain(self) -> None:
+        pass
+
+    def credits(self) -> list:
+        return [
+            wire.decode_credit(payload)
+            for ftype, payload in self.frames
+            if ftype == wire.FRAME_CREDIT
+        ]
+
+
+class TestLoopDiscipline:
+    """Ingest runs on the event loop, one batch per consumer turn."""
+
+    def test_ingest_runs_on_the_loop_thread(self, small_workload, monkeypatch):
+        batch, _ = small_workload
+        threads = []
+        ingest = BatchEngine.ingest
+
+        def recording_ingest(engine, piece):
+            threads.append(threading.get_ident())
+            return ingest(engine, piece)
+
+        monkeypatch.setattr(BatchEngine, "ingest", recording_ingest)
+        with make_server() as srv:
+            summary = submit_batch(
+                "127.0.0.1", srv.port, batch, batch_size=512
+            )
+            loop_thread = srv._thread.ident
+        assert summary.events == len(batch)
+        assert len(threads) == len(list(batch.slices(512)))
+        assert set(threads) == {loop_thread}
+
+    def test_sessions_interleave_batch_by_batch(self, small_workload):
+        batch, _ = small_workload
+        pieces = list(batch.slices(256))[:3]
+        server = RaceServer(registry=MetricsRegistry())
+        order = []
+        apply = server._apply
+
+        def recording_apply(s, piece, compressed):
+            order.append(s.sid)
+            return apply(s, piece, compressed)
+
+        server._apply = recording_apply
+
+        async def main():
+            sessions = [
+                _ServerSession(sid, FrameSink(), wire.DEFAULT_MAX_FRAME)
+                for sid in (1, 2)
+            ]
+            for session in sessions:
+                await server._open(session)
+                session.credits = len(pieces)
+                for piece in pieces:
+                    await server._accept_batch(
+                        session, wire.FRAME_BATCH,
+                        wire.encode_batch_payload(piece),
+                    )
+                session.queue.put_nowait(_BYE)
+            await asyncio.gather(*(server._consume(s) for s in sessions))
+
+        asyncio.run(main())
+        assert order == [1, 2, 1, 2, 1, 2]
+
+    def test_cancel_at_the_yield_checkpoints_what_the_engine_holds(
+        self, small_workload, tmp_path
+    ):
+        """A shutdown cancel requested while the engine runs lands at
+        the consumer's yield, after ``applied_seq`` caught up: the
+        final checkpoint's seq covers exactly what its engine holds,
+        and a RESUME that replays every batch applies none twice."""
+        batch, _ = small_workload
+        pieces = list(batch.slices(512))[:4]
+        payloads = [
+            wire.encode_batch_payload(piece, seq=i)
+            for i, piece in enumerate(pieces, 1)
+        ]
+        registry = MetricsRegistry()
+        server = RaceServer(
+            ServeConfig(checkpoint_dir=str(tmp_path), checkpoint_interval=99),
+            registry=registry,
+        )
+        token = wire.encode_resume("tok")
+        apply = server._apply
+        consumer = None
+
+        def cancelling_apply(s, piece, compressed):
+            new = apply(s, piece, compressed)
+            if s.engine.events_ingested == len(pieces[0]) + len(pieces[1]):
+                consumer.cancel()  # as shutdown would, mid-ingest
+            return new
+
+        async def session_with(sid: int) -> _ServerSession:
+            session = _ServerSession(sid, FrameSink(), wire.DEFAULT_MAX_FRAME)
+            await server._open(session)
+            await server._resume(session, token)
+            session.credits = len(payloads)
+            for payload in payloads:
+                await server._accept_batch(session, wire.FRAME_BATCH, payload)
+            return session
+
+        async def crash():
+            nonlocal consumer
+            session = await session_with(1)
+            server._apply = cancelling_apply
+            consumer = asyncio.ensure_future(server._consume(session))
+            with pytest.raises(asyncio.CancelledError):
+                await consumer
+            server._apply = apply
+            digest = state_digest(session.engine)
+            await server._close(session)  # the final checkpoint
+            return session.applied_seq, digest
+
+        async def resume():
+            session = await session_with(2)
+            session.queue.put_nowait(_BYE)
+            await server._consume(session)
+            return session
+
+        applied, digest = asyncio.run(crash())
+        assert applied == 2
+        assert digest == state_digest(local_engine(pieces[:2]))
+        engine, meta = load_checkpoint(str(tmp_path / "tok.ckpt"))
+        assert meta["seq"] == 2
+        assert state_digest(engine) == digest
+
+        resumed = asyncio.run(resume())
+        assert counter_value(registry, "serve_duplicate_batches_total") == 2
+        assert resumed.applied_seq == 4
+        assert state_digest(resumed.engine) == state_digest(
+            local_engine(pieces)
+        )
+
+
+def local_engine(pieces) -> BatchEngine:
+    engine = BatchEngine()
+    for piece in pieces:
+        engine.ingest(piece)
+    return engine
 
 
 class TestBackendNegotiation:
@@ -751,6 +1008,16 @@ class TestConfigValidation:
                 assert client.max_frame == 4096
                 with pytest.raises(ProtocolError, match="slice it smaller"):
                     client.send_batch(batch)
+
+    def test_client_refuses_overexpanding_cbatch(self):
+        cap = 1024 // 9
+        with make_server(max_frame=1024) as srv:
+            with RaceClient("127.0.0.1", srv.port, compress=True) as client:
+                with pytest.raises(ProtocolError, match=f"over the {cap}"):
+                    client.send_compressed(repeated_write(cap + 1))
+                assert client.batches_sent == 0
+                client.send_compressed(repeated_write(cap))
+                assert client.finish().events == cap
 
 
 @pytest.mark.predict
