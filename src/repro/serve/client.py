@@ -1,5 +1,13 @@
 """Blocking client for the RPRSERVE protocol, plus a load generator.
 
+:class:`ClientCore` is the client side of one session without any
+I/O: the HELLO grant checks, the RESUME durable check, batch
+sequencing and the frames retained until an ACK covers them, the
+CREDIT/RACES/ACK/ERROR fold, the merged race stream and the BYE
+summary check.  Two transports drive it: :class:`RaceClient` here,
+and the gateway's worker links, which run on the gateway's event
+loop (:mod:`repro.serve.cluster`).
+
 :class:`RaceClient` is the synchronous counterpart of
 :class:`~repro.serve.server.RaceServer`: it speaks the HELLO exchange,
 pushes :class:`~repro.engine.batch.EventBatch` columns as BATCH
@@ -36,6 +44,7 @@ __all__ = [
     "TransportError",
     "RemoteError",
     "ClientSummary",
+    "ClientCore",
     "RaceClient",
     "submit_batch",
     "submit_trace",
@@ -79,7 +88,292 @@ class ClientSummary:
     reports: List[RaceReport] = field(default_factory=list)
 
 
-class RaceClient:
+class ClientCore:
+    """The client side of one RPRSERVE session, without I/O.
+
+    Everything a client must remember and check lives here, once; a
+    transport subclasses it and adds only socket reads and writes,
+    waits and retry backoff (:class:`RaceClient` with blocking
+    sockets, the gateway's worker links with asyncio streams).  A
+    transport writes :meth:`hello_payload` (and on a durable session
+    :meth:`resume_payload`) and hands the replies to
+    :meth:`on_hello_reply` and :meth:`on_resume_frame`; it writes each
+    frame :meth:`stage_batch` returns once it holds a unit of
+    :attr:`credit`, feeds every frame it reads to :meth:`receive`, and
+    after a dropped connection redoes the handshake and writes
+    :meth:`replay_frames`.  After BYE it feeds frames to
+    :meth:`on_bye_frame` until the summary arrives.
+
+    :attr:`races` is the merged race stream in seq order.  RACES at a
+    seq *replace* that seq's previous reports (a replay re-derives
+    them), so a resumed stream never double-counts; a frame past every
+    seq seen so far -- the common case -- is an append, so the list
+    only grows between replays and reading its new tail is O(new).
+    """
+
+    def __init__(
+        self,
+        *,
+        max_frame: int = wire.DEFAULT_MAX_FRAME,
+        session: Optional[str] = None,
+        backend: Optional[str] = None,
+        compress: bool = False,
+        interner: Optional[LocationInterner] = None,
+        ship_locations: bool = False,
+    ) -> None:
+        if session is not None and not wire.valid_session_token(session):
+            raise ServeError(f"invalid session token: {session!r}")
+        self.max_frame = max_frame
+        self.session = session
+        self.backend = backend
+        self.compress = compress
+        self.interner = interner
+        self.ship_locations = ship_locations
+        self.negotiated_backend: Optional[str] = None
+        #: engine workers behind the server (from the HELLO reply)
+        self.negotiated_workers = 1
+        self.credit = 0
+        self.events_sent = 0
+        self.batches_sent = 0
+        self.durable_seq = 0  #: highest seq the server has checkpointed
+        self.reconnects = 0
+        #: race reports streamed back so far, in seq order
+        self.races: List[RaceReport] = []
+        #: seq -> that seq's reports (seq 0: every unsequenced report)
+        self._races_by_seq: Dict[int, List[RaceReport]] = {}
+        self._race_tail = 0  # the highest seq in _races_by_seq
+        self._shipped_locations = 0
+        self._finished: Optional[Tuple[int, int]] = None
+        self._next_seq = 1
+        #: seq -> (frame type, encoded payload), retained for replay
+        self._unacked: Dict[int, Tuple[int, bytes]] = {}
+
+    # -- handshake -----------------------------------------------------------
+
+    def hello_payload(self) -> bytes:
+        return wire.encode_hello(
+            self.max_frame, backend=self.backend,
+            features=wire.FLAG_CBATCH if self.compress else 0,
+        )
+
+    def on_hello_reply(self, ftype: int, payload: bytes) -> None:
+        """Fold the server's HELLO reply in; a refusal or a grant short
+        of what was requested raises."""
+        if ftype == wire.FRAME_ERROR:
+            raise RemoteError(*wire.decode_error(payload))
+        if ftype != wire.FRAME_HELLO:
+            raise ProtocolError(
+                f"expected HELLO reply, got {wire.FRAME_NAMES[ftype]}"
+            )
+        credit, max_frame, granted, features, workers = (
+            wire.decode_hello_reply(payload)
+        )
+        if self.backend is not None and granted != self.backend:
+            raise ServeError(
+                f"requested the {self.backend!r} backend but the "
+                f"server granted {granted!r}"
+            )
+        if self.compress and not features & wire.FLAG_CBATCH:
+            raise ServeError(
+                "requested compressed (CBATCH) ingestion but the "
+                "server did not grant it"
+            )
+        self.negotiated_backend = granted
+        self.negotiated_workers = workers
+        self.credit = credit
+        self.max_frame = max_frame
+
+    def resume_payload(self) -> bytes:
+        assert self.session is not None
+        return wire.encode_resume(self.session)
+
+    def on_resume_frame(self, ftype: int, payload: bytes) -> bool:
+        """After :meth:`receive`: true once the RESUME reply arrived
+        and the server's durable sequence is folded in."""
+        if ftype != wire.FRAME_RESUME:
+            if ftype not in (wire.FRAME_CREDIT, wire.FRAME_ACK):
+                raise ProtocolError(
+                    f"expected RESUME reply, got {wire.FRAME_NAMES[ftype]}"
+                )
+            return False
+        durable = wire.decode_resume_reply(payload)
+        if durable < self.durable_seq:
+            # The server lost a checkpoint it had ACKed (deleted, say,
+            # by a RELEASE BYE whose reply never arrived): replaying
+            # the unacked tail onto a fresh engine would answer wrongly.
+            raise ServeError(
+                f"session {self.session!r} resumed at seq {durable}, "
+                f"below the acknowledged seq {self.durable_seq}"
+            )
+        # The server follows the reply with one snapshot RACES frame
+        # (keyed at the durable seq) covering everything the restored
+        # engine already found; drop our per-seq entries at or below it
+        # so the snapshot replaces rather than double-counts them.
+        self._drop_races_through(durable)
+        self._trim_acked(durable)
+        # A brand-new client resuming an existing token continues the
+        # sequence where the checkpoint left it; everything at or below
+        # ``durable_seq`` is already applied server-side.
+        if self._next_seq <= durable:
+            self._next_seq = durable + 1
+        return True
+
+    def replay_frames(self) -> List[Tuple[int, bytes]]:
+        """The retained frames a reconnected durable session resends,
+        in seq order (everything no checkpoint covers yet)."""
+        return [self._unacked[seq] for seq in sorted(self._unacked)]
+
+    # -- streaming -----------------------------------------------------------
+
+    def _table_delta(self) -> Sequence:
+        if not self.ship_locations:
+            return ()
+        if self.interner is None:
+            raise ServeError(
+                "ship_locations needs the session's interner"
+            )
+        table = self.interner.locations()
+        new_locations = table[self._shipped_locations:]
+        self._shipped_locations = len(table)
+        return new_locations
+
+    def _seq(self) -> int:
+        if self._finished is not None:
+            raise ServeError("session already finished (BYE sent)")
+        return self._next_seq if self.session is not None else 0
+
+    def stage_batch(self, batch: EventBatch) -> Tuple[int, bytes]:
+        """Encode one BATCH frame and sequence it; returns the frame
+        for the transport to write once it holds a credit."""
+        seq = self._seq()
+        payload = wire.encode_batch_payload(
+            batch, self._table_delta(), seq=seq
+        )
+        if len(payload) > self.max_frame:
+            raise ProtocolError(
+                f"batch of {len(batch)} events encodes to {len(payload)} "
+                f"bytes, over the negotiated frame cap of "
+                f"{self.max_frame}; slice it smaller"
+            )
+        return self._stage(wire.FRAME_BATCH, payload, seq, len(batch))
+
+    def stage_compressed(self, ctrace) -> Tuple[int, bytes]:
+        """Encode one CBATCH frame and sequence it (see
+        :meth:`RaceClient.send_compressed`)."""
+        seq = self._seq()
+        if not self.compress:
+            raise ServeError(
+                "send_compressed needs a session connected with "
+                "compress=True"
+            )
+        wire.check_cbatch_events(len(ctrace), self.max_frame)
+        payload = wire.encode_cbatch_payload(
+            ctrace, self._table_delta(), seq=seq
+        )
+        if len(payload) > self.max_frame:
+            raise ProtocolError(
+                f"compressed trace of {len(ctrace)} events encodes to "
+                f"{len(payload)} bytes, over the negotiated frame cap "
+                f"of {self.max_frame}; compress smaller slices"
+            )
+        return self._stage(wire.FRAME_CBATCH, payload, seq, len(ctrace))
+
+    def _stage(
+        self, ftype: int, payload: bytes, seq: int, events: int
+    ) -> Tuple[int, bytes]:
+        if seq:
+            # Retained verbatim until an ACK covers it: a replay after
+            # reconnect must resend the *same bytes* (same seq, same
+            # location-table delta) for server-side dedup to hold.
+            self._next_seq += 1
+            self._unacked[seq] = (ftype, payload)
+        self.events_sent += events
+        self.batches_sent += 1
+        return ftype, payload
+
+    def receive(self, ftype: int, payload: bytes) -> None:
+        """Fold one frame from the server into session state: CREDIT,
+        RACES and ACK update it, ERROR raises :class:`RemoteError`;
+        other frames are left to the caller."""
+        if ftype == wire.FRAME_CREDIT:
+            self.credit += wire.decode_credit(payload)
+        elif ftype == wire.FRAME_RACES:
+            self._fold_races(*wire.decode_races(payload))
+        elif ftype == wire.FRAME_ACK:
+            self._trim_acked(wire.decode_ack(payload))
+        elif ftype == wire.FRAME_ERROR:
+            raise RemoteError(*wire.decode_error(payload))
+
+    def _trim_acked(self, durable: int) -> None:
+        if durable > self.durable_seq:
+            self.durable_seq = durable
+        for seq in [s for s in self._unacked if s <= self.durable_seq]:
+            del self._unacked[seq]
+
+    def _fold_races(self, seq: int, reports: List[RaceReport]) -> None:
+        """Put one RACES frame's reports at ``seq``: sequenced frames
+        replace that seq's reports, unsequenced ones (seq 0) accumulate.
+        A frame past every seq seen appends to :attr:`races`; any other
+        (a replay, a RESUME snapshot) rebuilds it in place."""
+        by_seq = self._races_by_seq
+        if seq:
+            by_seq[seq] = reports
+        else:
+            by_seq.setdefault(0, []).extend(reports)
+        if seq > self._race_tail or seq == self._race_tail == 0:
+            self._race_tail = seq
+            self.races.extend(reports)
+        else:
+            self._rebuild_races()
+
+    def _drop_races_through(self, durable: int) -> None:
+        by_seq = self._races_by_seq
+        dropped = [seq for seq in by_seq if 0 < seq <= durable]
+        if dropped:
+            for seq in dropped:
+                del by_seq[seq]
+            self._race_tail = max(by_seq, default=0)
+            self._rebuild_races()
+
+    def _rebuild_races(self) -> None:
+        by_seq = self._races_by_seq
+        self.races[:] = [r for seq in sorted(by_seq) for r in by_seq[seq]]
+
+    # -- finishing -----------------------------------------------------------
+
+    def on_bye_frame(self, ftype: int, payload: bytes) -> bool:
+        """After :meth:`receive`: true once the server's BYE summary
+        arrived; anything but CREDIT, RACES or ACK before it is a
+        protocol error."""
+        if ftype == wire.FRAME_BYE:
+            self._finished = wire.decode_bye_summary(payload)
+            return True
+        if ftype not in (
+            wire.FRAME_CREDIT, wire.FRAME_RACES, wire.FRAME_ACK
+        ):
+            raise ProtocolError(
+                f"unexpected {wire.FRAME_NAMES[ftype]} frame "
+                f"while draining"
+            )
+        return False
+
+    def bye_summary(self) -> Tuple[int, int]:
+        """The server's ``(events, races)`` summary, cross-checked
+        against the events this session sent."""
+        assert self._finished is not None
+        events, races = self._finished
+        if self.session is None and events != self.events_sent:
+            # A resumed session legitimately diverges: the server's
+            # total includes checkpointed events from a prior
+            # connection, while replayed duplicates are skipped.
+            raise ProtocolError(
+                f"server ingested {events} events, client sent "
+                f"{self.events_sent}"
+            )
+        return events, races
+
+
+class RaceClient(ClientCore):
     """One blocking RPRSERVE session.
 
     Use as a context manager (connects on entry, closes on exit)::
@@ -95,6 +389,8 @@ class RaceClient:
     bound.  RACES frames are decoded as they arrive into
     :attr:`races`; location ids in them are the client's own interned
     ids unless the session ships its table (``ship_locations=True``).
+    The protocol state is :class:`ClientCore`'s; this class adds the
+    socket, the blocking waits and the retry backoff.
 
     Passing ``backend="lattice2d"`` (the name an observed-race server
     grants; a ``--predict`` server grants ``"shb"``) requests that
@@ -136,46 +432,17 @@ class RaceClient:
         backend: Optional[str] = None,
         compress: bool = False,
     ) -> None:
-        if session is not None and not wire.valid_session_token(session):
-            raise ServeError(f"invalid session token: {session!r}")
+        super().__init__(
+            max_frame=max_frame, session=session, backend=backend,
+            compress=compress, interner=interner,
+            ship_locations=ship_locations,
+        )
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.max_frame = max_frame
-        self.interner = interner
-        self.ship_locations = ship_locations
-        self.session = session
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.backend = backend
-        self.compress = compress
-        self.negotiated_backend: Optional[str] = None
-        #: engine workers behind the server (from the HELLO reply)
-        self.negotiated_workers = 1
-        self.credit = 0
-        self.events_sent = 0
-        self.batches_sent = 0
-        self.durable_seq = 0  #: highest seq the server has checkpointed
-        self.reconnects = 0
         self._sock: Optional[socket.socket] = None
-        self._shipped_locations = 0
-        self._finished: Optional[Tuple[int, int]] = None
-        self._next_seq = 1
-        #: seq -> (frame type, encoded payload), retained for replay
-        self._unacked: Dict[int, Tuple[int, bytes]] = {}
-        self._races_by_seq: Dict[int, List[RaceReport]] = {}
-        self._races_unseq: List[RaceReport] = []
-
-    @property
-    def races(self) -> List[RaceReport]:
-        """Race reports streamed back so far, in stream order.
-
-        Sequenced RACES frames are keyed by batch seq and *replace* on
-        replay, so a resumed session never double-counts a report."""
-        out = list(self._races_unseq)
-        for seq in sorted(self._races_by_seq):
-            out.extend(self._races_by_seq[seq])
-        return out
 
     # -- connection ----------------------------------------------------------
 
@@ -194,100 +461,24 @@ class RaceClient:
             ) from exc
         self._sock = sock
         try:
-            self._hello()
+            self._send_frame(wire.FRAME_HELLO, self.hello_payload())
+            self.on_hello_reply(*self._recv_frame())
             if self.session is not None:
-                self._resume_handshake()
+                self._send_frame(wire.FRAME_RESUME, self.resume_payload())
+                while not self.on_resume_frame(*self._pump()):
+                    pass
         except BaseException:
             self.close()  # a refused handshake leaves no socket open
             raise
         return self
-
-    def _hello(self) -> None:
-        """Send HELLO and fold the server's reply in."""
-        self._send_frame(
-            wire.FRAME_HELLO,
-            wire.encode_hello(
-                self.max_frame, backend=self.backend,
-                features=wire.FLAG_CBATCH if self.compress else 0,
-            ),
-        )
-        ftype, payload = self._recv_frame()
-        if ftype == wire.FRAME_ERROR:
-            code, message = wire.decode_error(payload)
-            raise RemoteError(code, message)
-        if ftype != wire.FRAME_HELLO:
-            raise ProtocolError(
-                f"expected HELLO reply, got {wire.FRAME_NAMES[ftype]}"
-            )
-        credit, max_frame, granted, features, workers = (
-            wire.decode_hello_reply(payload)
-        )
-        if self.backend is not None and granted != self.backend:
-            raise ServeError(
-                f"requested the {self.backend!r} backend but the "
-                f"server granted {granted!r}"
-            )
-        if self.compress and not features & wire.FLAG_CBATCH:
-            raise ServeError(
-                "requested compressed (CBATCH) ingestion but the "
-                "server did not grant it"
-            )
-        self.negotiated_backend = granted
-        self.negotiated_workers = workers
-        self.credit = credit
-        self.max_frame = max_frame
-
-    def _resume_handshake(self) -> None:
-        """Send RESUME and fold the server's durable sequence in."""
-        assert self.session is not None
-        self._send_frame(wire.FRAME_RESUME, wire.encode_resume(self.session))
-        while True:
-            ftype, payload = self._pump()
-            if ftype == wire.FRAME_RESUME:
-                durable = wire.decode_resume_reply(payload)
-                break
-            if ftype not in (wire.FRAME_CREDIT, wire.FRAME_ACK):
-                raise ProtocolError(
-                    f"expected RESUME reply, got {wire.FRAME_NAMES[ftype]}"
-                )
-        if durable < self.durable_seq:
-            # The server lost a checkpoint it had ACKed (deleted, say,
-            # by a RELEASE BYE whose reply never arrived): replaying
-            # the unacked tail onto a fresh engine would answer wrongly.
-            raise ServeError(
-                f"session {self.session!r} resumed at seq {durable}, "
-                f"below the acknowledged seq {self.durable_seq}"
-            )
-        # The server follows the reply with one snapshot RACES frame
-        # (keyed at the durable seq) covering everything the restored
-        # engine already found; drop our per-seq entries at or below it
-        # so the snapshot replaces rather than double-counts them.
-        for seq in [s for s in self._races_by_seq if s <= durable]:
-            del self._races_by_seq[seq]
-        self._trim_acked(durable)
-        # A brand-new client resuming an existing token continues the
-        # sequence where the checkpoint left it; everything at or below
-        # ``durable_seq`` is already applied server-side.
-        if self._next_seq <= durable:
-            self._next_seq = durable + 1
-
-    def _trim_acked(self, durable: int) -> None:
-        if durable > self.durable_seq:
-            self.durable_seq = durable
-        for seq in [s for s in self._unacked if s <= self.durable_seq]:
-            del self._unacked[seq]
 
     def _redial(self) -> None:
         """Reconnect a durable session and replay past the server's
         durable point (everything not yet covered by a checkpoint)."""
         self.connect()
         self.reconnects += 1
-        for seq in sorted(self._unacked):
-            ftype, payload = self._unacked[seq]
-            while self.credit <= 0:
-                self._pump()
-            self.credit -= 1
-            self._send_frame(ftype, payload)
+        for ftype, payload in self.replay_frames():
+            self._send_payload(ftype, payload)
 
     def _with_retry(self, fn: Callable[[], None]) -> None:
         """Run ``fn``, transparently reconnect-and-replaying a durable
@@ -366,56 +557,23 @@ class RaceClient:
         return ftype, payload
 
     def _pump(self) -> Tuple[int, bytes]:
-        """Read one frame, folding CREDIT/RACES into client state;
+        """Read one frame and fold it in (:meth:`ClientCore.receive`);
         returns the frame for the caller to inspect too."""
         ftype, payload = self._recv_frame()
-        if ftype == wire.FRAME_CREDIT:
-            self.credit += wire.decode_credit(payload)
-        elif ftype == wire.FRAME_RACES:
-            seq, reports = wire.decode_races(payload)
-            if seq:
-                self._races_by_seq[seq] = reports
-            else:
-                self._races_unseq.extend(reports)
-        elif ftype == wire.FRAME_ACK:
-            self._trim_acked(wire.decode_ack(payload))
-        elif ftype == wire.FRAME_ERROR:
-            code, message = wire.decode_error(payload)
+        try:
+            self.receive(ftype, payload)
+        except RemoteError:
             self.close()
-            raise RemoteError(code, message)
+            raise
         return ftype, payload
 
     # -- streaming -----------------------------------------------------------
 
-    def _table_delta(self) -> Sequence:
-        if not self.ship_locations:
-            return ()
-        if self.interner is None:
-            raise ServeError(
-                "ship_locations needs the session's interner"
-            )
-        table = self.interner.locations()
-        new_locations = table[self._shipped_locations:]
-        self._shipped_locations = len(table)
-        return new_locations
-
     def send_batch(self, batch: EventBatch) -> None:
         """Push one BATCH frame, waiting for credit first if the
         session has none outstanding."""
-        if self._finished is not None:
-            raise ServeError("session already finished (BYE sent)")
-        new_locations = self._table_delta()
-        seq = self._next_seq if self.session is not None else 0
-        payload = wire.encode_batch_payload(batch, new_locations, seq=seq)
-        if len(payload) > self.max_frame:
-            raise ProtocolError(
-                f"batch of {len(batch)} events encodes to {len(payload)} "
-                f"bytes, over the negotiated frame cap of "
-                f"{self.max_frame}; slice it smaller"
-            )
-        self._send_sequenced(wire.FRAME_BATCH, payload, seq)
-        self.events_sent += len(batch)
-        self.batches_sent += 1
+        ftype, payload = self.stage_batch(batch)
+        self._with_retry(lambda: self._send_payload(ftype, payload))
 
     def send_compressed(self, ctrace) -> None:
         """Push one :class:`~repro.compress.CompressedTrace` as a
@@ -428,34 +586,7 @@ class RaceClient:
         BATCH could carry) is refused before anything is sent, as the
         server would refuse it.
         """
-        if self._finished is not None:
-            raise ServeError("session already finished (BYE sent)")
-        if not self.compress:
-            raise ServeError(
-                "send_compressed needs a session connected with "
-                "compress=True"
-            )
-        wire.check_cbatch_events(len(ctrace), self.max_frame)
-        new_locations = self._table_delta()
-        seq = self._next_seq if self.session is not None else 0
-        payload = wire.encode_cbatch_payload(ctrace, new_locations, seq=seq)
-        if len(payload) > self.max_frame:
-            raise ProtocolError(
-                f"compressed trace of {len(ctrace)} events encodes to "
-                f"{len(payload)} bytes, over the negotiated frame cap "
-                f"of {self.max_frame}; compress smaller slices"
-            )
-        self._send_sequenced(wire.FRAME_CBATCH, payload, seq)
-        self.events_sent += len(ctrace)
-        self.batches_sent += 1
-
-    def _send_sequenced(self, ftype: int, payload: bytes, seq: int) -> None:
-        if seq:
-            # Retained verbatim until an ACK covers it: a replay after
-            # reconnect must resend the *same bytes* (same seq, same
-            # location-table delta) for server-side dedup to hold.
-            self._next_seq += 1
-            self._unacked[seq] = (ftype, payload)
+        ftype, payload = self.stage_compressed(ctrace)
         self._with_retry(lambda: self._send_payload(ftype, payload))
 
     def _send_payload(self, ftype: int, payload: bytes) -> None:
@@ -501,31 +632,13 @@ class RaceClient:
         """
         if self._finished is None:
             self._with_retry(lambda: self._finish_once(release))
-        events, races = self._finished
-        if self.session is None and events != self.events_sent:
-            # A resumed session legitimately diverges: the server's
-            # total includes checkpointed events from a prior
-            # connection, while replayed duplicates are skipped.
-            raise ProtocolError(
-                f"server ingested {events} events, client sent "
-                f"{self.events_sent}"
-            )
+        events, races = self.bye_summary()
         return ClientSummary(events, races, list(self.races))
 
     def _finish_once(self, release: bool) -> None:
         self._send_frame(wire.FRAME_BYE, wire.encode_bye(release))
-        while True:
-            ftype, payload = self._pump()
-            if ftype == wire.FRAME_BYE:
-                self._finished = wire.decode_bye_summary(payload)
-                return
-            if ftype not in (
-                wire.FRAME_CREDIT, wire.FRAME_RACES, wire.FRAME_ACK
-            ):
-                raise ProtocolError(
-                    f"unexpected {wire.FRAME_NAMES[ftype]} frame "
-                    f"while draining"
-                )
+        while not self.on_bye_frame(*self._pump()):
+            pass
 
 
 # -- replay helpers -----------------------------------------------------------

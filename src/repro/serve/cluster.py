@@ -42,11 +42,20 @@ The client-facing session -- HELLO, credit, sequencing, validation,
 drain -- is the shared :class:`~repro.serve.session.SessionCore`; this
 module is the *sink* behind it: worker links per session, split and
 fan-out per batch, the merged race stream, and the worker supervisor.
+All of it runs on the gateway's event loop.  A worker link is an
+asyncio stream driving the same sans-I/O client core
+(:class:`~repro.serve.client.ClientCore`) as the blocking
+:class:`~repro.serve.client.RaceClient`, with a reader task that folds
+the worker's CREDIT, ACK and RACES frames as they arrive; a batch is
+split, encoded and written in place, and only a link short of its
+worker's credit waits.  The one thread pool left starts worker
+processes.
 
 Everything is observable through :mod:`repro.obs` under
 ``component="cluster"``: the session core's frame, byte, credit and
 queue series, per-worker routed-access counters, unacked (replay-log)
-gauges, respawn counters.
+gauges, respawn counters, and the route and link credit-wait
+histograms.
 
 :class:`ClusterThread` is the synchronous harness (tests, benchmarks,
 docs); ``python -m repro.serve.cluster_smoke`` is a self-checking
@@ -59,7 +68,8 @@ import asyncio
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from time import perf_counter
+from typing import Awaitable, Callable, List, Optional, Set, Tuple
 
 from repro.engine.batch import EventBatch
 from repro.engine.faults import ServerProcess, free_port
@@ -67,7 +77,12 @@ from repro.engine.ingest import split_batch
 from repro.errors import ProtocolError, ServeError, WorkloadError
 from repro.obs.registry import MetricsRegistry
 from repro.serve import protocol as wire
-from repro.serve.client import RaceClient, RemoteError
+from repro.serve.client import (
+    ClientCore,
+    ConnectError,
+    RemoteError,
+    TransportError,
+)
 from repro.serve.session import (
     BACKEND,
     CoreMetrics,
@@ -75,6 +90,7 @@ from repro.serve.session import (
     Session,
     SessionConfig,
     SessionCore,
+    _read_frame,
 )
 
 __all__ = [
@@ -96,8 +112,207 @@ _RACES_CHUNK = 2048
 _LINK_SEQS = 1 << 32
 
 
-#: per-call timeout of a worker link (``RaceClient(timeout=...)``)
+#: ``cluster_route_seconds`` and ``cluster_link_credit_wait_seconds``
+#: buckets: a routed batch takes tens of microseconds to milliseconds
+_ROUTE_BUCKETS = (0.0001, 0.0005, 0.002, 0.01, 0.05, 0.25, 1.0, 5.0)
+
+#: the longest a worker link waits for one dial, frame, credit or BYE
 _LINK_TIMEOUT = 15.0
+
+
+class _WorkerLink(ClientCore):
+    """One durable gateway->worker session, driven on the gateway's
+    event loop with asyncio streams.
+
+    The protocol state is :class:`~repro.serve.client.ClientCore`'s,
+    the same the blocking :class:`~repro.serve.client.RaceClient`
+    drives; this class adds the stream, a reader task that folds
+    CREDIT, ACK and RACES frames as they arrive, the waits (each
+    bounded by ``_LINK_TIMEOUT``) and the redial: a dropped link
+    reconnects with bounded exponential backoff, RESUMEs its token
+    and replays every slice no checkpoint ACK covers yet.  Nothing
+    here blocks the loop: only a link short of credit waits, and only
+    the session that is writing to it.
+    """
+
+    def __init__(
+        self, port: int, token: str, retries: int, backoff: float
+    ) -> None:
+        super().__init__(session=token, backend=BACKEND)
+        self.port = port
+        self.retries = retries
+        self.backoff = backoff
+        #: seconds the current slice spent waiting for credit
+        self.waited = 0.0
+        self._reader: Optional[asyncio.StreamReader] = None
+        self._writer: Optional[asyncio.StreamWriter] = None
+        self._task: Optional[asyncio.Task] = None
+        self._waiter: Optional[asyncio.Future] = None
+        self._error: Optional[BaseException] = None
+
+    async def connect(self) -> None:
+        """Dial the worker, then HELLO and RESUME; the reader task
+        takes over from there."""
+        try:
+            self._reader, self._writer = await asyncio.wait_for(
+                asyncio.open_connection("127.0.0.1", self.port),
+                _LINK_TIMEOUT,
+            )
+        except (OSError, asyncio.TimeoutError) as exc:
+            raise ConnectError(
+                f"cannot connect to worker port {self.port}: {exc}"
+            ) from exc
+        self._error = None
+        try:
+            self._write(wire.FRAME_HELLO, self.hello_payload())
+            self.on_hello_reply(*await self._read())
+            self._write(wire.FRAME_RESUME, self.resume_payload())
+            while True:
+                frame = await self._read()
+                self.receive(*frame)
+                if self.on_resume_frame(*frame):
+                    break
+        except BaseException:
+            self.close()
+            raise
+        self._task = asyncio.ensure_future(self._read_loop())
+
+    def close(self) -> None:
+        if self._task is not None:
+            self._task.cancel()
+            self._task = None
+        if self._writer is not None:
+            # Unacked slices are retained for replay, so a dropped link
+            # discards what it could not write instead of flushing it.
+            self._writer.transport.abort()
+            self._writer = None
+        self._reader = None
+
+    async def _read(self) -> Tuple[int, bytes]:
+        assert self._reader is not None
+        try:
+            return await asyncio.wait_for(
+                _read_frame(self._reader, self.max_frame), _LINK_TIMEOUT
+            )
+        except (
+            asyncio.IncompleteReadError, OSError, asyncio.TimeoutError
+        ) as exc:
+            raise TransportError(
+                f"worker link read failed: {exc!r}"
+            ) from exc
+
+    async def _read_loop(self) -> None:
+        """Fold every frame the worker sends; the first failure is kept
+        for the next wait or write to raise."""
+        reader = self._reader
+        assert reader is not None
+        try:
+            while True:
+                ftype, payload = await _read_frame(reader, self.max_frame)
+                self.receive(ftype, payload)
+                self.on_bye_frame(ftype, payload)
+                self._wake()
+        except (asyncio.IncompleteReadError, OSError) as exc:
+            self._error = TransportError(f"worker link lost: {exc!r}")
+        except Exception as exc:  # a refusal or a framing fault
+            self._error = exc
+        self._wake()
+
+    def _wake(self) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    async def _wait(self, ready: Callable[[], bool]) -> None:
+        """Wait until ``ready()`` holds, at most ``_LINK_TIMEOUT``;
+        raises the reader's failure if it comes first."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _LINK_TIMEOUT
+        while not ready():
+            if self._error is not None:
+                raise self._error
+            self._waiter = loop.create_future()
+            try:
+                await asyncio.wait_for(
+                    self._waiter, deadline - loop.time()
+                )
+            except asyncio.TimeoutError:
+                raise TransportError(
+                    f"no frame from worker within {_LINK_TIMEOUT}s"
+                ) from None
+            finally:
+                self._waiter = None
+
+    def _write(self, ftype: int, payload: bytes) -> None:
+        assert self._writer is not None
+        self._writer.write(wire.encode_frame(ftype, payload))
+
+    async def _send_payload(self, ftype: int, payload: bytes) -> None:
+        if self.credit <= 0:
+            start = perf_counter()
+            await self._wait(lambda: self.credit > 0)
+            self.waited += perf_counter() - start
+        if self._error is not None:
+            raise self._error
+        self.credit -= 1
+        self._write(ftype, payload)
+        assert self._writer is not None
+        drain = self._writer.drain()
+        if self._writer.transport.get_write_buffer_size():
+            # A worker that is alive but stuck stops reading, and the
+            # socket buffers fill long before its credit runs out.
+            # (wait_for costs a task and a loop turn, so only here.)
+            drain = asyncio.wait_for(drain, _LINK_TIMEOUT)
+        try:
+            await drain
+        except asyncio.TimeoutError:
+            raise TransportError(
+                f"worker link write stalled for {_LINK_TIMEOUT}s"
+            ) from None
+        except OSError as exc:
+            raise TransportError(
+                f"worker link write failed: {exc!r}"
+            ) from exc
+
+    async def _with_retry(self, fn: Callable[[], Awaitable[None]]) -> None:
+        """Run ``fn``, redialling, RESUMEing and replaying when the link
+        drops (bounded exponential backoff); a worker's typed refusal
+        (:class:`RemoteError`) never retries."""
+        attempts = 0
+        while True:
+            try:
+                if self._writer is None:
+                    await self.connect()
+                    self.reconnects += 1
+                    for frame in self.replay_frames():
+                        await self._send_payload(*frame)
+                await fn()
+                return
+            except (TransportError, ConnectError):
+                self.close()
+                attempts += 1
+                if attempts > self.retries:
+                    raise
+                await asyncio.sleep(self.backoff * 2 ** (attempts - 1))
+
+    async def send_batch(self, batch: EventBatch) -> float:
+        """Write one slice, waiting for credit if the link has none;
+        returns the seconds spent waiting for it."""
+        frame = self.stage_batch(batch)
+        self.waited = 0.0
+        await self._with_retry(lambda: self._send_payload(*frame))
+        return self.waited
+
+    async def finish(self) -> None:
+        """RELEASE BYE: nothing resumes a link after a clean BYE, so
+        the worker deletes the session's checkpoint."""
+        if self._finished is None:
+            await self._with_retry(self._finish_once)
+
+    async def _finish_once(self) -> None:
+        if self._error is not None:
+            raise self._error
+        self._write(wire.FRAME_BYE, wire.encode_bye(True))
+        await self._wait(lambda: self._finished is not None)
 
 
 @dataclass
@@ -171,6 +386,18 @@ class _ClusterMetrics(CoreMetrics):
         self.races_streamed = self.counter(
             "races_streamed_total", "race reports forwarded to clients"
         )
+        self.route_seconds = self.histogram(
+            "route_seconds",
+            "split, encode and write of one routed batch, credit waits "
+            "excluded",
+            buckets=_ROUTE_BUCKETS,
+        )
+        self.credit_wait = self.histogram(
+            "link_credit_wait_seconds",
+            "time one routed batch's slices waited for their workers' "
+            "credit",
+            buckets=_ROUTE_BUCKETS,
+        )
 
 
 class _GatewaySession(Session):
@@ -181,7 +408,7 @@ class _GatewaySession(Session):
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self.links: List[RaceClient] = []
+        self.links: List[_WorkerLink] = []
         self.events = 0  #: events this client streamed (its BYE total)
         #: reports chunked out per link (their sum is the BYE total)
         self.races_forwarded: List[int] = []
@@ -213,8 +440,10 @@ class RaceCluster(SessionCore):
         self._tempdir = None  # TemporaryDirectory when no checkpoint_dir
         self._nonce = os.urandom(4).hex()  # keeps (session, shard)
         # tokens from colliding with a previous gateway's checkpoints
+        # Worker links run on the loop; the pool only starts workers,
+        # all of them at once at start-up and one at a time after.
         self._executor = ThreadPoolExecutor(
-            max_workers=max(8, 4 * self.config.workers),
+            max_workers=self.config.workers,
             thread_name_prefix="repro-cluster",
         )
         self.workers: List[ServerProcess] = []
@@ -270,9 +499,24 @@ class RaceCluster(SessionCore):
         return worker
 
     async def _acquire(self) -> None:
-        """Spawn the workers and their supervisor."""
-        for k in range(self.config.workers):
-            self.workers.append(await self._spawn(k, free_port()))
+        """Spawn the workers, concurrently, and their supervisor.  A
+        failed start reaps its own process; the workers that did start
+        are kept for ``_release`` to stop."""
+        self._ckpt_root()  # once, before the spawn threads race for it
+        ports: List[int] = []
+        while len(ports) < self.config.workers:
+            port = free_port()
+            if port not in ports:
+                ports.append(port)
+        started = await asyncio.gather(*[
+            self._spawn(k, port) for k, port in enumerate(ports)
+        ], return_exceptions=True)
+        self.workers = [
+            w for w in started if not isinstance(w, BaseException)
+        ]
+        for failure in started:
+            if isinstance(failure, BaseException):
+                raise failure
         self._supervisor = asyncio.ensure_future(self._supervise())
 
     async def _release(self) -> None:
@@ -337,24 +581,19 @@ class RaceCluster(SessionCore):
         the (session, shard) key.  CBATCH is grantable unconditionally:
         the gateway expands CBATCH frames itself and routes raw
         slices."""
-        loop = asyncio.get_running_loop()
-
-        def dial(k: int) -> RaceClient:
-            return RaceClient(
-                "127.0.0.1", self.workers[k].port,
-                timeout=_LINK_TIMEOUT,
-                session=f"gw{self._nonce}-{session.sid}-s{k}",
-                max_retries=self.config.link_retries,
-                retry_backoff=self.config.link_backoff,
-                backend=BACKEND,
-            ).connect()
-
-        results = await asyncio.gather(*[
-            loop.run_in_executor(self._executor, dial, k)
+        links = [
+            _WorkerLink(
+                self.workers[k].port,
+                f"gw{self._nonce}-{session.sid}-s{k}",
+                self.config.link_retries, self.config.link_backoff,
+            )
             for k in range(self.config.workers)
-        ], return_exceptions=True)
+        ]
+        results = await asyncio.gather(
+            *[link.connect() for link in links], return_exceptions=True
+        )
         session.links = [
-            r for r in results if not isinstance(r, BaseException)
+            link for link, r in zip(links, results) if r is None
         ]
         session.races_forwarded = [0] * len(session.links)
         for failure in results:
@@ -371,40 +610,34 @@ class RaceCluster(SessionCore):
         batch,
         table: Optional[int],
     ) -> bool:
-        """Route the batch in one executor hop (see :meth:`_route`) and
-        forward the new races."""
-        loop = asyncio.get_running_loop()
-        n = self.config.workers
+        """Expand a CBATCH, split by location and write each link its
+        slice, all on the loop; only a link short of credit waits.
+        Then forward the new races."""
+        start = perf_counter()
+        if not isinstance(batch, EventBatch):
+            batch = batch.decompress()
+        subs = split_batch(batch, len(session.links))
+        waited = 0.0
         try:
-            batch, subs = await loop.run_in_executor(
-                self._executor, self._route, session, batch
-            )
+            for link, sub in zip(session.links, subs):
+                waited += await link.send_batch(sub)
         except ServeError as exc:
             await self._fail(
                 session, exc, *self._worker_error(exc, "lost mid-stream")
             )
             return False
+        m = self._m
+        m.route_seconds.observe(perf_counter() - start - waited)
+        m.credit_wait.observe(waited)
         lifecycle = len(batch) - batch.access_count()
-        self._m.lifecycle.inc(lifecycle)
-        for k in range(n):
-            self._m.routed[k].inc(len(subs[k]) - lifecycle)
-            self._m.unacked[k].set(len(session.links[k]._unacked))
+        m.lifecycle.inc(lifecycle)
+        for k, link in enumerate(session.links):
+            m.routed[k].inc(len(subs[k]) - lifecycle)
+            m.unacked[k].set(len(link._unacked))
         session.events += len(batch)
-        self._m.batches.inc()
+        m.batches.inc()
         await self._forward_races(session)
         return True
-
-    @staticmethod
-    def _route(session: _GatewaySession, batch) -> Tuple[EventBatch, list]:
-        """Expand a CBATCH, split by location and ship each link its
-        slice, all in one executor hop; returns the raw batch and its
-        slices."""
-        if not isinstance(batch, EventBatch):
-            batch = batch.decompress()
-        subs = split_batch(batch, len(session.links))
-        for link, sub in zip(session.links, subs):
-            link.send_batch(sub)
-        return batch, subs
 
     async def _resume(self, session: _GatewaySession, payload: bytes) -> None:
         # Through the gateway, durability is inter-node: the gateway
@@ -424,17 +657,19 @@ class RaceCluster(SessionCore):
         """BYE fan-out: release every worker session (nothing resumes
         a link after a clean BYE, so no final checkpoint is written or
         kept), then forward the final merged race list."""
-        loop = asyncio.get_running_loop()
-        try:
-            await asyncio.gather(*[
-                loop.run_in_executor(self._executor, link.finish, True)
-                for link in session.links
-            ])
-        except ServeError as exc:
-            await self._fail(
-                session, exc, *self._worker_error(exc, "lost during drain")
-            )
-            return None
+        results = await asyncio.gather(
+            *[link.finish() for link in session.links],
+            return_exceptions=True,
+        )
+        for failure in results:
+            if isinstance(failure, ServeError):
+                await self._fail(
+                    session, failure,
+                    *self._worker_error(failure, "lost during drain"),
+                )
+                return None
+            if isinstance(failure, BaseException):
+                raise failure
         await self._forward_races(session)
         return session.events, sum(session.races_forwarded)
 
@@ -452,23 +687,25 @@ class RaceCluster(SessionCore):
         because replayed RACES frames *replace* identical content --
         except that a link just resumed holds none of its pre-checkpoint
         reports until the snapshot RACES frame is read; until then it
-        is skipped."""
+        is skipped.  The link's reader keeps appending while this
+        awaits its writes, so each link forwards the length it saw on
+        entry."""
         for k, link in enumerate(session.links):
             races = link.races
-            sent = session.races_forwarded[k]
-            if len(races) <= sent:
+            sent, n = session.races_forwarded[k], len(races)
+            if n <= sent:
                 continue
-            chunks = -(-len(races) // _RACES_CHUNK)
-            for i in range(sent // _RACES_CHUNK, chunks):
+            for i in range(sent // _RACES_CHUNK, -(-n // _RACES_CHUNK)):
+                lo = i * _RACES_CHUNK
                 await self._send(
                     session, wire.FRAME_RACES,
                     wire.encode_races(
-                        races[i * _RACES_CHUNK: (i + 1) * _RACES_CHUNK],
+                        races[lo:min(n, lo + _RACES_CHUNK)],
                         seq=k * _LINK_SEQS + i + 1,
                     ),
                 )
-            self._m.races_streamed.inc(len(races) - sent)
-            session.races_forwarded[k] = len(races)
+            self._m.races_streamed.inc(n - sent)
+            session.races_forwarded[k] = n
 
 
 class ClusterThread(CoreThread):

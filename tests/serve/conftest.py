@@ -13,7 +13,9 @@ from collections import Counter
 
 import pytest
 
+import repro.serve.cluster as cluster_module
 from repro.engine.benchlib import build_workload, capture
+from repro.engine.faults import ServerProcess
 from repro.engine.ingest import BatchEngine
 from repro.serve import protocol as wire
 
@@ -65,6 +67,18 @@ def big_workload():
     program (~101k events)."""
     _events, batch, interner = capture(build_workload(100_000))
     return batch, interner
+
+
+@pytest.fixture
+def worker_window_1(monkeypatch):
+    """Gateway workers that grant one credit at a time, so a link
+    waits for its worker's credit before nearly every slice."""
+    class TightWorker(ServerProcess):
+        def __init__(self, *args, **kwargs):
+            kwargs["extra_args"] = ("--credit-window", "1")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cluster_module, "ServerProcess", TightWorker)
 
 
 def local_race_multiset(batch) -> Counter:

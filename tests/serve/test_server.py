@@ -578,15 +578,27 @@ class TestSessionLifecycle:
 
 
 class TestBackpressure:
-    def test_16_sessions_bounded_queue(self, front_end, big_workload):
+    def test_16_sessions_bounded_queue(
+        self, front_end, big_workload, request
+    ):
         """The acceptance bar: 16 sessions under a tiny credit window
         cannot grow the queue past ``sessions x window``."""
         batch, _ = big_workload
         sessions, window = 16, 2
         registry = MetricsRegistry()
         prefix = FRONT_ENDS[front_end]
+        kw = {}
+        if front_end == "cluster":
+            # The gateway routes on its loop and yields only while a
+            # link waits for its worker's credit.  Workers that grant
+            # one credit at a time and checkpoint every slice make each
+            # batch wait, so the sessions' queues reach the high-water
+            # mark (a single server never waits inside its ingest).
+            request.getfixturevalue("worker_window_1")
+            kw["checkpoint_interval"] = 1
         with make_front_end(
-            front_end, registry, credit_window=window, queue_high_water=1
+            front_end, registry, credit_window=window, queue_high_water=1,
+            **kw,
         ) as srv:
             result = run_load(
                 "127.0.0.1", srv.port, batch,
@@ -598,11 +610,9 @@ class TestBackpressure:
         # every withheld grant was eventually returned: the stream ran
         # to completion, which send_batch's credit wait already proves
         if front_end == "cluster":
-            # The gateway's queue builds while its route hop is in
-            # flight, so the high-water mark forces real stalls.  A
-            # single server ingests on its loop, where a session's read
-            # loop rarely outruns its consumer: its stall path is pinned
-            # by test_consume_withholds_credit_above_high_water.
+            # A single server ingests on its loop, where a session's
+            # read loop rarely outruns its consumer: its stall path is
+            # pinned by test_consume_withholds_credit_above_high_water.
             stalls = counter_value(registry, f"{prefix}_credit_stalls_total")
             assert stalls > 0
 
