@@ -37,8 +37,6 @@ import sys
 DIFFERENTIAL_FLAGS = (
     ("predict_sound", True,
      "predicted race set covers every observed race"),
-    ("compressed_agrees", True,
-     "memoized detection over RPR2TRZ == decompressed replay"),
     ("serve_multinode_agrees", True,
      "location-sharded gateway == local replay at 2 and 4 workers"),
 )
@@ -47,16 +45,9 @@ DIFFERENTIAL_FLAGS = (
 #: (key, required)
 REQUIRED_SERIES = (
     ("predict", True),
-    ("compressed", True),
     ("serve_multinode_2w", True),
     ("serve_multinode_4w", True),
 )
-
-#: top-level ratios with a hard floor: (key, floor, required)
-MIN_RATIOS = (
-    ("compression_ratio", 3.0, True),
-)
-
 
 def main(argv) -> int:
     if len(argv) != 2:
@@ -104,27 +95,6 @@ def main(argv) -> int:
                 print(f"{name}: not in the record yet; skipping")
             continue
         print(f"{name}: {series[key]:,.0f} ev/s -> present")
-
-    for key, floor, required in MIN_RATIOS:
-        if key not in record:
-            if required:
-                print(f"{key}: MISSING (floor {floor:.1f}x)", file=sys.stderr)
-                failed = True
-            else:
-                print(f"{key}: not in the record yet; skipping")
-            continue
-        try:
-            ratio = float(record[key])
-        except (TypeError, ValueError):
-            print(f"{key}: unreadable value {record[key]!r}", file=sys.stderr)
-            failed = True
-            continue
-        ok = ratio >= floor
-        failed = failed or not ok
-        print(
-            f"{key}: {ratio:.2f}x (floor {floor:.1f}x) -> "
-            f"{'OK' if ok else 'VIOLATED'}"
-        )
 
     return 1 if failed else 0
 

@@ -48,32 +48,6 @@ def test_batched_beats_replay(record):
 
 
 @pytest.mark.shape
-def test_compressed_beats_batched_on_loops(record):
-    """The compressed tier's acceptance bar: memoized ingestion over
-    the grammar-compressed loops workload must beat batched raw
-    ingestion of the same stream outright (best-of), with a 2x floor
-    on the median -- repeated blocks replay as cached transitions, so
-    the margin scales with the dedup factor, not with luck."""
-    assert record["speedup_compressed_vs_batched"] > 1.0, record["seconds"]
-    assert record["speedup_compressed_vs_batched_median"] >= 2.0, record
-
-
-@pytest.mark.shape
-def test_compression_ratio_clears_3x(record):
-    """RPR2TRZ must be at least 3x smaller than the raw RPR2TRC bytes
-    on the standard loops workload (the paper-facing size claim)."""
-    assert record["compression_ratio"] >= 3.0, record["workload_loops"]
-
-
-@pytest.mark.shape
-def test_compressed_changes_no_verdicts(record):
-    """The memoized path is a pure optimisation: the differential
-    harness must certify it on both the loops and the bulk workload."""
-    assert record["differential"]["compressed_agrees"] is True
-    assert record["races"]["compressed"] > 0  # the loops workload races
-
-
-@pytest.mark.shape
 def test_metrics_overhead_within_5_percent(record):
     """Live per-batch counters vs the disabled NULL_REGISTRY engine.
 

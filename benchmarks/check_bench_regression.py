@@ -28,13 +28,6 @@ run overwrote it). The gated series:
   fresh record must instead carry
   ``differential.serve_multinode_agrees`` == true -- a gateway that
   changed race verdicts is a correctness bug, not a perf trade.
-* ``events_per_sec.compressed`` -- memoized detection over the
-  grammar-compressed loops workload.  Self-introducing (skipped with a
-  note when the baseline predates the compressed subsystem).  The
-  fresh record must also carry ``differential.compressed_agrees`` ==
-  true and a ``compression_ratio`` >= 3.0: a compressed path that
-  changed verdicts or a container that stopped paying for itself is a
-  correctness/size bug, not a perf trade.
 * ``checkpoint.save_ms`` / ``checkpoint.restore_ms`` /
   ``checkpoint.resume_replay_overhead`` -- the fault-tolerance layer's
   costs, gated *lower-is-better* with a generous 2x ceiling (these are
@@ -66,12 +59,7 @@ GATES = (
     (("events_per_sec", "serve_multinode_2w"), False),
     (("events_per_sec", "serve_multinode_4w"), False),
     (("events_per_sec", "predict"), False),
-    (("events_per_sec", "compressed"), False),
 )
-
-#: floor for the fresh ``compression_ratio`` (RPR2TRZ vs raw RPR2TRC
-#: bytes on the loops workload; the paper-facing 3x size claim)
-COMPRESSION_FLOOR = 3.0
 
 #: multiple of the baseline a lower-is-better series may grow to
 LOWER_CEILING = 2.0
@@ -161,7 +149,6 @@ def main(argv) -> int:
             f"-> {'OK' if ok else 'REGRESSION'}"
         )
     failed = _check_predict_sound(fresh_rec) or failed
-    failed = _check_compressed(fresh_rec) or failed
     failed = _check_multinode_agrees(fresh_rec) or failed
     return 1 if failed else 0
 
@@ -199,42 +186,6 @@ def _check_multinode_agrees(fresh_rec) -> bool:
     agrees = differential["serve_multinode_agrees"]
     print(f"{name}: {agrees} -> {'OK' if agrees is True else 'REGRESSION'}")
     return agrees is not True
-
-
-def _check_compressed(fresh_rec) -> bool:
-    """Gate the fresh compressed-tier verdicts; returns True on
-    failure.  Self-introducing: skipped when the fresh record predates
-    the compressed subsystem.  A fresh record that carries the tier
-    must certify it on both axes -- the memoized path changed no
-    verdicts (``differential.compressed_agrees``) and the container
-    still clears the 3x size floor (``compression_ratio``)."""
-    differential = fresh_rec.get("differential")
-    if not isinstance(differential, dict) or "compressed_agrees" not in (
-        differential
-    ):
-        print(
-            "differential.compressed_agrees: not in the fresh record; "
-            "skipping this gate"
-        )
-        return False
-    agrees = differential["compressed_agrees"]
-    print(
-        f"differential.compressed_agrees: {agrees} -> "
-        f"{'OK' if agrees is True else 'REGRESSION'}"
-    )
-    failed = agrees is not True
-    try:
-        ratio = float(fresh_rec["compression_ratio"])
-    except (KeyError, TypeError, ValueError):
-        print("compression_ratio: missing from the fresh record",
-              file=sys.stderr)
-        return True
-    ok = ratio >= COMPRESSION_FLOOR
-    print(
-        f"compression_ratio: fresh {ratio:.2f}x (floor "
-        f"{COMPRESSION_FLOOR:.1f}x) -> {'OK' if ok else 'REGRESSION'}"
-    )
-    return failed or not ok
 
 
 if __name__ == "__main__":

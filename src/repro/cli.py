@@ -8,9 +8,6 @@ Usage examples::
     repro-race run prog.py --dot out.dot  # export the task graph
     repro-race record prog.py --compact -o t.rtrc   # engine trace format
     repro-race replay t.rtrc --shards 4   # batched/sharded fast path
-    repro-race compress t.rtrc -o t.rpr2trz         # block-dedup container
-    repro-race replay t.rpr2trz           # memoized, never decompresses
-    repro-race decompress t.rpr2trz -o back.rtrc    # byte-identical
     repro-race diff t.rtrc                # differential detector check
     repro-race bench-engine --accesses 100000       # ingestion throughput
     repro-race stats t.rtrc --format prom # metrics + phase timings
@@ -145,46 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact traces only: events per ingested batch",
     )
 
-    p_cz = sub.add_parser(
-        "compress",
-        help="compress a trace into the block-dedup RPR2TRZ container "
-        "(replay/stats/diff/submit all accept it directly)",
-    )
-    p_cz.add_argument(
-        "trace", nargs="?",
-        help="trace file from `record` (JSONL or compact; auto-"
-        "detected); omit when using --racegen-loops",
-    )
-    p_cz.add_argument(
-        "-o", "--output", required=True, metavar="TRACEZ",
-        help="compressed trace file to write",
-    )
-    from repro.compress import DEFAULT_BLOCK_WIDTH
-
-    p_cz.add_argument(
-        "--block-width", type=int, default=DEFAULT_BLOCK_WIDTH,
-        help="events per dedup block (default: "
-        f"{DEFAULT_BLOCK_WIDTH}; loop bodies whose period divides "
-        "this dedup perfectly)",
-    )
-    p_cz.add_argument(
-        "--racegen-loops", type=int, metavar="ACCESSES",
-        help="generate a repetitive racegen loop workload of roughly "
-        "this many accesses and compress it, instead of reading a "
-        "trace file",
-    )
-
-    p_dz = sub.add_parser(
-        "decompress",
-        help="expand an RPR2TRZ container back to the compact trace "
-        "format, byte-identically",
-    )
-    p_dz.add_argument("trace", help="compressed trace file from `compress`")
-    p_dz.add_argument(
-        "-o", "--output", required=True, metavar="TRACE",
-        help="compact trace file to write",
-    )
-
     p_diff = sub.add_parser(
         "diff",
         help="replay one trace through several detectors in lockstep and "
@@ -204,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_be = sub.add_parser(
         "bench-engine",
         help="measure the ingestion paths (replay / per-event / batched / "
-        "sharded / compressed) on a racegen bulk workload",
+        "predict / sharded) on a racegen bulk workload",
     )
     p_be.add_argument("--accesses", type=int, default=100_000)
     p_be.add_argument("--fanout", type=int, default=8)
@@ -217,16 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_be.add_argument("--shards", type=int, default=4)
     p_be.add_argument("--batch-size", type=int, default=8192)
     p_be.add_argument("--repeats", type=int, default=3)
-    p_be.add_argument(
-        "--loop-fanout", type=int, default=4,
-        help="workers in the repetitive loops workload the compressed "
-        "contender runs on (default: 4)",
-    )
-    p_be.add_argument(
-        "--loop-pattern", type=int, default=64,
-        help="access-pattern period of the loops workload; keep it a "
-        "divisor of the block width for perfect dedup (default: 64)",
-    )
     p_be.add_argument(
         "--json", metavar="PATH", help="also write the full record as JSON"
     )
@@ -346,13 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--racegen-loops", type=int, metavar="ACCESSES",
         help="generate a repetitive racegen loop workload of roughly "
         "this many accesses instead of reading a trace file",
-    )
-    p_sub2.add_argument(
-        "--compress", action="store_true",
-        help="negotiate the CBATCH frame and ship the trace in "
-        "block-dedup compressed form (the server detects over it "
-        "without decompressing); the connection fails with a typed "
-        "error if the server cannot honour it",
     )
     p_sub2.add_argument("--host", default="127.0.0.1")
     p_sub2.add_argument("--port", type=int, default=7521)
@@ -497,7 +437,7 @@ def _load_batch(path: str):
 
 def _replay_compact(args) -> int:
     from repro.engine.ingest import BatchEngine, ShardedBatchEngine
-    from repro.engine.tracefile import is_compressed_tracefile, read_trace
+    from repro.engine.tracefile import read_trace
 
     if args.shards < 1:
         raise ReproError(f"need at least one shard, got {args.shards}")
@@ -507,14 +447,7 @@ def _replay_compact(args) -> int:
             f"detector; drop --detector {args.detector} or drop "
             "--predict"
         )
-    ctrace = None
-    if is_compressed_tracefile(args.trace):
-        from repro.compress import read_tracez
-
-        ctrace, interner = read_tracez(args.trace)
-        batch = None
-    else:
-        batch, interner = read_trace(args.trace)
+    batch, interner = read_trace(args.trace)
     if args.predict:
         if args.shards > 1:
             engine = ShardedBatchEngine(
@@ -536,76 +469,15 @@ def _replay_compact(args) -> int:
         detector.on_root(0)
         engine = BatchEngine(detector, interner=interner)
         name = detector.name
-    if ctrace is not None:
-        engine.ingest_compressed(ctrace)
-        feed = "compressed, memoized"
-    else:
-        engine.ingest_all(batch.slices(args.batch_size))
-        feed = "batched"
+    engine.ingest_all(batch.slices(args.batch_size))
     races = engine.races()
     print(
-        f"{name}: replayed {engine.events_ingested} events ({feed}), "
+        f"{name}: replayed {engine.events_ingested} events (batched), "
         f"{len(races)} race(s)"
     )
     for report in races[: args.max_races]:
         print(f"  {report}")
     return 1 if races else 0
-
-
-def _compress_cmd(args) -> int:
-    import io
-
-    from repro.compress import compress, write_tracez
-    from repro.engine.tracefile import write_trace
-
-    if args.block_width < 1:
-        raise ReproError(
-            f"block width must be positive, got {args.block_width}"
-        )
-    if args.racegen_loops is not None:
-        if args.trace:
-            raise ReproError(
-                "pass a trace file or --racegen-loops, not both"
-            )
-        from repro.engine.benchlib import build_loop_workload, capture
-
-        _events, batch, interner = capture(
-            build_loop_workload(args.racegen_loops)
-        )
-        source = f"racegen-loops[{args.racegen_loops}]"
-    elif args.trace:
-        batch, interner = _load_batch(args.trace)
-        source = args.trace
-    else:
-        raise ReproError("compress needs a trace file or --racegen-loops N")
-    ctrace = compress(batch, args.block_width)
-    write_tracez(args.output, ctrace, interner)
-    raw_buf = io.BytesIO()
-    write_trace(raw_buf, batch, interner)
-    raw_bytes = len(raw_buf.getvalue())
-    import os
-
-    z_bytes = os.path.getsize(args.output)
-    print(
-        f"compressed {len(batch)} events from {source} to {args.output}: "
-        f"{len(ctrace.blocks)} unique block(s) covering "
-        f"{ctrace.block_count()} (width {ctrace.block_width}), "
-        f"{z_bytes} bytes vs {raw_bytes} compact "
-        f"({raw_bytes / z_bytes:.2f}x)"
-    )
-    return 0
-
-
-def _decompress_cmd(args) -> int:
-    from repro.compress import read_tracez
-    from repro.engine.tracefile import write_trace
-
-    ctrace, interner = read_tracez(args.trace)
-    count = write_trace(args.output, ctrace.decompress(), interner)
-    print(
-        f"decompressed {count} events from {args.trace} to {args.output}"
-    )
-    return 0
 
 
 def _diff_trace(args) -> int:
@@ -634,17 +506,8 @@ def _stats(args) -> int:
         to_prometheus,
     )
 
-    from repro.engine.tracefile import is_compressed_tracefile
-
     registry = get_registry()
-    ctrace = None
-    if is_compressed_tracefile(args.trace):
-        from repro.compress import read_tracez
-
-        ctrace, interner = read_tracez(args.trace)
-        batch = None
-    else:
-        batch, interner = _load_batch(args.trace)
+    batch, interner = _load_batch(args.trace)
     factory = DETECTOR_FACTORIES[args.detector]
     if args.shards < 1:
         raise ReproError(f"need at least one shard, got {args.shards}")
@@ -661,10 +524,7 @@ def _stats(args) -> int:
                     registry, det,
                     {"detector": det.name, "shard": str(k)},
                 )
-            if ctrace is not None:
-                engine.ingest_compressed(ctrace)
-            else:
-                engine.ingest_all(batch.slices(args.batch_size))
+            engine.ingest_all(batch.slices(args.batch_size))
         else:
             detector = factory()
             detector.on_root(0)
@@ -672,10 +532,7 @@ def _stats(args) -> int:
                 detector, interner=interner, registry=registry
             )
             bind_detector(registry, detector, {"detector": detector.name})
-            if ctrace is not None:
-                engine.ingest_compressed(ctrace)
-            else:
-                engine.ingest_all(batch.slices(args.batch_size))
+            engine.ingest_all(batch.slices(args.batch_size))
         races = engine.races()
     finally:
         set_tracer(previous_tracer)
@@ -715,8 +572,6 @@ def _bench_engine(args) -> int:
         shards=args.shards,
         batch_size=args.batch_size,
         repeats=args.repeats,
-        loop_fanout=args.loop_fanout,
-        loop_pattern=args.loop_pattern,
     )
     title = (
         f"engine ingestion ({record['workload']['accesses']} accesses, "
@@ -729,11 +584,7 @@ def _bench_engine(args) -> int:
         f"differential: {diff['divergences']} divergence(s) across "
         f"{', '.join(diff['detectors'])}; sharded agrees: "
         f"{diff['sharded_agrees']}; predict sound: "
-        f"{diff['predict_sound']}; compressed agrees: "
-        f"{diff['compressed_agrees']} "
-        f"({record['compression_ratio']}x smaller, "
-        f"{record['speedup_compressed_vs_batched']}x faster than "
-        f"batched on loops)"
+        f"{diff['predict_sound']}"
     )
     if args.json:
         import json
@@ -909,7 +760,7 @@ def _submit(args) -> int:
             result = run_load(
                 args.host, args.port, batch,
                 sessions=args.sessions, batch_size=args.batch_size,
-                timeout=args.timeout, compress=args.compress,
+                timeout=args.timeout,
             )
             print(
                 f"{args.sessions} sessions x {len(batch)} events from "
@@ -923,19 +774,15 @@ def _submit(args) -> int:
             with RaceClient(
                 args.host, args.port, timeout=args.timeout,
                 interner=interner, ship_locations=args.ship_locations,
-                session=args.session, compress=args.compress,
+                session=args.session,
             ) as client:
-                if args.compress:
-                    client.send_batches_compressed(batch)
-                else:
-                    client.send_batches(batch, args.batch_size)
+                client.send_batches(batch, args.batch_size)
                 summary = client.finish()
         else:
             summary = submit_batch(
                 args.host, args.port, batch, interner=interner,
                 batch_size=args.batch_size,
                 ship_locations=args.ship_locations, timeout=args.timeout,
-                compress=args.compress,
             )
         reports = summary.reports
         if not args.ship_locations and interner is not None:
@@ -1080,10 +927,6 @@ def _dispatch(args) -> int:
         for report in detector.races[: args.max_races]:
             print(f"  {report}")
         return 1 if detector.races else 0
-    if args.command == "compress":
-        return _compress_cmd(args)
-    if args.command == "decompress":
-        return _decompress_cmd(args)
     if args.command == "diff":
         return _diff_trace(args)
     if args.command == "stats":

@@ -3,8 +3,7 @@
 The per-event API (``RaceDetector2D.on_read(task, loc)`` and friends)
 pays full Python dispatch per access: one event object, one isinstance
 chain, one tuple/string hash for the location.  At serving scale that
-dominates the detector itself.  Following the compressed-trace playbook
-(DePa; Kini/Mathur/Viswanathan), the engine instead moves events in
+dominates the detector itself.  The engine instead moves events in
 *batches of parallel arrays*:
 
 * ``ops``  -- one opcode byte per event (:data:`OP_FORK` ...);

@@ -37,23 +37,20 @@ impossible by construction.
 from __future__ import annotations
 
 import gc
-import io
 import os
 import statistics
 import time
 from functools import partial
 from typing import Any, Callable, Dict, List, Sequence
 
-from repro.compress import compress as compress_trace, write_tracez
 from repro.core.detector import RaceDetector2D
-from repro.engine.batch import BatchBuilder, EventBatch, LocationInterner
+from repro.engine.batch import BatchBuilder
 from repro.engine.differential import (
     DEFAULT_DETECTORS,
     Config,
     check_conformance,
 )
 from repro.engine.ingest import BatchEngine, ShardedBatchEngine
-from repro.engine.tracefile import write_trace
 from repro.obs.registry import NULL_REGISTRY
 from repro.events import (
     Event,
@@ -104,11 +101,9 @@ def build_loop_workload(
     pattern: int = 64,
     racy: bool = True,
 ) -> Callable:
-    """The compressed path's standard traffic: a ``racegen`` loop
-    program sized to roughly ``accesses`` memory accesses.  The
-    ``pattern`` default divides the compressor's block width, so the
-    interior of every worker's run dedups to a handful of unique
-    blocks (the workload the ``--loops`` CLI knobs expose)."""
+    """A ``racegen`` loop program sized to roughly ``accesses`` memory
+    accesses: every worker repeats one fixed ``pattern``-length access
+    run (the workload ``submit --racegen-loops`` sends)."""
     loops = max(1, accesses // (fanout * pattern))
     return loop_program(fanout, loops, pattern, racy=racy)
 
@@ -200,16 +195,13 @@ def run_engine_benchmark(
     shards: int = 4,
     batch_size: int = 8192,
     repeats: int = 3,
-    loop_fanout: int = 4,
-    loop_pattern: int = 64,
     detectors: Sequence[str] = DEFAULT_DETECTORS,
 ) -> Dict[str, Any]:
     """Measure every ingestion path on one workload; return the record.
 
     The returned dict is what ``BENCH_engine.json`` stores: workload
     shape, per-path wall seconds and events/sec, the batched-over-
-    per-event and compressed-over-batched speedups, race counts, and the
-    differential verdicts.
+    per-event speedups, race counts, and the differential verdicts.
     """
     body = build_workload(
         accesses,
@@ -283,55 +275,6 @@ def run_engine_benchmark(
 
     n = len(batch)
 
-    # -- the compressed path ------------------------------------------------
-    # Measured on its natural traffic: the deliberately repetitive
-    # ``racegen`` loop workload (same access budget), where block dedup
-    # actually bites.  Raw batched ingestion over the expanded stream
-    # vs memoized ingestion over the compressed form, interleaved so
-    # drift hits both sides equally.
-    loop_body = build_loop_workload(
-        accesses, fanout=loop_fanout, pattern=loop_pattern, racy=racy
-    )
-    _, loop_batch, loop_interner = capture(loop_body)
-    ctrace = compress_trace(loop_batch, registry=NULL_REGISTRY)
-
-    def run_batched_loops():
-        engine = BatchEngine(interner=loop_interner)
-        engine.ingest_all(loop_batch.slices(batch_size))
-        return engine
-
-    def run_compressed():
-        # A fresh engine per run: the memo starts cold every repeat, so
-        # the timing includes the scan-and-record misses.
-        engine = BatchEngine(interner=loop_interner)
-        engine.ingest_compressed(ctrace)
-        return engine
-
-    comp_samples = _paired_samples(
-        max(repeats, 5), run_batched_loops, run_compressed
-    )
-    loop_timings = {
-        "batched_loops": min(a for a, _ in comp_samples),
-        "compressed": min(b for _, b in comp_samples),
-    }
-    compressed_ratio_median = statistics.median(
-        a / b for a, b in comp_samples
-    )
-    n_loop = len(loop_batch)
-    raw_buf = io.BytesIO()
-    write_trace(raw_buf, loop_batch, loop_interner)
-    z_buf = io.BytesIO()
-    write_tracez(z_buf, ctrace, loop_interner)
-    raw_bytes = len(raw_buf.getvalue())
-    z_bytes = len(z_buf.getvalue())
-    memo_engine = run_compressed()
-    memo = memo_engine._memo
-    compressed_races = memo_engine.races()
-    memo_paths = ("memo:lattice2d", "memo:sharded")
-    memo_loops = check_conformance(
-        loop_batch, loop_interner, memo_paths
-    ).agreed
-
     # Correctness gates: the fast paths must report exactly what the
     # reference does, and the detector trio must agree per access.
     # (Labels are dropped on the batched path, so compare everything
@@ -346,15 +289,14 @@ def run_engine_benchmark(
             "batched ingestion changed verdicts: "
             f"{len(batched_races)} vs {len(per_event_races)} reports"
         )
-    # The bulk workload barely repeats, so its memo cells check the
-    # fallback discipline rather than the cache.  The sharded row is
-    # built here: ``shards`` may be any count, not just the table's.
+    # The sharded row is built here: ``shards`` may be any count, not
+    # just the table's.
     sharded = Config(
         "sharded", "multiset", partial(ShardedBatchEngine, shards), "batches"
     )
     paths = check_conformance(
         batch, interner,
-        (sharded, "predict", *memo_paths),
+        (sharded, "predict"),
         batch_size=batch_size,
     )
     diff = check_conformance(batch, interner, detectors)
@@ -374,41 +316,9 @@ def run_engine_benchmark(
         "batch_size": batch_size,
         "shards": shards,
         "cpu_count": os.cpu_count(),
-        "workload_loops": {
-            "generator": "racegen.loop_program",
-            "accesses": loop_batch.access_count(),
-            "events": n_loop,
-            "fanout": loop_fanout,
-            "pattern": loop_pattern,
-            "unique_blocks": len(ctrace.blocks),
-            "expanded_blocks": ctrace.block_count(),
-            "block_width": ctrace.block_width,
-            "raw_bytes": raw_bytes,
-            "compressed_bytes": z_bytes,
-        },
-        "seconds": {
-            **{k: round(v, 6) for k, v in timings.items()},
-            **{k: round(v, 6) for k, v in loop_timings.items()},
-        },
+        "seconds": {k: round(v, 6) for k, v in timings.items()},
         "events_per_sec": {
-            **{k: round(n / v) for k, v in timings.items() if v > 0},
-            **{
-                k: round(n_loop / v)
-                for k, v in loop_timings.items()
-                if v > 0
-            },
-        },
-        "compression_ratio": round(raw_bytes / z_bytes, 3),
-        "speedup_compressed_vs_batched": round(
-            loop_timings["batched_loops"] / loop_timings["compressed"], 3
-        ),
-        "speedup_compressed_vs_batched_median": round(
-            compressed_ratio_median, 3
-        ),
-        "memo": {
-            "hits": memo.hits,
-            "misses": memo.misses,
-            "fallbacks": memo.fallbacks,
+            k: round(n / v) for k, v in timings.items() if v > 0
         },
         "speedup_batched_vs_per_event": round(
             timings["per-event"] / timings["batched"], 3
@@ -425,7 +335,6 @@ def run_engine_benchmark(
             "batched": len(batched_races),
             "predict": paths.races["predict"],
             "sharded": paths.races["sharded"],
-            "compressed": len(compressed_races),
         },
         "differential": {
             "detectors": list(diff.configs),
@@ -433,8 +342,6 @@ def run_engine_benchmark(
             "divergences": len(diff.divergences),
             "sharded_agrees": paths.cells["sharded"],
             "predict_sound": paths.cells["predict"],
-            "compressed_agrees": memo_loops
-            and all(paths.cells[p] for p in memo_paths),
         },
         "versions": _versions(),
     }
@@ -458,22 +365,12 @@ def _versions() -> Dict[str, Any]:
 def format_record(record: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Rows for :func:`repro.bench.tables.format_table`."""
     base = record["seconds"]["per-event"]
-    # The loops contenders run a different (loop-shaped) workload, so
-    # their reference is the raw batched ingestion of that same stream,
-    # not the main workload's per-event loop.
-    loop_base = record["seconds"].get("batched_loops")
-    rows = []
-    for name, secs in record["seconds"].items():
-        if name in ("batched_loops", "compressed") and loop_base:
-            ratio = f"{loop_base / secs:.2f}x vs batched_loops"
-        else:
-            ratio = f"{base / secs:.2f}x"
-        rows.append(
-            {
-                "path": name,
-                "seconds": round(secs, 4),
-                "events/s": record["events_per_sec"][name],
-                "vs per-event": ratio,
-            }
-        )
-    return rows
+    return [
+        {
+            "path": name,
+            "seconds": round(secs, 4),
+            "events/s": record["events_per_sec"][name],
+            "vs per-event": f"{base / secs:.2f}x",
+        }
+        for name, secs in record["seconds"].items()
+    ]

@@ -13,9 +13,7 @@ the relation the row names:
 * ``multiset`` -- engine paths: the same multiset of flagged
   ``(task, loc, kind)`` (sharded streams renumber ``op_index``);
 * ``covers`` -- prediction: a superset of that multiset, since it also
-  reports the pairs a feasible reordering would race;
-* ``exact`` -- memoized lattice2d over the compressed form: the same
-  report sequence, down to ``prior_kind`` and ``op_index``.
+  reports the pairs a feasible reordering would race.
 
 Every disagreement becomes a :class:`Divergence` at its stream position,
 so a perf PR that bends a detector shows up as a one-line divergence
@@ -71,9 +69,9 @@ class Config:
     """One row of the matrix: a detection path and how it is judged."""
 
     name: str
-    relation: str  #: "verdict", "multiset", "covers" or "exact"
+    relation: str  #: "verdict", "multiset" or "covers"
     make: Callable[[], Any]  #: builds the per-event detector or engine
-    feed: str = "events"  #: "events" (lockstep), "batches" or "compressed"
+    feed: str = "events"  #: "events" (lockstep) or "batches"
     shapes: Tuple[str, ...] = SHAPES  #: where the path is sound by design
     #: flags every racing access; FastTrack's same-epoch read rule
     #: flags only the first of a task's repeated racing reads
@@ -95,9 +93,6 @@ def _table() -> Dict[str, Config]:
                partial(ShardedBatchEngine, n), "batches")
         for n in (1, 2, 4)
     )
-    rows.append(Config("memo:lattice2d", "exact", BatchEngine, "compressed"))
-    rows.append(Config("memo:sharded", "multiset",
-                       partial(ShardedBatchEngine, 4), "compressed"))
     rows.append(Config("predict", "covers",
                        partial(BatchEngine, predict=True), "batches"))
     return {row.name: row for row in rows}
@@ -205,12 +200,10 @@ def _lockstep(batch: EventBatch, dets: List[Any], voters: List[int]):
                 det.on_step(a)
 
 
-def _run(row: Config, batch: EventBatch, batch_size: Optional[int],
-         ctrace: Any) -> List[Any]:
+def _run(row: Config, batch: EventBatch,
+         batch_size: Optional[int]) -> List[Any]:
     engine = row.make()
-    if row.feed == "compressed":
-        engine.ingest_compressed(ctrace)
-    elif batch_size is None:
+    if batch_size is None:
         engine.ingest(batch)
     else:
         engine.ingest_all(batch.slices(batch_size))
@@ -230,14 +223,11 @@ def _positions(batch: EventBatch) -> Dict[Tuple[Any, ...], List[int]]:
 
 def _mismatches(relation: str, ref: List[Any], got: List[Any]):
     """``(key, flagged_by_config)`` per report one side lacks."""
-    fields = ("task", "loc", "kind", "prior_kind", "op_index")
-    key = attrgetter(*fields if relation == "exact" else fields[:3])
-    want = [key(r) for r in ref]
-    have = [key(r) for r in got]
-    missed = Counter(want) - Counter(have)
-    extra = Counter() if relation == "covers" else Counter(have) - Counter(want)
-    if relation == "exact" and want != have and not (missed or extra):
-        extra = Counter([next(h for w, h in zip(want, have) if w != h)])
+    key = attrgetter("task", "loc", "kind")
+    want = Counter(key(r) for r in ref)
+    have = Counter(key(r) for r in got)
+    missed = want - have
+    extra = Counter() if relation == "covers" else have - want
     return [(k, False) for k in missed.elements()] + [
         (k, True) for k in extra.elements()
     ]
@@ -300,33 +290,25 @@ def check_conformance(
     report.reports[REFEREE] = ref
     flagged_at = {r.op_index - 1 for r in ref}  # op_index counts the event
 
-    ctrace = None
-    if any(row.feed == "compressed" for row in rows):
-        from repro.compress.blocks import compress
-
-        ctrace = compress(batch)
     positions: Dict[Tuple[Any, ...], List[int]] = {}
     for row in rows:
         if row.feed == "events":
             got = dets[slot[row.name]].races
         else:
-            got = _run(row, batch, batch_size, ctrace)
+            got = _run(row, batch, batch_size)
         report.reports[row.name] = got
         if row.relation == "verdict":
             continue
         for key, extra in _mismatches(row.relation, ref, got):
             report.cells[row.name] = False
-            task, loc, kind = key[:3]
-            if len(key) > 3:
-                index = key[4] - 1
-            else:
-                # The first access with this key whose referee verdict
-                # is the one the row contradicts.
-                positions = positions or _positions(batch)
-                at = positions.get((task, loc, kind), [-1])
-                index = next(
-                    (i for i in at if (i in flagged_at) != extra), at[0]
-                )
+            task, loc, kind = key
+            # The first access with this key whose referee verdict is
+            # the one the row contradicts.
+            positions = positions or _positions(batch)
+            at = positions.get((task, loc, kind), [-1])
+            index = next(
+                (i for i in at if (i in flagged_at) != extra), at[0]
+            )
             report.divergences.append(
                 Divergence(
                     index=index,

@@ -549,7 +549,7 @@ def _ingest_batch(det: Any, batch: EventBatch) -> str:
     return "generic"
 
 
-_DISPATCH_PATHS = ("kernel", "predict", "generic", "memo")
+_DISPATCH_PATHS = ("kernel", "predict", "generic")
 
 
 def _default_detector() -> RaceDetector2D:
@@ -592,13 +592,10 @@ class BatchEngine:
         "interner",
         "events_ingested",
         "registry",
-        "_memo",
         "_c_events",
         "_c_batches",
         "_c_races",
         "_c_dispatch",
-        "_c_memo_hits",
-        "_c_memo_misses",
     )
 
     def __init__(
@@ -643,17 +640,6 @@ class BatchEngine:
             )
             for path in _DISPATCH_PATHS
         }
-        self._memo = None
-        self._c_memo_hits = reg.counter(
-            "engine_memo_hits_total",
-            "compressed blocks replayed from a cached transition",
-            labels=labels,
-        )
-        self._c_memo_misses = reg.counter(
-            "engine_memo_misses_total",
-            "compressed blocks scanned and recorded by the memo",
-            labels=labels,
-        )
 
     def ingest(self, batch: EventBatch) -> int:
         """Process one batch; returns the number of events consumed."""
@@ -673,34 +659,6 @@ class BatchEngine:
     def ingest_all(self, batches: Iterable[EventBatch]) -> int:
         """Process a sequence of batches; returns total events consumed."""
         return sum(self.ingest(batch) for batch in batches)
-
-    def ingest_compressed(self, ctrace: Any) -> int:
-        """Process one :class:`~repro.compress.blocks.CompressedTrace`
-        *without decompressing it*: repeated blocks replay as cached
-        state transitions (see :mod:`repro.compress.memo`).  The memo
-        persists across calls, so identical blocks arriving in later
-        containers (successive serve CBATCH frames) stay cached.
-        Verdicts are exactly those of ingesting the expanded stream;
-        returns the number of (expanded) events consumed."""
-        from repro.compress.memo import BlockMemo
-
-        memo = self._memo
-        if memo is None or memo.detector is not self.detector:
-            memo = self._memo = BlockMemo(self.detector)
-        det = self.detector
-        races_before = len(det.races)
-        hits, misses = memo.hits, memo.misses
-        with get_tracer().span("ingest"):
-            with get_tracer().span("dispatch"):
-                n = memo.run(ctrace)
-        self.events_ingested += n
-        self._c_events.inc(n)
-        self._c_batches.inc()
-        self._c_dispatch["memo"].inc()
-        self._c_memo_hits.inc(memo.hits - hits)
-        self._c_memo_misses.inc(memo.misses - misses)
-        self._c_races.inc(len(det.races) - races_before)
-        return n
 
     def races(self) -> List[RaceReport]:
         """The detector's reports, with location ids decoded back to the
@@ -911,22 +869,6 @@ class ShardedBatchEngine:
 
     def ingest_all(self, batches: Iterable[EventBatch]) -> int:
         return sum(self.ingest(batch) for batch in batches)
-
-    def ingest_compressed(self, ctrace: Any) -> int:
-        """Process one compressed trace block by block.
-
-        Sharding routes accesses by location, so a compressed block's
-        single-task structure does not survive the split and per-shard
-        memoization would mostly miss; the sharded engine therefore
-        walks the rule stream and feeds each block occurrence through
-        its ordinary split-and-dispatch path.  Verdicts match the
-        expanded stream exactly; returns the expanded event count.
-        """
-        for bid, rep in ctrace.rules:
-            block = ctrace.blocks[bid]
-            for _ in range(rep):
-                self.ingest(block)
-        return ctrace.n_events
 
     def races(self) -> List[RaceReport]:
         """All shards' reports, merged (decoded when possible).

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import mmap as _mmap
+import os
 import struct
 import sys
 from array import array
@@ -46,29 +47,34 @@ from repro.trace import encode_location
 
 __all__ = [
     "MAGIC",
-    "MAGIC_COMPRESSED",
     "VERSION",
     "write_trace",
     "read_trace",
     "record_trace",
     "is_tracefile",
-    "is_compressed_tracefile",
 ]
 
 MAGIC = b"RPR2TRC\x01"
-#: magic of the grammar-compressed container (:mod:`repro.compress`);
-#: defined here so the magic-sniffing dispatch below owns both formats
-MAGIC_COMPRESSED = b"RPR2TRZ\x01"
+#: the retired block-dedup container's magic (this one with ``Z`` for
+#: ``C``): still recognised, so such a file gets a typed refusal that
+#: names the retirement rather than a bare "bad magic"
+_RETIRED_MAGIC = MAGIC[:6] + b"Z\x01"
 VERSION = 1
+
+#: what :func:`read_trace` and :func:`write_trace` open by name
+PathArg = Union[str, os.PathLike]
 
 _HEADER = struct.Struct("<8sB3xIQQ")
 
 
 def write_trace(
-    fp: Union[str, IO[bytes]], batch: EventBatch, interner: LocationInterner
+    fp: Union[PathArg, IO[bytes]],
+    batch: EventBatch,
+    interner: LocationInterner,
 ) -> int:
-    """Write one batch + its location table; returns events written."""
-    if isinstance(fp, str):
+    """Write one batch + its location table to a path or a binary
+    stream; returns events written."""
+    if isinstance(fp, (str, os.PathLike)):
         with open(fp, "wb") as handle:
             return write_trace(handle, batch, interner)
     table = _encode_table(interner.locations())
@@ -104,11 +110,17 @@ def _bytes_remaining(fp: IO[bytes]) -> Union[int, None]:
 
 def _check_header(head: bytes) -> Tuple[int, int, int]:
     """Unpack + validate a header; returns (endian, n_events, table_len)."""
+    magic = head[:len(MAGIC)]
+    if magic == _RETIRED_MAGIC:
+        raise TraceError(
+            f"{magic!r} is the compressed trace container, a retired "
+            f"format; only {MAGIC!r} engine traces are read"
+        )
+    if len(magic) == len(MAGIC) and magic != MAGIC:
+        raise TraceError(f"not an engine trace (magic {magic!r})")
     if len(head) < _HEADER.size:
         raise TraceError("truncated engine trace header")
-    magic, endian, version, n_events, table_len = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise TraceError(f"not an engine trace (magic {magic!r})")
+    _magic, endian, version, n_events, table_len = _HEADER.unpack(head)
     if version != VERSION:
         raise TraceError(f"unsupported engine trace version {version}")
     if endian not in (0, 1):
@@ -219,18 +231,15 @@ def _try_mmap(fp: IO[bytes]) -> Optional[Tuple[_mmap.mmap, int]]:
 
 
 def read_trace(
-    fp: Union[str, IO[bytes]]
+    fp: Union[PathArg, IO[bytes]]
 ) -> Tuple[EventBatch, LocationInterner]:
-    """Read a trace file back into ``(batch, interner)``.
+    """Read a trace file (a path or a binary stream) back into
+    ``(batch, interner)``.
 
-    This is the one magic-sniffing entry point for both container
-    formats: raw ``RPR2TRC`` traces are read directly, compressed
-    ``RPR2TRZ`` traces (:mod:`repro.compress`) are read and
-    decompressed, and anything else raises a typed
+    Anything but an ``RPR2TRC`` trace raises a typed
     :class:`~repro.errors.TraceError` -- never a ``ValueError`` or a
-    bare ``struct`` error.  Callers that want the compressed trace
-    *without* decompression use
-    :func:`repro.compress.container.read_tracez` directly.
+    bare ``struct`` error; a file of the retired compressed container
+    format gets one that says so.
 
     Every header field is validated before it sizes an allocation: a
     corrupt or adversarial ``n_events`` / ``table_len`` is rejected
@@ -244,35 +253,12 @@ def read_trace(
     in place on the materialized array.  Unmappable streams (pipes,
     ``BytesIO``) take a ``read()``-based path with the same checks.
     """
-    if isinstance(fp, str):
+    if isinstance(fp, (str, os.PathLike)):
         with open(fp, "rb") as handle:
             return read_trace(handle)
-    head = fp.read(len(MAGIC))
-    try:
-        fp.seek(-len(head), 1)
-        consumed = b""
-    except (AttributeError, OSError, ValueError):
-        # Unseekable stream (pipe, socket): pass the consumed prefix
-        # down so the chosen reader stitches its header back together.
-        consumed = head
-    if head == MAGIC_COMPRESSED:
-        from repro.compress.container import read_tracez
-
-        ctrace, interner = read_tracez(fp, head=consumed)
-        return ctrace.decompress(), interner
-    if len(head) == len(MAGIC) and head != MAGIC:
-        raise TraceError(f"not an engine trace (magic {head!r})")
-    return _read_trace_raw(fp, consumed)
-
-
-def _read_trace_raw(
-    fp: IO[bytes], head: bytes = b""
-) -> Tuple[EventBatch, LocationInterner]:
-    """The raw ``RPR2TRC`` read path (``head``: already-consumed
-    prefix of an unseekable stream)."""
     mapped = _try_mmap(fp)
     if mapped is None:
-        return _read_trace_stream(fp, head)
+        return _read_trace_stream(fp)
     mm, base = mapped
     try:
         view = memoryview(mm)
@@ -309,12 +295,10 @@ def _read_trace_raw(
 
 
 def _read_trace_stream(
-    fp: IO[bytes], head: bytes = b""
+    fp: IO[bytes],
 ) -> Tuple[EventBatch, LocationInterner]:
     """The ``read()``-based path for streams that cannot be mapped."""
-    endian, n_events, table_len = _check_header(
-        head + fp.read(_HEADER.size - len(head))
-    )
+    endian, n_events, table_len = _check_header(fp.read(_HEADER.size))
     remaining = _bytes_remaining(fp)
     if remaining is not None:
         _check_bound(n_events, table_len, remaining)
@@ -339,7 +323,7 @@ def _read_trace_stream(
     return EventBatch(ops, av, bv), interner
 
 
-def record_trace(body, *args, path: Union[str, IO[bytes]]) -> int:
+def record_trace(body, *args, path: Union[PathArg, IO[bytes]]) -> int:
     """Run ``body`` under a :class:`~repro.engine.batch.BatchBuilder`
     and save the captured batch; returns the number of events."""
     from repro.engine.batch import BatchBuilder
@@ -350,20 +334,13 @@ def record_trace(body, *args, path: Union[str, IO[bytes]]) -> int:
     return write_trace(path, builder.batch, builder.interner)
 
 
-def _sniff(path: str) -> bytes:
+def is_tracefile(path: PathArg) -> bool:
+    """Cheap sniff: does ``path`` start with the engine-trace magic?
+    A file of the retired compressed format counts too, so that
+    :func:`read_trace` refuses it by name instead of a JSONL reader
+    failing on its bytes."""
     try:
         with open(path, "rb") as handle:
-            return handle.read(len(MAGIC))
+            return handle.read(len(MAGIC)) in (MAGIC, _RETIRED_MAGIC)
     except OSError:
-        return b""
-
-
-def is_tracefile(path: str) -> bool:
-    """Cheap sniff: does ``path`` start with either engine-trace magic
-    (raw ``RPR2TRC`` or compressed ``RPR2TRZ``)?"""
-    return _sniff(path) in (MAGIC, MAGIC_COMPRESSED)
-
-
-def is_compressed_tracefile(path: str) -> bool:
-    """Cheap sniff: is ``path`` a compressed ``RPR2TRZ`` container?"""
-    return _sniff(path) == MAGIC_COMPRESSED
+        return False

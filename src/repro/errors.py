@@ -80,12 +80,12 @@ class DeadTaskError(ProgramError):
 class TraceError(ProgramError):
     """A trace container is not exactly what it claims to be.
 
-    Raised by the trace readers (:mod:`repro.engine.tracefile`,
-    :mod:`repro.compress.container`) on unknown magic, unsupported
-    versions, truncation, CRC mismatches, or headers that lie about
-    section lengths.  Subclasses :class:`ProgramError` so existing
-    ``except ProgramError`` call sites keep catching container
-    corruption; new code should catch this type."""
+    Raised by the trace reader (:mod:`repro.engine.tracefile`) on
+    unknown or retired magic, unsupported versions, truncation, or
+    headers that lie about section lengths.  Subclasses
+    :class:`ProgramError` so existing ``except ProgramError`` call
+    sites keep catching container corruption; new code should catch
+    this type."""
 
 
 class DetectorError(ReproError):

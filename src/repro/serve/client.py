@@ -117,7 +117,6 @@ class ClientCore:
         max_frame: int = wire.DEFAULT_MAX_FRAME,
         session: Optional[str] = None,
         backend: Optional[str] = None,
-        compress: bool = False,
         interner: Optional[LocationInterner] = None,
         ship_locations: bool = False,
     ) -> None:
@@ -126,7 +125,6 @@ class ClientCore:
         self.max_frame = max_frame
         self.session = session
         self.backend = backend
-        self.compress = compress
         self.interner = interner
         self.ship_locations = ship_locations
         self.negotiated_backend: Optional[str] = None
@@ -151,10 +149,7 @@ class ClientCore:
     # -- handshake -----------------------------------------------------------
 
     def hello_payload(self) -> bytes:
-        return wire.encode_hello(
-            self.max_frame, backend=self.backend,
-            features=wire.FLAG_CBATCH if self.compress else 0,
-        )
+        return wire.encode_hello(self.max_frame, backend=self.backend)
 
     def on_hello_reply(self, ftype: int, payload: bytes) -> None:
         """Fold the server's HELLO reply in; a refusal or a grant short
@@ -165,18 +160,13 @@ class ClientCore:
             raise ProtocolError(
                 f"expected HELLO reply, got {wire.FRAME_NAMES[ftype]}"
             )
-        credit, max_frame, granted, features, workers = (
+        credit, max_frame, granted, _features, workers = (
             wire.decode_hello_reply(payload)
         )
         if self.backend is not None and granted != self.backend:
             raise ServeError(
                 f"requested the {self.backend!r} backend but the "
                 f"server granted {granted!r}"
-            )
-        if self.compress and not features & wire.FLAG_CBATCH:
-            raise ServeError(
-                "requested compressed (CBATCH) ingestion but the "
-                "server did not grant it"
             )
         self.negotiated_backend = granted
         self.negotiated_workers = workers
@@ -255,41 +245,16 @@ class ClientCore:
                 f"bytes, over the negotiated frame cap of "
                 f"{self.max_frame}; slice it smaller"
             )
-        return self._stage(wire.FRAME_BATCH, payload, seq, len(batch))
-
-    def stage_compressed(self, ctrace) -> Tuple[int, bytes]:
-        """Encode one CBATCH frame and sequence it (see
-        :meth:`RaceClient.send_compressed`)."""
-        seq = self._seq()
-        if not self.compress:
-            raise ServeError(
-                "send_compressed needs a session connected with "
-                "compress=True"
-            )
-        wire.check_cbatch_events(len(ctrace), self.max_frame)
-        payload = wire.encode_cbatch_payload(
-            ctrace, self._table_delta(), seq=seq
-        )
-        if len(payload) > self.max_frame:
-            raise ProtocolError(
-                f"compressed trace of {len(ctrace)} events encodes to "
-                f"{len(payload)} bytes, over the negotiated frame cap "
-                f"of {self.max_frame}; compress smaller slices"
-            )
-        return self._stage(wire.FRAME_CBATCH, payload, seq, len(ctrace))
-
-    def _stage(
-        self, ftype: int, payload: bytes, seq: int, events: int
-    ) -> Tuple[int, bytes]:
+        frame = (wire.FRAME_BATCH, payload)
         if seq:
             # Retained verbatim until an ACK covers it: a replay after
             # reconnect must resend the *same bytes* (same seq, same
             # location-table delta) for server-side dedup to hold.
             self._next_seq += 1
-            self._unacked[seq] = (ftype, payload)
-        self.events_sent += events
+            self._unacked[seq] = frame
+        self.events_sent += len(batch)
         self.batches_sent += 1
-        return ftype, payload
+        return frame
 
     def receive(self, ftype: int, payload: bytes) -> None:
         """Fold one frame from the server into session state: CREDIT,
@@ -399,14 +364,6 @@ class RaceClient(ClientCore):
     name is refused with a typed ``ERR_BACKEND`` -- a requested backend
     is a requirement, never silently downgraded.
 
-    Passing ``compress=True`` requests the CBATCH feature in the
-    HELLO: :meth:`send_compressed` then ships
-    :class:`~repro.compress.CompressedTrace` frames the server ingests
-    via its memoized kernel without expanding.  Like a requested
-    backend, the feature is a requirement -- a server that cannot
-    grant it (a prediction server) fails the connect with a typed
-    error rather than silently receiving raw batches.
-
     Passing ``session="some-token"`` makes the session *durable*
     against a server speaking with ``checkpoint_dir``: every batch is
     sequenced and retained until the server's ACK says a checkpoint
@@ -430,12 +387,10 @@ class RaceClient(ClientCore):
         max_retries: int = 4,
         retry_backoff: float = 0.05,
         backend: Optional[str] = None,
-        compress: bool = False,
     ) -> None:
         super().__init__(
             max_frame=max_frame, session=session, backend=backend,
-            compress=compress, interner=interner,
-            ship_locations=ship_locations,
+            interner=interner, ship_locations=ship_locations,
         )
         self.host = host
         self.port = port
@@ -575,20 +530,6 @@ class RaceClient(ClientCore):
         ftype, payload = self.stage_batch(batch)
         self._with_retry(lambda: self._send_payload(ftype, payload))
 
-    def send_compressed(self, ctrace) -> None:
-        """Push one :class:`~repro.compress.CompressedTrace` as a
-        CBATCH frame (requires ``compress=True`` at connect).
-
-        Credit, sequencing, and replay-on-reconnect follow
-        :meth:`send_batch` exactly -- CBATCH frames live in the same
-        sequence space, so a durable session may mix the two.  A
-        trace that expands past ``max_frame // 9`` events (what a raw
-        BATCH could carry) is refused before anything is sent, as the
-        server would refuse it.
-        """
-        ftype, payload = self.stage_compressed(ctrace)
-        self._with_retry(lambda: self._send_payload(ftype, payload))
-
     def _send_payload(self, ftype: int, payload: bytes) -> None:
         while self.credit <= 0:
             self._pump()
@@ -601,24 +542,6 @@ class RaceClient(ClientCore):
         """Slice ``batch`` and push every piece."""
         for piece in batch.slices(batch_size):
             self.send_batch(piece)
-
-    def send_batches_compressed(
-        self,
-        batch: EventBatch,
-        batch_size: int = 65536,
-        block_width: Optional[int] = None,
-    ) -> None:
-        """Slice ``batch``, compress each piece, and push it as a
-        CBATCH frame.  The default slice is wider than
-        :meth:`send_batches`'s because compression shrinks the wire
-        frame well below the slice's raw size; no slice is wider than
-        the session's CBATCH expansion cap."""
-        from repro.compress import DEFAULT_BLOCK_WIDTH, compress
-
-        width = block_width if block_width else DEFAULT_BLOCK_WIDTH
-        cap = wire.max_cbatch_events(self.max_frame)
-        for piece in batch.slices(min(batch_size, cap)):
-            self.send_compressed(compress(piece, width))
 
     def finish(self, release: bool = False) -> ClientSummary:
         """Send BYE, drain the stream, and return the session summary.
@@ -654,22 +577,13 @@ def submit_batch(
     ship_locations: bool = False,
     timeout: float = 30.0,
     backend: Optional[str] = None,
-    compress: bool = False,
 ) -> ClientSummary:
-    """Replay one in-memory batch over a fresh session.
-
-    ``compress=True`` negotiates the CBATCH feature and ships each
-    slice grammar-compressed; the server ingests it via its memoized
-    kernel without expanding."""
+    """Replay one in-memory batch over a fresh session."""
     with RaceClient(
         host, port, timeout=timeout, interner=interner,
         ship_locations=ship_locations, backend=backend,
-        compress=compress,
     ) as client:
-        if compress:
-            client.send_batches_compressed(batch, max(batch_size, 65536))
-        else:
-            client.send_batches(batch, batch_size)
+        client.send_batches(batch, batch_size)
         return client.finish()
 
 
@@ -681,35 +595,12 @@ def submit_trace(
     batch_size: int = 8192,
     ship_locations: bool = False,
     timeout: float = 30.0,
-    compress: bool = False,
 ) -> ClientSummary:
-    """Replay a trace file (compact ``.rpr2trc``, compressed
-    ``.rpr2trz``, or JSONL) over a fresh session.
-
-    With ``compress=True`` a compressed container is shipped in its
-    stored form -- one CBATCH per container, never expanded on either
-    side -- unless it expands past the session's CBATCH cap, when it
-    is expanded here and compressed slice by slice like a raw input."""
+    """Replay a trace file (compact ``.rpr2trc`` or JSONL) over a
+    fresh session."""
     from repro.engine.batch import batch_from_events
-    from repro.engine.tracefile import (
-        is_compressed_tracefile,
-        is_tracefile,
-        read_trace,
-    )
+    from repro.engine.tracefile import is_tracefile, read_trace
 
-    if compress and is_compressed_tracefile(path):
-        from repro.compress import read_tracez
-
-        ctrace, interner = read_tracez(path)
-        with RaceClient(
-            host, port, timeout=timeout, interner=interner,
-            ship_locations=ship_locations, compress=True,
-        ) as client:
-            if len(ctrace) <= wire.max_cbatch_events(client.max_frame):
-                client.send_compressed(ctrace)
-            else:
-                client.send_batches_compressed(ctrace.decompress())
-            return client.finish()
     if is_tracefile(path):
         batch, interner = read_trace(path)
     else:
@@ -718,7 +609,7 @@ def submit_trace(
         batch, interner = batch_from_events(load_events(path))
     return submit_batch(
         host, port, batch, interner=interner, batch_size=batch_size,
-        ship_locations=ship_locations, timeout=timeout, compress=compress,
+        ship_locations=ship_locations, timeout=timeout,
     )
 
 
@@ -772,7 +663,6 @@ def run_load(
     batch_size: int = 8192,
     timeout: float = 60.0,
     backend: Optional[str] = None,
-    compress: bool = False,
 ) -> LoadResult:
     """Drive ``sessions`` concurrent connections, each replaying
     ``batch``, and measure aggregate wall-clock throughput.
@@ -780,16 +670,13 @@ def run_load(
     All sessions connect and handshake first, then start streaming
     together off a barrier so the measured window is pure streaming.
     The first session failure is re-raised after every thread joins.
-    ``backend`` is requested per session in the HELLO and
-    ``compress`` the CBATCH feature (see :class:`RaceClient`).
+    ``backend`` is requested per session in the HELLO (see
+    :class:`RaceClient`).
     """
     if sessions < 1:
         raise ServeError(f"need at least one session, got {sessions}")
     clients = [
-        RaceClient(
-            host, port, timeout=timeout, backend=backend,
-            compress=compress,
-        ).connect()
+        RaceClient(host, port, timeout=timeout, backend=backend).connect()
         for _ in range(sessions)
     ]
     barrier = threading.Barrier(sessions + 1)
@@ -799,10 +686,7 @@ def run_load(
     def drive(k: int, client: RaceClient) -> None:
         try:
             barrier.wait()
-            if compress:
-                client.send_batches_compressed(batch)
-            else:
-                client.send_batches(batch, batch_size)
+            client.send_batches(batch, batch_size)
             summaries[k] = client.finish()
         except BaseException as exc:
             errors.append(exc)

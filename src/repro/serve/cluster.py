@@ -16,9 +16,7 @@ hash-sharding accesses by ``lid % N`` across independent detectors is
 :class:`~repro.engine.ingest.ShardedBatchEngine` uses in-process and
 ships whole column slices to the workers -- structural events (fork,
 join, halt) are replicated to every worker so each one holds the full
-series-parallel skeleton.  CBATCH frames are expanded at the gateway
-and routed as raw slices (block structure does not survive sharding,
-the same reason ``ShardedBatchEngine.ingest_compressed`` expands).
+series-parallel skeleton.
 
 **Migration under kill.**  Each client session opens one *durable*
 worker session per shard, keyed ``gw{nonce}-{sid}-s{k}`` -- that is
@@ -348,7 +346,7 @@ class _ClusterMetrics(CoreMetrics):
     def __init__(self, registry: MetricsRegistry, workers: int) -> None:
         super().__init__(registry, "cluster")
         self.batches = self.counter(
-            "batches_total", "BATCH/CBATCH frames routed"
+            "batches_total", "BATCH frames routed"
         )
         # The routing counters partition every incoming event exactly
         # once, mirroring ShardedBatchEngine: an access counts against
@@ -578,9 +576,7 @@ class RaceCluster(SessionCore):
 
     async def _open(self, session: _GatewaySession) -> None:
         """Open one durable worker session per shard, concurrently --
-        the (session, shard) key.  CBATCH is grantable unconditionally:
-        the gateway expands CBATCH frames itself and routes raw
-        slices."""
+        the (session, shard) key."""
         links = [
             _WorkerLink(
                 self.workers[k].port,
@@ -607,15 +603,13 @@ class RaceCluster(SessionCore):
         self,
         session: _GatewaySession,
         seq: int,
-        batch,
+        batch: EventBatch,
         table: Optional[int],
     ) -> bool:
-        """Expand a CBATCH, split by location and write each link its
-        slice, all on the loop; only a link short of credit waits.
-        Then forward the new races."""
+        """Split by location and write each link its slice, all on
+        the loop; only a link short of credit waits.  Then forward the
+        new races."""
         start = perf_counter()
-        if not isinstance(batch, EventBatch):
-            batch = batch.decompress()
         subs = split_batch(batch, len(session.links))
         waited = 0.0
         try:

@@ -18,12 +18,12 @@ type      direction  payload
 HELLO     client->   magic ``RPRSERVE`` + u32 version + u32 max
                      frame size the client is willing to receive +
                      the 16-byte NUL-padded requested engine backend
-                     (all-NUL = server default) + u32 feature flags
-                     (bit 0 = the client wants to send CBATCH)
+                     (all-NUL = server default) + u32 feature word
+                     (reserved; front ends ignore it)
 HELLO     server->   magic + u32 version + u32 initial credit +
                      u32 effective max frame size + u32 flags (0) +
-                     the 16-byte granted backend + u32 granted
-                     feature flags + u32 engine worker count (1 on
+                     the 16-byte granted backend + u32 feature
+                     word (always 0) + u32 engine worker count (1 on
                      a single-node server, N behind a gateway)
 BATCH     client->   the ``tracefile`` column layout, minus magic:
                      u8 endian flag, u64 n_events, u64 table byte
@@ -33,22 +33,7 @@ BATCH     client->   the ``tracefile`` column layout, minus magic:
                      RPR2TRC file stores, so server-side decode is
                      bulk column copies (and, with numpy, zero-copy
                      views for validation), never per-event parsing
-CBATCH    client->   a grammar-compressed batch (only after the HELLO
-                     exchange granted the CBATCH feature bit):
-                     u8 endian flag, u32 block width, u64 expanded
-                     event count, u64 unique block count, u64 rule
-                     count, u64 table byte length, u64 seq, the
-                     (optional) location-table JSON, u32 per-block
-                     lengths, then the unique blocks' ``ops``/``a``/
-                     ``b`` columns concatenated block-major, and the
-                     ``(u32 block id, u32 repeat)`` rule pairs --
-                     the :class:`repro.compress.CompressedTrace`
-                     shape on the wire, ingested server-side by the
-                     memoized kernel without ever expanding; it may
-                     expand to at most ``max frame // 9`` events,
-                     what a raw BATCH under the same cap can carry
 CREDIT    server->   u32 additional BATCH frames the client may send
-                     (CBATCH frames spend the same credit)
 RACES     server->   UTF-8 JSON object ``{"seq": n, "reports": [...]}``
                      with interned location ids; ``seq`` names the
                      BATCH the reports were found in, so a resuming
@@ -72,16 +57,15 @@ ACK       server->   u64 durable sequence number, sent after every
 HELLO: there is one client and one server shape, both fixed-size.
 The client names the engine backend it wants (``lattice2d``, or
 ``shb`` on a prediction server -- each server grants the one engine it
-runs -- or all-NUL for the default) and its feature flags
-(:data:`FLAG_CBATCH` asks to send CBATCH frames); the reply names the
-backend the session got, echoes the feature bits it granted, and
-carries the **worker count** -- the fan-out of the multi-node gateway
+runs -- or all-NUL for the default) and a feature word that no
+feature uses any more; the reply names the backend the session got,
+always carries 0 in its feature word, and carries the **worker
+count** -- the fan-out of the multi-node gateway
 tier (:mod:`repro.serve.cluster`), or 1 on a single-node server (see
 ``docs/SCALE_OUT.md``).  A HELLO of another version or another length
-is refused with a typed ``ERR_VERSION`` ERROR frame, a backend the
-server does not run with ``ERR_BACKEND``, and a CBATCH request a
-prediction server cannot ingest with ``ERR_COMPRESS`` -- a request is
-never silently downgraded.
+is refused with a typed ``ERR_VERSION`` ERROR frame and a backend the
+server does not run with ``ERR_BACKEND`` -- a request is never
+silently downgraded.
 
 Durability: every BATCH carries a u64 sequence number, assigned
 1, 2, 3... by the client.  The server requires contiguous sequencing;
@@ -130,11 +114,9 @@ __all__ = [
     "BACKEND_NAME_SIZE",
     "DEFAULT_MAX_FRAME",
     "FRAME_HEADER_SIZE",
-    "FLAG_CBATCH",
     "BYE_RELEASE",
     "FRAME_HELLO",
     "FRAME_BATCH",
-    "FRAME_CBATCH",
     "FRAME_CREDIT",
     "FRAME_RACES",
     "FRAME_ERROR",
@@ -153,7 +135,6 @@ __all__ = [
     "ERR_SHUTTING_DOWN",
     "ERR_CHECKPOINT",
     "ERR_BACKEND",
-    "ERR_COMPRESS",
     "ERROR_NAMES",
     "MAX_SESSION_TOKEN",
     "valid_session_token",
@@ -167,10 +148,6 @@ __all__ = [
     "decode_hello_reply",
     "encode_batch_payload",
     "decode_batch_payload",
-    "encode_cbatch_payload",
-    "decode_cbatch_payload",
-    "max_cbatch_events",
-    "check_cbatch_events",
     "validate_batch_columns",
     "encode_credit",
     "decode_credit",
@@ -197,10 +174,6 @@ PROTOCOL_VERSION = 5
 #: fixed width of the NUL-padded backend name field in HELLO frames
 BACKEND_NAME_SIZE = 16
 
-#: HELLO feature bit: the client wants to send CBATCH frames (and the
-#: server, echoing it, commits to ingesting them)
-FLAG_CBATCH = 1
-
 #: client BYE flag: the session will never be resumed, so a durable
 #: session releases its checkpoint instead of writing a final one
 BYE_RELEASE = 1
@@ -211,8 +184,11 @@ DEFAULT_MAX_FRAME = 8 * 1024 * 1024
 _FRAME = struct.Struct("<IBI")
 FRAME_HEADER_SIZE = _FRAME.size
 
+# Frame type 9 (CBATCH) and error code 12 (ERR_COMPRESS) belonged to the
+# retired compressed-trace tier; neither is ever reused.  A type-9 frame
+# now fails the unknown-frame-type check like any other.
 FRAME_HELLO, FRAME_BATCH, FRAME_CREDIT, FRAME_RACES, FRAME_ERROR, \
-    FRAME_BYE, FRAME_RESUME, FRAME_ACK, FRAME_CBATCH = range(1, 10)
+    FRAME_BYE, FRAME_RESUME, FRAME_ACK = range(1, 9)
 
 FRAME_NAMES = {
     FRAME_HELLO: "HELLO",
@@ -223,7 +199,6 @@ FRAME_NAMES = {
     FRAME_BYE: "BYE",
     FRAME_RESUME: "RESUME",
     FRAME_ACK: "ACK",
-    FRAME_CBATCH: "CBATCH",
 }
 
 # -- error codes (carried in ERROR frames) ------------------------------------
@@ -239,7 +214,6 @@ ERR_CREDIT_OVERRUN = 8  #: client sent a BATCH with no credit outstanding
 ERR_SHUTTING_DOWN = 9  #: server is draining (SIGTERM)
 ERR_CHECKPOINT = 10  #: RESUME hit a corrupt/unloadable checkpoint
 ERR_BACKEND = 11  #: requested engine backend refused
-ERR_COMPRESS = 12  #: CBATCH feature refused, or a malformed CBATCH frame
 
 ERROR_NAMES = {
     ERR_PROTOCOL: "protocol",
@@ -253,25 +227,17 @@ ERROR_NAMES = {
     ERR_SHUTTING_DOWN: "shutting-down",
     ERR_CHECKPOINT: "checkpoint",
     ERR_BACKEND: "backend",
-    ERR_COMPRESS: "compress",
 }
 
-#: magic, version, client max frame, requested backend, feature flags
+#: magic, version, client max frame, requested backend, feature word
+#: (reserved: no feature is defined, front ends ignore it)
 _HELLO_C = struct.Struct("<8sII16sI")
 #: magic, version, credit, max frame, flags (0), granted backend,
-#: granted feature flags, engine worker count
+#: feature word (always 0), engine worker count
 _HELLO_S = struct.Struct("<8sIIII16sII")
 _HELLO_VERSION = struct.Struct("<8sI")  # the prefix every version shares
 #: endian flag, n_events, table_len, seq
 _BATCH_HEADER = struct.Struct("<B7xQQQ")
-#: endian flag, block width, expanded n_events, n_blocks, n_rules,
-#: table_len, seq -- the CBATCH header
-_CBATCH_HEADER = struct.Struct("<B3xIQQQQQ")
-_CBATCH_LEN = struct.Struct("<I")  # one per-block length entry
-_CBATCH_RULE = struct.Struct("<II")  # (block id, repeat count)
-#: ceiling on a CBATCH block width -- mirrors the RPR2TRZ container's
-#: bound, rejecting absurd widths before the length table is read
-_MAX_CBATCH_WIDTH = 2 ** 20
 _CREDIT = struct.Struct("<I")
 _ERROR = struct.Struct("<H")
 _BYE_S = struct.Struct("<QQ")  # events ingested, races reported
@@ -394,7 +360,7 @@ def encode_hello(
 ) -> bytes:
     """The client HELLO.  ``backend`` requests an engine backend for
     the session (``None`` keeps the server default); ``features`` is
-    the flag word (:data:`FLAG_CBATCH`)."""
+    the reserved feature word, which no front end reads."""
     return _HELLO_C.pack(
         PROTOCOL_MAGIC, PROTOCOL_VERSION, max_frame,
         _pack_backend(backend), features,
@@ -418,9 +384,9 @@ def encode_hello_reply(
     workers: int = 1,
 ) -> bytes:
     """The server HELLO reply: ``backend`` names the backend the
-    session got, ``features`` the granted flag word, and ``workers``
-    the engine-worker fan-out behind this listener (a single-node
-    server says 1, the gateway tier its worker count)."""
+    session got, ``features`` the feature word (front ends send 0),
+    and ``workers`` the engine-worker fan-out behind this listener (a
+    single-node server says 1, the gateway tier its worker count)."""
     if workers < 1:
         raise ProtocolError(f"worker count must be positive, got {workers}")
     return _HELLO_S.pack(
@@ -445,14 +411,14 @@ def decode_hello_reply(
 # -- BATCH --------------------------------------------------------------------
 
 
-def _decode_shipped_table(raw: memoryview, frame: str) -> List:
+def _decode_shipped_table(raw: memoryview) -> List:
     """A shipped location-table delta, decoded by the strict table
-    codec the trace formats use: a malformed, duplicate or unhashable
+    codec the trace format uses: a malformed, duplicate or unhashable
     entry is a malformed batch, never a crash."""
     try:
         return _decode_table(bytes(raw)).locations()
     except TraceError as exc:
-        raise ProtocolError(f"bad {frame} location table ({exc})") from None
+        raise ProtocolError(f"bad BATCH location table ({exc})") from None
 
 
 def encode_batch_payload(
@@ -508,7 +474,7 @@ def decode_batch_payload(
     b_off = a_off + n_events * _INT_SIZE
     locations: Optional[List] = None
     if table_len:
-        locations = _decode_shipped_table(view[table_off:ops_off], "BATCH")
+        locations = _decode_shipped_table(view[table_off:ops_off])
     ops = array("B")
     av = array("i")
     bv = array("i")
@@ -519,169 +485,6 @@ def decode_batch_payload(
         av.byteswap()
         bv.byteswap()
     return EventBatch(ops, av, bv), locations, seq
-
-
-def encode_cbatch_payload(
-    ctrace, new_locations: Sequence = (), seq: int = 0
-) -> bytes:
-    """Serialise one :class:`~repro.compress.CompressedTrace` (plus
-    the locations newly interned for it) as a CBATCH payload.
-
-    The wire shape is the RPR2TRZ section layout minus the per-section
-    CRCs (the framing layer already CRCs the whole payload): header,
-    optional location-table JSON, u32 per-block lengths, the unique
-    blocks' three columns concatenated, then the ``(block id, repeat)``
-    rule pairs.  ``seq`` follows the BATCH discipline exactly --
-    CBATCH frames share the session's one sequence space.
-    """
-    table = _encode_table(new_locations) if new_locations else b""
-    blocks = ctrace.blocks
-    head = _CBATCH_HEADER.pack(
-        _native_flag(), ctrace.block_width, ctrace.n_events,
-        len(blocks), len(ctrace.rules), len(table), seq,
-    )
-    lengths = b"".join(_CBATCH_LEN.pack(len(block)) for block in blocks)
-    rules = b"".join(
-        _CBATCH_RULE.pack(bid, rep) for bid, rep in ctrace.rules
-    )
-    return b"".join(
-        [head, table, lengths]
-        + [block.ops.tobytes() for block in blocks]
-        + [block.a.tobytes() for block in blocks]
-        + [block.b.tobytes() for block in blocks]
-        + [rules]
-    )
-
-
-def decode_cbatch_payload(payload: bytes):
-    """Decode a CBATCH payload into ``(ctrace, new_locations_or_None,
-    seq)`` without expanding it.
-
-    Validation order mirrors :func:`decode_batch_payload` and the
-    RPR2TRZ reader: the header's *fixed-size* claims (table, length
-    section, rules) are bounded against the payload before anything is
-    allocated, each declared block length must satisfy ``0 < len <=
-    block_width``, and only then is the exact payload size recomputed
-    from the now-trusted lengths and required to match -- a header that
-    lies about any count is rejected outright.  Rules must reference
-    existing blocks with positive repeats and expand to exactly the
-    declared event count, so a decoded trace is structurally sound
-    before it reaches an engine.
-    """
-    from repro.compress.blocks import CompressedTrace
-
-    if len(payload) < _CBATCH_HEADER.size:
-        raise ProtocolError(
-            f"truncated CBATCH header ({len(payload)} of "
-            f"{_CBATCH_HEADER.size} bytes)"
-        )
-    (
-        endian, block_width, n_events, n_blocks, n_rules, table_len, seq,
-    ) = _CBATCH_HEADER.unpack_from(payload)
-    if endian not in (0, 1):
-        raise ProtocolError(f"bad endianness flag {endian} in CBATCH")
-    if not 0 < block_width <= _MAX_CBATCH_WIDTH:
-        raise ProtocolError(
-            f"implausible CBATCH block width {block_width}"
-        )
-    fixed_need = (
-        _CBATCH_HEADER.size + table_len
-        + n_blocks * _CBATCH_LEN.size + n_rules * _CBATCH_RULE.size
-    )
-    if fixed_need > len(payload):
-        raise ProtocolError(
-            f"lying CBATCH header: {n_blocks} blocks, {n_rules} rules "
-            f"and a {table_len}-byte table need at least {fixed_need} "
-            f"payload bytes, frame carries {len(payload)}"
-        )
-    view = memoryview(payload)
-    table_off = _CBATCH_HEADER.size
-    len_off = table_off + table_len
-    ops_off = len_off + n_blocks * _CBATCH_LEN.size
-    lengths = array("I")
-    lengths.frombytes(view[len_off:ops_off])
-    if sys.byteorder != "little":
-        lengths.byteswap()
-    for i, length in enumerate(lengths):
-        if not 0 < length <= block_width:
-            raise ProtocolError(
-                f"CBATCH block {i} claims {length} events "
-                f"(width {block_width})"
-            )
-    total = sum(lengths)
-    need = fixed_need + total * _PER_EVENT
-    if need != len(payload):
-        raise ProtocolError(
-            f"lying CBATCH header: blocks sum to {total} events, "
-            f"needing {need} payload bytes, frame carries {len(payload)}"
-        )
-    locations: Optional[List] = None
-    if table_len:
-        locations = _decode_shipped_table(view[table_off:len_off], "CBATCH")
-    a_off = ops_off + total * _OPS_SIZE
-    b_off = a_off + total * _INT_SIZE
-    rule_off = b_off + total * _INT_SIZE
-    foreign = endian != _native_flag()
-    blocks: List[EventBatch] = []
-    o, a, b = ops_off, a_off, b_off
-    for length in lengths:
-        ops = array("B")
-        av = array("i")
-        bv = array("i")
-        ops.frombytes(view[o: o + length])
-        av.frombytes(view[a: a + length * _INT_SIZE])
-        bv.frombytes(view[b: b + length * _INT_SIZE])
-        if foreign:
-            av.byteswap()
-            bv.byteswap()
-        blocks.append(EventBatch(ops, av, bv))
-        o += length
-        a += length * _INT_SIZE
-        b += length * _INT_SIZE
-    rules: List[Tuple[int, int]] = []
-    expanded = 0
-    for i in range(n_rules):
-        bid, rep = _CBATCH_RULE.unpack_from(
-            payload, rule_off + i * _CBATCH_RULE.size
-        )
-        if bid >= n_blocks:
-            raise ProtocolError(
-                f"CBATCH rule {i} references block {bid} of {n_blocks}"
-            )
-        if rep < 1:
-            raise ProtocolError(f"CBATCH rule {i} has zero repeat count")
-        if rules and rules[-1][0] == bid:
-            rules[-1] = (bid, rules[-1][1] + rep)
-        else:
-            rules.append((bid, rep))
-        expanded += rep * lengths[bid]
-    if expanded != n_events:
-        raise ProtocolError(
-            f"CBATCH rules expand to {expanded} events but the header "
-            f"claims {n_events}"
-        )
-    return CompressedTrace(block_width, blocks, rules), locations, seq
-
-
-def max_cbatch_events(max_frame: int) -> int:
-    """The most events a CBATCH may expand to under ``max_frame``:
-    what a raw BATCH of that size could carry (9 bytes per event).  A
-    front end pays for the expansion, not for the wire bytes: the
-    gateway materializes it to route it and the server's memoized
-    kernel walks every repeat, so without this cap a 93-byte frame
-    could claim 17 billion events."""
-    return max_frame // _PER_EVENT
-
-
-def check_cbatch_events(n_events: int, max_frame: int) -> None:
-    """Refuse a CBATCH expanding past :func:`max_cbatch_events`."""
-    limit = max_cbatch_events(max_frame)
-    if n_events > limit:
-        raise ProtocolError(
-            f"CBATCH expands to {n_events} events, over the {limit} a "
-            f"raw BATCH under the {max_frame}-byte frame cap can carry",
-            code=ERR_MALFORMED_BATCH,
-        )
 
 
 def validate_batch_columns(

@@ -2,7 +2,7 @@
 
 :class:`RaceServer` is an asyncio TCP server speaking the RPRSERVE
 protocol (:mod:`repro.serve.protocol`).  The session itself -- HELLO
-negotiation of version, frame cap, engine backend and CBATCH, credit
+negotiation of version, frame cap and engine backend, credit
 with the high-water stall, sequencing, validation, one ERROR then
 teardown on a violation, BYE, graceful drain on ``SIGTERM``/``SIGINT``
 -- is the shared :class:`~repro.serve.session.SessionCore`.  This
@@ -11,17 +11,15 @@ module is the *sink* behind it:
 * each session gets an isolated
   :class:`~repro.engine.ingest.BatchEngine` (lattice2d, or SHB in
   prediction mode -- HELLO grants that engine's name, ``lattice2d`` or
-  ``shb``, and refuses the other); every queued batch runs through it --
-  CBATCH frames through the memoized kernel
-  (:meth:`~repro.engine.ingest.BatchEngine.ingest_compressed`) without
-  ever being expanded -- and newly detected races stream back as
-  RACES frames keyed by the batch's seq;
+  ``shb``, and refuses the other); every queued batch runs through it
+  and newly detected races stream back as RACES frames keyed by the
+  batch's seq;
 * ingest runs on the event loop itself, one batch at a time with one
   yield after each, so sessions interleave batch by batch.  The
   detector is sequential, so an executor thread would buy no
   parallelism under the GIL, only a hand-off per batch.  One frame
-  holds the loop for at most its own ingest, which ``max_frame`` and
-  the CBATCH expansion cap (``max_frame // 9`` events) bound;
+  holds the loop for at most its own ingest, which ``max_frame``
+  bounds;
 * a durable session (RESUME) is restored from its checkpoint,
   checkpointed every ``checkpoint_interval`` applied batches (each
   ACKed, the file I/O in an executor) and once more at teardown --
@@ -115,9 +113,6 @@ class _Metrics(CoreMetrics):
     def __init__(self, registry: MetricsRegistry, backend: str) -> None:
         super().__init__(registry, "serve", backend)
         self.batches = self.counter("batches_total", "BATCH frames ingested")
-        self.cbatches = self.counter(
-            "cbatches_total", "compressed CBATCH frames ingested"
-        )
         self.races_streamed = self.counter(
             "races_streamed_total", "race reports streamed back to clients"
         )
@@ -196,12 +191,6 @@ class RaceServer(SessionCore):
     # -- the session engine --------------------------------------------------
 
     async def _open(self, session: _ServerSession) -> None:
-        if self.config.predict and session.cbatch:
-            raise ProtocolError(
-                "prediction sessions ingest raw batches; drop the "
-                "compress request or use an observed-order server",
-                code=wire.ERR_COMPRESS,
-            )
         session.engine = BatchEngine(
             registry=self.registry, predict=self.config.predict
         )
@@ -212,16 +201,10 @@ class RaceServer(SessionCore):
             raise ServeError("session engine is closed")
         return session.engine
 
-    def _apply(
-        self, session: _ServerSession, batch: Any, compressed: bool
-    ) -> List:
-        """Feed one batch (compressed ones through the memoized kernel,
-        never expanded); returns the races it newly detected."""
+    def _apply(self, session: _ServerSession, batch: EventBatch) -> List:
+        """Feed one batch; returns the races it newly detected."""
         engine = self._engine(session)
-        if compressed:
-            engine.ingest_compressed(batch)
-        else:
-            engine.ingest(batch)
+        engine.ingest(batch)
         races = engine.detector.races
         new = list(races[session.races_seen:])
         session.races_seen = len(races)
@@ -231,16 +214,15 @@ class RaceServer(SessionCore):
         self,
         session: _ServerSession,
         seq: int,
-        batch: Any,
+        batch: EventBatch,
         table: Optional[int],
     ) -> bool:
         """Ingest on the loop thread, then yield once so sessions
         interleave batch by batch (see the module docstring)."""
         m = self._m
         start = time.perf_counter()
-        compressed = not isinstance(batch, EventBatch)
         try:
-            new_races = self._apply(session, batch, compressed)
+            new_races = self._apply(session, batch)
         except (DetectorError, ServeError) as exc:
             await self._fail(session, exc, wire.ERR_DETECTOR, str(exc))
             return False
@@ -253,7 +235,7 @@ class RaceServer(SessionCore):
             session.last_table = table
         m.service_time.observe(time.perf_counter() - start)
         m.batch_events.observe(len(batch))
-        (m.cbatches if compressed else m.batches).inc()
+        m.batches.inc()
         if new_races:
             m.races_streamed.inc(len(new_races))
             await self._send(

@@ -7,14 +7,13 @@ session does on the wire.  :class:`SessionCore` is that session, once:
 * the listener and the per-connection handler with its teardown;
 * HELLO: the version check (one wire shape, anything else is
   ``ERR_VERSION``), the engine-backend check (only the front end's
-  :attr:`SessionCore.backend` is grantable), the CBATCH feature
-  grant, the frame-size cap, and the reply with the worker count;
+  :attr:`SessionCore.backend` is grantable), the frame-size cap, and
+  the reply with the worker count (its feature word always 0);
 * the read loop: credit accounting, batch-sequence contiguity (and the
   idempotent skip of replayed batches on a durable session), the
-  shipped location-table bound, the CBATCH expansion cap
-  (``max_frame // 9`` events), per-unique-block CBATCH validation,
-  draining after a failure, and BYE (a RELEASE BYE marks the session
-  :attr:`Session.released` once answered, for the sink's teardown);
+  shipped location-table bound, draining after a failure, and BYE (a
+  RELEASE BYE marks the session :attr:`Session.released` once
+  answered, for the sink's teardown);
 * the consume loop: one queued batch at a time through the front
   end's ingest, then a credit grant -- withheld while the session's
   queue sits at its high-water mark (a *credit stall*), so a client
@@ -50,7 +49,6 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engine.batch import EventBatch
 from repro.errors import ProtocolError, ServeError
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.serve import protocol as wire
@@ -129,10 +127,6 @@ class CoreMetrics:
         self.bytes_out = self.counter(
             "bytes_total", "payload bytes by direction", dir="out"
         )
-        self.compressed_bytes = self.counter(
-            "compressed_bytes_total",
-            "CBATCH payload bytes received (compressed wire bytes)",
-        )
         self.events = self.counter(
             "events_total", "events ingested over the wire"
         )
@@ -196,8 +190,8 @@ class Session:
 
     __slots__ = (
         "sid", "writer", "queue", "queued", "credits", "withheld",
-        "write_lock", "failed", "draining", "max_frame", "cbatch", "token", "enqueued_seq", "table", "saw_batch",
-        "released",
+        "write_lock", "failed", "draining", "max_frame", "token",
+        "enqueued_seq", "table", "saw_batch", "released",
     )
 
     def __init__(
@@ -213,7 +207,6 @@ class Session:
         self.failed: Optional[BaseException] = None
         self.draining = False
         self.max_frame = max_frame
-        self.cbatch = False  # CBATCH feature granted in HELLO
         self.token: Optional[str] = None  # durable session id (RESUME)
         self.enqueued_seq = 0  # highest seq accepted off the wire
         self.table: Optional[int] = None  # shipped table size, if any
@@ -504,17 +497,13 @@ class SessionCore:
             raise ProtocolError(
                 f"expected HELLO, got {wire.FRAME_NAMES[ftype]}"
             )
-        client_max, requested, features = wire.decode_hello(payload)
+        client_max, requested, _features = wire.decode_hello(payload)
         if requested is not None and requested != self.backend:
             raise ProtocolError(
                 f"unknown engine backend {requested!r}; "
                 f"this {self.role} runs only {self.backend!r}",
                 code=wire.ERR_BACKEND,
             )
-        # Compression is negotiated exactly like a backend: a request
-        # the front end cannot honour is a typed refusal from _open,
-        # never a silent downgrade the client discovers mid-stream.
-        session.cbatch = bool(features & wire.FLAG_CBATCH)
         await self._open(session)
         self._m.sessions_backend.inc()
         session.max_frame = min(self.config.max_frame, client_max)
@@ -522,9 +511,7 @@ class SessionCore:
             session, wire.FRAME_HELLO,
             wire.encode_hello_reply(
                 self.config.credit_window, session.max_frame,
-                backend=self.backend,
-                features=wire.FLAG_CBATCH if session.cbatch else 0,
-                workers=self._fan_out(),
+                backend=self.backend, workers=self._fan_out(),
             ),
         )
 
@@ -548,8 +535,8 @@ class SessionCore:
                 if ftype == wire.FRAME_BYE:
                     return
                 continue
-            if ftype in (wire.FRAME_BATCH, wire.FRAME_CBATCH):
-                await self._accept_batch(session, ftype, payload)
+            if ftype == wire.FRAME_BATCH:
+                await self._accept_batch(session, payload)
             elif ftype == wire.FRAME_RESUME:
                 await self._resume(session, payload)
             elif ftype == wire.FRAME_BYE:
@@ -570,18 +557,10 @@ class SessionCore:
                     f"unexpected {wire.FRAME_NAMES[ftype]} frame"
                 )
 
-    async def _accept_batch(
-        self, session: Session, ftype: int, payload: bytes
-    ) -> None:
+    async def _accept_batch(self, session: Session, payload: bytes) -> None:
         """Spend credit on, decode, sequence-check and validate one
-        BATCH/CBATCH frame, then queue it for the consumer."""
+        BATCH frame, then queue it for the consumer."""
         m = self._m
-        if ftype == wire.FRAME_CBATCH and not session.cbatch:
-            raise ProtocolError(
-                "CBATCH on a session that did not negotiate "
-                "the compression feature",
-                code=wire.ERR_COMPRESS,
-            )
         if session.credits <= 0:
             raise ProtocolError(
                 "BATCH with no credit outstanding",
@@ -590,14 +569,7 @@ class SessionCore:
         session.credits -= 1
         m.credit_outstanding.dec()
         try:
-            if ftype == wire.FRAME_CBATCH:
-                batch, new_locs, seq = wire.decode_cbatch_payload(payload)
-                # before anything expands it (the gateway routes
-                # expanded slices; ingest holds the loop for all of it)
-                wire.check_cbatch_events(len(batch), session.max_frame)
-                m.compressed_bytes.inc(len(payload))
-            else:
-                batch, new_locs, seq = wire.decode_batch_payload(payload)
+            batch, new_locs, seq = wire.decode_batch_payload(payload)
         except ProtocolError as exc:
             raise ProtocolError(
                 str(exc), code=wire.ERR_MALFORMED_BATCH
@@ -627,14 +599,7 @@ class SessionCore:
         try:
             if new_locs is not None:
                 session.table = (session.table or 0) + len(new_locs)
-            # Compressed: validating each unique block once covers
-            # every repeat -- the dedup that makes ingestion cheap
-            # makes validation cheap too.
-            blocks = (
-                (batch,) if isinstance(batch, EventBatch) else batch.blocks
-            )
-            for block in blocks:
-                wire.validate_batch_columns(block, session.table)
+            wire.validate_batch_columns(batch, session.table)
         except ProtocolError as exc:
             raise ProtocolError(
                 str(exc), code=wire.ERR_MALFORMED_BATCH

@@ -120,19 +120,16 @@ def loop_program(
     n_shared: int = 4,
     racy: bool = False,
 ) -> Body:
-    """A deliberately repetitive, block-structured workload -- the
-    compressed-trace subsystem's standard traffic generator (the CLI
-    ``--loops`` knob).
+    """A deliberately repetitive, block-structured workload (the CLI's
+    ``submit --racegen-loops`` knob).
 
     The root forks ``fanout`` workers back-to-back and joins them in
     reverse.  Each worker runs ``loops`` iterations of one fixed
     ``pattern``-length access run whose locations depend only on the
     position *within* the pattern -- every iteration emits exactly the
     same ``(op, task, loc)`` columns, so a worker's whole run is a
-    stream with period ``pattern``.  Whenever ``pattern`` divides the
-    compressor's block width, the run's interior blocks are bit-identical
-    and the trace collapses to a handful of unique blocks plus
-    run-length rules (see :mod:`repro.compress`).
+    stream with period ``pattern``: any fixed-width slicing whose width
+    ``pattern`` divides cuts bit-identical interior blocks.
 
     The accesses are race-free by construction: each worker writes only
     its own private locations and reads a shared read-only pool.  With

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compress import compress, read_tracez, write_tracez
 from repro.engine.batch import BatchBuilder, EventBatch, LocationInterner
 from repro.engine.ingest import BatchEngine
 from repro.engine.tracefile import (
@@ -33,7 +32,6 @@ from repro.engine.tracefile import (
 from repro.errors import ProgramError, TraceError
 from repro.forkjoin import fork, join, write
 from repro.forkjoin.interpreter import run
-from repro.obs.registry import MetricsRegistry
 
 pytestmark = pytest.mark.engine
 
@@ -355,16 +353,8 @@ class TestLabelFidelity:
             replace(r, loc=_stored(r.loc)) for r in in_memory.races()
         )
 
-        packed = io.BytesIO()
-        ctrace = compress(batch, 8, registry=MetricsRegistry())
-        write_tracez(packed, ctrace, interner)
-        ctrace_back, z_interner = read_tracez(io.BytesIO(packed.getvalue()))
-        for back, back_interner in (
-            read_trace(io.BytesIO(_dump(batch, interner))),
-            read_trace(io.BytesIO(packed.getvalue())),
-            (ctrace_back.decompress(), z_interner),
-        ):
-            assert _typed(back_interner.locations()) == _typed(expected)
-            replayed = BatchEngine(interner=back_interner)
-            replayed.ingest(back)
-            assert _reports(replayed.races()) == want
+        back, back_interner = read_trace(io.BytesIO(_dump(batch, interner)))
+        assert _typed(back_interner.locations()) == _typed(expected)
+        replayed = BatchEngine(interner=back_interner)
+        replayed.ingest(back)
+        assert _reports(replayed.races()) == want

@@ -12,7 +12,7 @@ from repro.engine.tracefile import (
     record_trace,
     write_trace,
 )
-from repro.errors import ProgramError
+from repro.errors import ProgramError, TraceError
 from repro.forkjoin.interpreter import run
 from repro.workloads.racegen import bulk_access_program
 
@@ -30,13 +30,14 @@ def capture(body):
 class TestRoundTrip:
     def test_batch_survives_write_read(self, tmp_path):
         batch, interner = capture(BODY)
-        path = str(tmp_path / "t.rtrc")
-        assert write_trace(path, batch, interner) == len(batch)
-        back, back_interner = read_trace(path)
-        assert list(back.ops) == list(batch.ops)
-        assert list(back.a) == list(batch.a)
-        assert list(back.b) == list(batch.b)
-        assert back_interner.locations() == interner.locations()
+        # a path given as str and as os.PathLike
+        for path in (str(tmp_path / "t.rtrc"), tmp_path / "p.rtrc"):
+            assert write_trace(path, batch, interner) == len(batch)
+            back, back_interner = read_trace(path)
+            assert list(back.ops) == list(batch.ops)
+            assert list(back.a) == list(batch.a)
+            assert list(back.b) == list(batch.b)
+            assert back_interner.locations() == interner.locations()
 
     def test_record_trace_one_call(self, tmp_path):
         path = str(tmp_path / "t.rtrc")
@@ -62,6 +63,7 @@ class TestSniffAndErrors:
         good = tmp_path / "good.rtrc"
         record_trace(BODY, path=str(good))
         assert is_tracefile(str(good))
+        assert is_tracefile(good)
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not a trace")
         assert not is_tracefile(str(bad))
@@ -72,6 +74,10 @@ class TestSniffAndErrors:
         path.write_bytes(b"X" * 64)
         with pytest.raises(ProgramError, match="magic"):
             read_trace(str(path))
+        # the retired compressed container is refused by name
+        path.write_bytes(b"RPR2TRZ\x01" + bytes(56))
+        with pytest.raises(TraceError, match="retired format"):
+            read_trace(path)
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "short.rtrc"

@@ -2,7 +2,7 @@
 
 Negotiation first (the HELLO worker-count field, the typed refusals),
 then routing exactness (gateway-sharded detection equals a serial
-local replay, for raw and compressed sessions), then migration
+local replay), then migration
 under kill (SIGKILL a worker mid-stream; the respawn/RESUME/replay
 machinery must deliver the identical race multiset), and
 teardown (a finished session's worker checkpoints are released, and no
@@ -100,17 +100,6 @@ class TestRouting:
         local = local_race_multiset(batch)
         with RaceClient("127.0.0.1", cluster2.port) as client:
             client.send_batches(batch, batch_size=1024)
-            summary = client.finish()
-        assert summary.events == len(batch)
-        assert race_multiset(summary.reports) == local
-
-    def test_compressed_sessions_agree(self, cluster2, small_workload):
-        batch, _interner = small_workload
-        local = local_race_multiset(batch)
-        with RaceClient(
-            "127.0.0.1", cluster2.port, compress=True
-        ) as client:
-            client.send_batches_compressed(batch, batch_size=2048)
             summary = client.finish()
         assert summary.events == len(batch)
         assert race_multiset(summary.reports) == local

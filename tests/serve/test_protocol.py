@@ -65,9 +65,11 @@ class TestFraming:
     def test_unknown_type_rejected_both_ways(self):
         with pytest.raises(ProtocolError, match="unknown frame type"):
             wire.encode_frame(42, b"")
-        head = struct.pack("<IBI", 0, 99, 0)
-        with pytest.raises(ProtocolError, match="unknown frame type"):
-            wire.parse_frame_header(head)
+        # 9 was the retired CBATCH frame: never reused, so unknown
+        for ftype in (99, 9):
+            head = struct.pack("<IBI", 0, ftype, 0)
+            with pytest.raises(ProtocolError, match="unknown frame type"):
+                wire.parse_frame_header(head)
 
     def test_truncated_header_rejected(self):
         frame = wire.encode_frame(wire.FRAME_BYE)
@@ -103,11 +105,11 @@ class TestHello:
     def test_client_hello_features_round_trip(self):
         max_frame, backend, features = wire.decode_hello(
             wire.encode_hello(
-                4096, backend="depa", features=wire.FLAG_CBATCH
+                4096, backend="depa", features=1
             )
         )
         assert (max_frame, backend) == (4096, "depa")
-        assert features & wire.FLAG_CBATCH
+        assert features == 1
 
     def test_backend_name_bounds(self):
         with pytest.raises(ProtocolError, match="exceeds"):
@@ -120,13 +122,13 @@ class TestHello:
             wire.decode_hello_reply(
                 wire.encode_hello_reply(
                     8, 65536, backend="lattice2d",
-                    features=wire.FLAG_CBATCH, workers=4,
+                    features=1, workers=4,
                 )
             )
         )
         assert (credit, max_frame) == (8, 65536)
         assert backend == "lattice2d"
-        assert features & wire.FLAG_CBATCH
+        assert features == 1
         assert workers == 4
 
     def test_v5_server_reply_carries_worker_count(self):
@@ -147,7 +149,7 @@ class TestHello:
             "00000000"
         )
         assert wire.encode_hello(
-            4096, backend="lattice2d", features=wire.FLAG_CBATCH
+            4096, backend="lattice2d", features=1
         ).hex() == (
             "52505253455256450500000000100000"
             "6c61747469636532640000000000000001000000"
@@ -158,7 +160,7 @@ class TestHello:
             "00000000000000000000000001000000"
         )
         assert wire.encode_hello_reply(
-            8, 65536, backend="lattice2d", features=wire.FLAG_CBATCH,
+            8, 65536, backend="lattice2d", features=1,
             workers=2,
         ).hex() == (
             "52505253455256450500000008000000"
@@ -287,124 +289,6 @@ class TestBatchPayload:
         decoded, _, _ = wire.decode_batch_payload(payload)
         assert decoded.a == batch.a
         assert decoded.b == batch.b
-
-
-class TestCBatchPayload:
-    def compressed(self, reps: int = 6):
-        from repro.compress import compress
-
-        builder = BatchBuilder()
-        for _ in range(reps):
-            for k in range(8):
-                builder.on_write(0, ("loc", k))
-        return compress(builder.batch, 8), builder.interner
-
-    def test_round_trip_without_table(self):
-        ctrace, _ = self.compressed()
-        decoded, locations, seq = wire.decode_cbatch_payload(
-            wire.encode_cbatch_payload(ctrace)
-        )
-        assert locations is None and seq == 0
-        assert len(decoded.blocks) == len(ctrace.blocks) == 1
-        assert decoded.rules == ctrace.rules
-        assert decoded.n_events == ctrace.n_events
-        raw = ctrace.decompress()
-        out = decoded.decompress()
-        assert (out.ops, out.a, out.b) == (raw.ops, raw.a, raw.b)
-
-    def test_round_trip_with_table_and_seq(self):
-        ctrace, interner = self.compressed()
-        payload = wire.encode_cbatch_payload(
-            ctrace, interner.locations(), seq=41
-        )
-        decoded, locations, seq = wire.decode_cbatch_payload(payload)
-        assert seq == 41
-        assert locations == [("loc", k) for k in range(8)]
-        assert decoded.block_width == ctrace.block_width
-
-    def test_wire_bytes_beat_the_expanded_batch(self):
-        ctrace, _ = self.compressed(reps=64)
-        cframe = wire.encode_cbatch_payload(ctrace)
-        frame = wire.encode_batch_payload(ctrace.decompress())
-        assert len(cframe) * 3 <= len(frame)
-
-    def test_truncated_header_rejected(self):
-        with pytest.raises(ProtocolError, match="truncated CBATCH"):
-            wire.decode_cbatch_payload(b"\x00" * 8)
-
-    def test_lying_block_count_rejected_before_allocation(self):
-        ctrace, _ = self.compressed()
-        payload = bytearray(wire.encode_cbatch_payload(ctrace))
-        struct.pack_into("<Q", payload, 16, 1 << 40)  # n_blocks
-        with pytest.raises(ProtocolError, match="lying CBATCH header"):
-            wire.decode_cbatch_payload(bytes(payload))
-
-    def test_lying_event_count_rejected(self):
-        ctrace, _ = self.compressed()
-        payload = bytearray(wire.encode_cbatch_payload(ctrace))
-        struct.pack_into("<Q", payload, 8, 10_000_000)  # n_events
-        with pytest.raises(ProtocolError, match="expand to"):
-            wire.decode_cbatch_payload(bytes(payload))
-
-    def test_short_payload_rejected(self):
-        ctrace, _ = self.compressed()
-        payload = wire.encode_cbatch_payload(ctrace)
-        with pytest.raises(ProtocolError, match="CBATCH"):
-            wire.decode_cbatch_payload(payload[:-1])
-
-    def test_bad_block_width_rejected(self):
-        ctrace, _ = self.compressed()
-        payload = bytearray(wire.encode_cbatch_payload(ctrace))
-        struct.pack_into("<I", payload, 4, 0)  # block width
-        with pytest.raises(ProtocolError, match="block width"):
-            wire.decode_cbatch_payload(bytes(payload))
-
-    def test_oversized_block_length_rejected(self):
-        ctrace, _ = self.compressed()
-        payload = bytearray(wire.encode_cbatch_payload(ctrace))
-        struct.pack_into(  # the one length entry: beyond the width
-            "<I", payload, wire._CBATCH_HEADER.size, 9
-        )
-        with pytest.raises(ProtocolError, match="claims 9 events"):
-            wire.decode_cbatch_payload(bytes(payload))
-
-    def test_rule_referencing_missing_block_rejected(self):
-        ctrace, _ = self.compressed()
-        payload = bytearray(wire.encode_cbatch_payload(ctrace))
-        struct.pack_into("<II", payload, len(payload) - 8, 7, 6)
-        with pytest.raises(ProtocolError, match="references block 7"):
-            wire.decode_cbatch_payload(bytes(payload))
-
-    def test_zero_repeat_rule_rejected(self):
-        ctrace, _ = self.compressed()
-        payload = bytearray(wire.encode_cbatch_payload(ctrace))
-        struct.pack_into("<II", payload, len(payload) - 8, 0, 0)
-        with pytest.raises(ProtocolError, match="zero repeat"):
-            wire.decode_cbatch_payload(bytes(payload))
-
-    def test_bad_endian_flag_rejected(self):
-        ctrace, _ = self.compressed()
-        payload = bytearray(wire.encode_cbatch_payload(ctrace))
-        payload[0] = 7
-        with pytest.raises(ProtocolError, match="endianness"):
-            wire.decode_cbatch_payload(bytes(payload))
-
-    def test_foreign_endian_columns_byteswapped(self):
-        ctrace, _ = self.compressed()
-        payload = bytearray(wire.encode_cbatch_payload(ctrace))
-        payload[0] = 1 if sys.byteorder == "little" else 0
-        block = ctrace.blocks[0]
-        off = wire._CBATCH_HEADER.size + 4  # table empty, one length
-        a_off = off + len(block)
-        a_sw = array("i", block.a)
-        b_sw = array("i", block.b)
-        a_sw.byteswap()
-        b_sw.byteswap()
-        swapped = a_sw.tobytes() + b_sw.tobytes()
-        payload[a_off: a_off + len(swapped)] = swapped
-        decoded, _, _ = wire.decode_cbatch_payload(bytes(payload))
-        assert decoded.blocks[0].a == block.a
-        assert decoded.blocks[0].b == block.b
 
 
 class TestColumnValidation:

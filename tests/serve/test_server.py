@@ -13,12 +13,12 @@ import socket
 import struct
 import threading
 import time
+import zlib
 from array import array
 from collections import Counter
 
 import pytest
 
-from repro.compress import CompressedTrace, compress
 from repro.engine.batch import OP_JOIN, OP_WRITE, EventBatch
 from repro.engine.ingest import BatchEngine
 from repro.engine.snapshot import load_checkpoint, state_digest
@@ -205,8 +205,7 @@ OLD_HELLOS = {
         "<8sII16s", wire.PROTOCOL_MAGIC, 3, 1 << 20, b"lattice2d"
     ),
     "v4": struct.pack(
-        "<8sII16sI", wire.PROTOCOL_MAGIC, 4, 1 << 20, b"lattice2d",
-        wire.FLAG_CBATCH,
+        "<8sII16sI", wire.PROTOCOL_MAGIC, 4, 1 << 20, b"lattice2d", 1
     ),
     "truncated": wire.encode_hello()[:-1],
 }
@@ -221,39 +220,12 @@ BAD_TABLES = {
 }
 
 
-def repeated_write(n: int) -> CompressedTrace:
-    """``n`` writes of location 0 by the root task, as one one-event
-    block repeated ``n`` times."""
-    block = EventBatch(
-        array("B", [OP_WRITE]), array("i", [0]), array("i", [0])
-    )
-    return CompressedTrace(1, [block], [(0, n)])
-
-
-def cbatch_bomb() -> bytes:
-    """A 93-byte CBATCH payload: one one-event block and four rules of
-    repeat 2**32 - 1, expanding to 17,179,869,180 events."""
-    repeat = 2 ** 32 - 1
-    block = repeated_write(1).blocks[0]
-    return b"".join([
-        wire._CBATCH_HEADER.pack(
-            wire._native_flag(), 1, 4 * repeat, 1, 4, 0, 0
-        ),
-        wire._CBATCH_LEN.pack(1),
-        block.ops.tobytes(), block.a.tobytes(), block.b.tobytes(),
-        wire._CBATCH_RULE.pack(0, repeat) * 4,
-    ])
-
-
-def with_table(ftype: int, payload: bytes, table: bytes) -> bytes:
-    """A BATCH/CBATCH ``payload`` encoded without a table, with
-    ``table`` spliced in as its shipped location table."""
-    header = (
-        wire._BATCH_HEADER if ftype == wire.FRAME_BATCH
-        else wire._CBATCH_HEADER
-    )
+def with_table(payload: bytes, table: bytes) -> bytes:
+    """A BATCH ``payload`` encoded without a table, with ``table``
+    spliced in as its shipped location table."""
+    header = wire._BATCH_HEADER
     fields = list(header.unpack_from(payload))
-    fields[-2] = len(table)  # table_len precedes seq in both headers
+    fields[-2] = len(table)  # table_len precedes seq
     return header.pack(*fields) + table + payload[header.size:]
 
 
@@ -286,6 +258,32 @@ class TestProtocolViolations:
         ) as conn:
             conn.send_frame(wire.FRAME_CREDIT, wire.encode_credit(1))
             conn.expect_error(wire.ERR_PROTOCOL)
+
+    def test_retired_frame_type_9_is_a_protocol_error(self, front_end):
+        """Type 9 (the retired CBATCH frame) is an unknown frame type
+        now: a typed ERR_PROTOCOL, and no handler exception (which the
+        conftest's asyncio-log check would fail)."""
+        with make_front_end(front_end) as srv, RawConn(srv.port) as conn:
+            conn.send(struct.pack("<IBI", 0, 9, zlib.crc32(b"")))
+            message = conn.expect_error(wire.ERR_PROTOCOL)
+            assert "unknown frame type 9" in message
+            conn.expect_eof()
+
+    def test_feature_bit_is_never_granted(self, front_end, small_workload):
+        """The HELLO feature word is reserved: a client setting bit 0
+        (once the CBATCH request) gets a reply carrying 0, and the
+        session runs as any other."""
+        batch, _ = small_workload
+        piece = next(batch.slices(256))
+        with make_front_end(front_end) as srv, RawConn(
+            srv.port, features=1
+        ) as conn:
+            assert conn.features == 0
+            conn.send_frame(
+                wire.FRAME_BATCH, wire.encode_batch_payload(piece)
+            )
+            conn.send_frame(wire.FRAME_BYE)
+            assert conn.expect_bye()[0] == len(piece)
 
     def test_bad_crc_rejected(self, front_end):
         with make_front_end(front_end) as srv, RawConn(srv.port) as conn:
@@ -349,62 +347,21 @@ class TestProtocolViolations:
             )
             conn.expect_error(wire.ERR_MALFORMED_BATCH)
 
-    @pytest.mark.parametrize("table", sorted(BAD_TABLES))
     @pytest.mark.parametrize(
-        "ftype", [wire.FRAME_BATCH, wire.FRAME_CBATCH],
-        ids=["BATCH", "CBATCH"],
+        "table", sorted(BAD_TABLES), ids=lambda name: f"BATCH-{name}"
     )
-    def test_bad_shipped_table_rejected_as_malformed(
-        self, front_end, ftype, table
-    ):
+    def test_bad_shipped_table_rejected_as_malformed(self, front_end, table):
         one_write = EventBatch(
             array("B", [OP_WRITE]), array("i", [0]), array("i", [0])
         )
-        if ftype == wire.FRAME_BATCH:
-            payload = wire.encode_batch_payload(one_write, seq=1)
-        else:
-            payload = wire.encode_cbatch_payload(compress(one_write), seq=1)
-        with make_front_end(front_end) as srv, RawConn(
-            srv.port, features=wire.FLAG_CBATCH
-        ) as conn:
+        payload = wire.encode_batch_payload(one_write, seq=1)
+        with make_front_end(front_end) as srv, RawConn(srv.port) as conn:
             conn.send_frame(
-                ftype, with_table(ftype, payload, BAD_TABLES[table])
+                wire.FRAME_BATCH, with_table(payload, BAD_TABLES[table])
             )
             conn.send_frame(wire.FRAME_BYE)
             message = conn.expect_error(wire.ERR_MALFORMED_BATCH)
             assert "location table" in message
-
-    def test_cbatch_bomb_rejected_as_malformed(self, front_end):
-        """93 bytes claiming 4 x (2**32 - 1) repeats of a one-event
-        block: refused before anything expands it."""
-        frame = cbatch_bomb()
-        assert len(frame) == 93
-        with make_front_end(front_end) as srv, RawConn(
-            srv.port, features=wire.FLAG_CBATCH
-        ) as conn:
-            conn.send_frame(wire.FRAME_CBATCH, frame)
-            message = conn.expect_error(wire.ERR_MALFORMED_BATCH)
-            assert "17179869180" in message
-            conn.expect_eof()
-
-    @pytest.mark.parametrize("extra", [0, 1], ids=["at-cap", "over-cap"])
-    def test_cbatch_expansion_capped_by_max_frame(self, front_end, extra):
-        # A raw BATCH under a 1,024-byte cap carries at most 113
-        # events; a CBATCH may expand to exactly as many.
-        cap = 1024 // 9
-        ctrace = repeated_write(cap + extra)
-        with make_front_end(front_end, max_frame=1024) as srv, RawConn(
-            srv.port, features=wire.FLAG_CBATCH
-        ) as conn:
-            conn.send_frame(
-                wire.FRAME_CBATCH, wire.encode_cbatch_payload(ctrace)
-            )
-            conn.send_frame(wire.FRAME_BYE)
-            if extra:
-                message = conn.expect_error(wire.ERR_MALFORMED_BATCH)
-                assert f"over the {cap}" in message
-            else:
-                assert conn.expect_bye() == (cap, 0)
 
     def test_access_beyond_shipped_table_rejected(self, front_end):
         batch = EventBatch(
@@ -562,7 +519,7 @@ class TestSessionLifecycle:
         asyncio.run(server._close(session))
         assert session.engine is None
         with pytest.raises(ServeError, match="closed"):
-            server._apply(session, EventBatch(), False)
+            server._apply(session, EventBatch())
         with pytest.raises(ServeError, match="closed"):
             asyncio.run(server._finish(session))  # the events count
 
@@ -624,9 +581,9 @@ class TestBackpressure:
         seen = []  # (withheld, credits) as each batch starts its ingest
         apply = server._apply
 
-        def recording_apply(s, piece, compressed):
+        def recording_apply(s, piece):
             seen.append((s.withheld, s.credits))
-            return apply(s, piece, compressed)
+            return apply(s, piece)
 
         server._apply = recording_apply
 
@@ -637,7 +594,7 @@ class TestBackpressure:
             session.credits = 4
             for piece in list(batch.slices(256))[:4]:
                 await server._accept_batch(
-                    session, wire.FRAME_BATCH, wire.encode_batch_payload(piece)
+                    session, wire.encode_batch_payload(piece)
                 )
             assert session.queued == 4 and session.credits == 0
             session.queue.put_nowait(_BYE)
@@ -736,9 +693,9 @@ class TestLoopDiscipline:
         order = []
         apply = server._apply
 
-        def recording_apply(s, piece, compressed):
+        def recording_apply(s, piece):
             order.append(s.sid)
-            return apply(s, piece, compressed)
+            return apply(s, piece)
 
         server._apply = recording_apply
 
@@ -752,8 +709,7 @@ class TestLoopDiscipline:
                 session.credits = len(pieces)
                 for piece in pieces:
                     await server._accept_batch(
-                        session, wire.FRAME_BATCH,
-                        wire.encode_batch_payload(piece),
+                        session, wire.encode_batch_payload(piece)
                     )
                 session.queue.put_nowait(_BYE)
             await asyncio.gather(*(server._consume(s) for s in sessions))
@@ -783,8 +739,8 @@ class TestLoopDiscipline:
         apply = server._apply
         consumer = None
 
-        def cancelling_apply(s, piece, compressed):
-            new = apply(s, piece, compressed)
+        def cancelling_apply(s, piece):
+            new = apply(s, piece)
             if s.engine.events_ingested == len(pieces[0]) + len(pieces[1]):
                 consumer.cancel()  # as shutdown would, mid-ingest
             return new
@@ -795,7 +751,7 @@ class TestLoopDiscipline:
             await server._resume(session, token)
             session.credits = len(payloads)
             for payload in payloads:
-                await server._accept_batch(session, wire.FRAME_BATCH, payload)
+                await server._accept_batch(session, payload)
             return session
 
         async def crash():
@@ -1018,17 +974,6 @@ class TestConfigValidation:
                 assert client.max_frame == 4096
                 with pytest.raises(ProtocolError, match="slice it smaller"):
                     client.send_batch(batch)
-
-    def test_client_refuses_overexpanding_cbatch(self):
-        cap = 1024 // 9
-        with make_server(max_frame=1024) as srv:
-            with RaceClient("127.0.0.1", srv.port, compress=True) as client:
-                with pytest.raises(ProtocolError, match=f"over the {cap}"):
-                    client.send_compressed(repeated_write(cap + 1))
-                assert client.batches_sent == 0
-                client.send_compressed(repeated_write(cap))
-                assert client.finish().events == cap
-
 
 @pytest.mark.predict
 class TestPredictMode:

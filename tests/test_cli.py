@@ -219,63 +219,15 @@ class TestCommands:
         record = json.loads(out_json.read_text())
         assert record["bench"] == "engine_batch"
         assert record["differential"]["divergences"] == 0
-        assert record["differential"]["compressed_agrees"] is True
-        # Tiny smoke workloads barely dedup; the >= 3x ratio bar lives
-        # in benchmarks/bench_engine_batch.py on the real loops run.
-        assert record["compression_ratio"] > 0
-        assert "compressed" in record["events_per_sec"]
 
-    def test_compress_decompress_round_trip(
-        self, program_file, tmp_path, capsys
-    ):
-        """compress then decompress reproduces the raw RPR2TRC file
-        byte-identically."""
-        raw = tmp_path / "run.rtrc"
-        z = tmp_path / "run.rpr2trz"
-        back = tmp_path / "back.rtrc"
-        main(["record", program_file, "--compact", "-o", str(raw)])
-        capsys.readouterr()
-        assert main(["compress", str(raw), "-o", str(z)]) == 0
-        assert "compressed" in capsys.readouterr().out
-        assert main(["decompress", str(z), "-o", str(back)]) == 0
-        assert "decompressed" in capsys.readouterr().out
-        assert back.read_bytes() == raw.read_bytes()
-
-    def test_replay_compressed_trace(self, program_file, tmp_path, capsys):
-        """replay accepts .rpr2trz directly and detects over the
-        compressed form without decompressing."""
-        raw = tmp_path / "run.rtrc"
-        z = tmp_path / "run.rpr2trz"
-        main(["record", program_file, "--compact", "-o", str(raw)])
-        main(["compress", str(raw), "-o", str(z)])
-        capsys.readouterr()
-        assert main(["replay", str(z)]) == 1
-        out = capsys.readouterr().out
-        assert "memoized" in out and "1 race(s)" in out and "'x'" in out
-
-    def test_stats_compressed_trace(self, program_file, tmp_path, capsys):
-        raw = tmp_path / "run.rtrc"
-        z = tmp_path / "run.rpr2trz"
-        main(["record", program_file, "--compact", "-o", str(raw)])
-        main(["compress", str(raw), "-o", str(z)])
-        capsys.readouterr()
-        assert main(["stats", str(z)]) == 1
-        assert "engine_memo" in capsys.readouterr().out
-
-    def test_compress_racegen_loops(self, tmp_path, capsys):
-        """--racegen-loops generates the repetitive loop workload
-        straight into a container that actually dedups."""
-        z = tmp_path / "loops.rpr2trz"
-        assert main(
-            ["compress", "--racegen-loops", "2000", "-o", str(z)]
-        ) == 0
-        assert "racegen-loops" in capsys.readouterr().out
-        assert main(["replay", str(z)]) == 1  # loop workload is racy
-        assert "memoized" in capsys.readouterr().out
-
-    def test_compress_needs_a_source(self, tmp_path, capsys):
-        assert main(["compress", "-o", str(tmp_path / "z.rpr2trz")]) == 2
-        assert "--racegen-loops" in capsys.readouterr().err
+    def test_replay_retired_container_errors(self, tmp_path, capsys):
+        """A file of the retired compressed container format is
+        refused by name, with the usage-error exit."""
+        old = tmp_path / "run.rpr2trz"
+        old.write_bytes(b"RPR2TRZ\x01" + bytes(56))
+        for command in ("replay", "stats"):
+            assert main([command, str(old)]) == 2
+            assert "retired format" in capsys.readouterr().err
 
     def test_replay_bad_file_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -22,7 +22,6 @@ DOC_FILES = [
     ROOT / "docs" / "SCALE_OUT.md",
     ROOT / "docs" / "FAULT_TOLERANCE.md",
     ROOT / "docs" / "PREDICTION.md",
-    ROOT / "docs" / "COMPRESSION.md",
 ]
 
 BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
