@@ -58,10 +58,15 @@ def test_space_table_and_shape():
     assert peaks["fasttrack"][-1] > 8 * max(1, peaks["lattice2d"][-1])
 
 
-def shadow_bytes_per_location(task: int, locations: int = 100_000) -> float:
+def shadow_bytes_per_location(
+    task: int, locations: int = 100_000, predict: bool = False
+) -> float:
     """``tracemalloc`` bytes the batch engine's shadow state holds per
     location after ``task`` (forked after ``task`` forks) writes and
-    then reads ``locations`` distinct locations in one batch."""
+    then reads ``locations`` distinct locations in one batch: the
+    lattice2d columns, or with ``predict`` the SHB candidate windows.
+    The forks are ingested before the count starts, so per-thread
+    state (the union-find nodes, SHB's vector clocks) stays out of it."""
     import gc
     import tracemalloc
 
@@ -69,17 +74,17 @@ def shadow_bytes_per_location(task: int, locations: int = 100_000) -> float:
     from repro.engine.ingest import BatchEngine
     from repro.obs.registry import NULL_REGISTRY
 
-    batch = EventBatch()
+    forks = EventBatch()
     for t in range(1, task + 1):
-        batch.ops.append(OP_FORK)
-        batch.a.append(t - 1)
-        batch.b.append(t)
+        forks.append(OP_FORK, t - 1, t)
+    engine = BatchEngine(registry=NULL_REGISTRY, predict=predict)
+    engine.ingest(forks)
+    batch = EventBatch()
     for op in (OP_WRITE, OP_READ):
         for loc in range(locations):
             batch.ops.append(op)
             batch.a.append(task)
             batch.b.append(loc)
-    engine = BatchEngine(registry=NULL_REGISTRY)
     gc.collect()
     tracemalloc.start()
     try:
@@ -93,16 +98,25 @@ def shadow_bytes_per_location(task: int, locations: int = 100_000) -> float:
 
 
 def test_shadow_bytes_per_location():
-    """The two conceptual words per location in real bytes: the slot map
-    plus three int columns, flat in the acting task's id (the kernel
-    stores one int object per access run, not one per location)."""
+    """The two conceptual words per location in real bytes: three int
+    columns indexed by location id (no location map), flat in the
+    acting task's id -- the kernel stores one int object per access
+    run, not one per location.  The SHB candidate windows, two
+    id-indexed lists, are reported alongside."""
     rows = [
-        {"acting task": task, "bytes/loc": round(shadow_bytes_per_location(task), 1)}
+        {
+            "acting task": task,
+            "lattice2d bytes/loc": round(shadow_bytes_per_location(task), 1),
+            "shb windows bytes/loc": round(
+                shadow_bytes_per_location(task, predict=True), 1
+            ),
+        }
         for task in (0, 1000)
     ]
     print_table(rows, title="Theorem 5: tracemalloc bytes per location")
     for row in rows:
-        assert row["bytes/loc"] < 200
+        assert row["lattice2d bytes/loc"] <= 32
+        assert row["shb windows bytes/loc"] <= 32
 
 
 def test_metadata_per_thread_constant():

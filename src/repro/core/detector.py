@@ -133,7 +133,12 @@ class RaceDetector2D:
         self._literal = paper_figure6_literal
         #: whether the batch kernel may use the ``E`` column
         self._epoch_cache = epoch_cache
-        #: per-location ``R``/``W`` suprema and ``E`` epochs
+        #: per-location ``R``/``W`` suprema and ``E`` epochs, indexed by
+        #: location id.  The batch kernel indexes them by the batch's ids;
+        #: the per-event methods map their locations to ids through the
+        #: columns' own table.  Once a per-event access has adopted that
+        #: table, an engine maps batch ids through it as well, so the two
+        #: driving styles can be mixed on one instance.
         self.shadow = ShadowColumns()
         #: all reports, in detection order (precise up to the first one)
         self.races: List[RaceReport] = []
@@ -259,15 +264,6 @@ class RaceDetector2D:
 
     # -- memory accesses (Figure 6) -------------------------------------------
 
-    def _slot(self, loc: Location) -> int:
-        s = self.shadow.slot.get(loc)
-        if s is None:
-            return self.shadow.new_slot(loc)
-        # Keep the batch kernel's epoch cache coherent when the two
-        # driving styles are mixed on one detector instance.
-        self.shadow.E[s] = -1
-        return s
-
     def _report(
         self,
         loc: Location,
@@ -296,7 +292,7 @@ class RaceDetector2D:
         self.op_index += 1
         self._visited[t] = True
         sh = self.shadow
-        s = self._slot(loc)
+        s = sh.lid(loc)
         r = sh.R[s]
         # Figure 6 as printed compares against R; the prose, against W.
         prior, prior_kind = (
@@ -317,7 +313,7 @@ class RaceDetector2D:
         self.op_index += 1
         self._visited[t] = True
         sh = self.shadow
-        s = self._slot(loc)
+        s = sh.lid(loc)
         r, w = sh.R[s], sh.W[s]
         if r >= 0 and self.sup(r, t) != t:
             self._report(loc, t, AccessKind.WRITE, AccessKind.READ, r, label)

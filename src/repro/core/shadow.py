@@ -6,9 +6,9 @@ point of the paper is the *size* of those cells: Θ(1) for the 2D detector
 measurable rather than anecdotal, the baseline detectors store their
 per-location state in a :class:`ShadowMap`, which can report the current
 and peak number of machine-word entries per location.  The paper's 2D
-detector keeps the same accounting over :class:`ShadowColumns`: a slot
-map plus int columns, two thread ids per location as Theorem 5 counts
-them.
+detector keeps the same accounting over :class:`ShadowColumns`: int
+columns indexed by location id, two thread ids per location as
+Theorem 5 counts them.
 
 The accounting unit is "entries" -- conceptual machine words -- rather
 than Python object bytes, because CPython object overhead would drown the
@@ -18,10 +18,17 @@ asymptotic signal the benchmarks are after (see DESIGN.md, experiment T5).
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar,
+    TYPE_CHECKING, Callable, Dict, Generic, Hashable, Iterator, List, Optional,
+    Tuple, TypeVar,
 )
 
-__all__ = ["ShadowMap", "ShadowColumns", "EPOCH_DIRTY"]
+if TYPE_CHECKING:
+    from repro.engine.batch import LocationInterner
+
+__all__ = [
+    "ShadowMap", "ShadowColumns", "EPOCH_DIRTY", "EPOCH_UNTOUCHED",
+    "identity_table",
+]
 
 C = TypeVar("C")
 
@@ -92,57 +99,104 @@ class ShadowMap(Generic[C]):
         return self.total_entries() / len(self._entries)
 
 
-#: ``E`` value of a slot whose last batch-kernel access was not clean;
-#: like -1 it never matches an access key, but a checkpoint keeps it
+#: ``E`` value of a location whose last batch-kernel access was not
+#: clean; like -1 it never matches an access key, but a checkpoint keeps it
 EPOCH_DIRTY = -2
+
+#: ``E`` value of a location no access has touched yet: the kernel's
+#: same-epoch probe ``E[lid] == key`` misses it like any other non-key,
+#: and the miss path tells a first touch by it
+EPOCH_UNTOUCHED = -3
+
+
+def identity_table(width: int) -> "LocationInterner":
+    """The table a detector's per-event methods adopt on their first
+    access: ids below ``width``, which the batch kernel may already
+    have indexed, name themselves; a new location takes the next id."""
+    from repro.engine.batch import LocationInterner
+
+    return LocationInterner.from_locations(range(width))
 
 
 class ShadowColumns:
-    """The 2D detector's shadow memory: a slot map and three int columns.
+    """The 2D detector's shadow memory: three int columns indexed by
+    location id.
 
-    :attr:`slot` hands each location a dense slot in first-touch order.
-    ``R[s]``/``W[s]`` hold the read/write supremum (Theorem 5's two
-    thread ids), ``E[s]`` the batch kernel's access epoch -- the encoded
-    ``(task << 1) | kind`` of the last clean access, or
-    :data:`EPOCH_DIRTY` -- each -1 for "none".  :attr:`total` counts the
+    ``R[lid]``/``W[lid]`` hold the read/write supremum (Theorem 5's two
+    thread ids), ``E[lid]`` the batch kernel's access epoch -- the
+    encoded ``(task << 1) | kind`` of the last clean access,
+    :data:`EPOCH_DIRTY`, or -1 -- and ``R``/``W`` -1 for "none".  An id
+    no access has touched carries :data:`EPOCH_UNTOUCHED` in ``E``.
+    The batch kernel indexes the columns by the batch's own location
+    ids (an engine checks them against its bound first and calls
+    :meth:`grow`); the per-event methods map any hashable location to
+    an id through :attr:`locations`, a table of their own, adopted on
+    their first access (see :func:`identity_table`); from then on an
+    engine maps batch ids through it too.  :attr:`total` counts the
     non-empty ``R``/``W`` entries; it and the per-location peak change
     only when an entry fills, since entries never empty again.
     """
 
-    __slots__ = ("slot", "R", "W", "E", "total", "peak_entries_per_loc")
+    __slots__ = ("R", "W", "E", "locations", "total", "peak_entries_per_loc")
 
     def __init__(self) -> None:
-        self.slot: Dict[Hashable, int] = {}
         self.R: List[int] = []
         self.W: List[int] = []
         self.E: List[int] = []
+        #: the per-event methods' location table; ``None`` while the
+        #: columns are indexed by batch location ids alone
+        self.locations: Optional["LocationInterner"] = None
         self.total = 0
         self.peak_entries_per_loc = 0
 
     def __len__(self) -> int:
-        return len(self.slot)
+        """The number of touched locations."""
+        return len(self.E) - self.E.count(EPOCH_UNTOUCHED)
 
-    def new_slot(self, loc: Hashable) -> int:
-        """Give ``loc`` the next slot, every column empty."""
-        s = self.slot[loc] = len(self.R)
-        self.R.append(-1)
-        self.W.append(-1)
-        self.E.append(-1)
-        return s
+    def grow(self, width: int) -> None:
+        """Extend the columns to ``width`` ids, each new one untouched
+        (list over-allocation makes repeated growth geometric)."""
+        k = width - len(self.E)
+        if k > 0:
+            pad = [-1] * k
+            self.R += pad
+            self.W += pad
+            self.E += [EPOCH_UNTOUCHED] * k
 
-    def filled(self, s: int) -> None:
-        """Account for one ``R``/``W`` entry of slot ``s`` just filled."""
+    def lid(self, loc: Hashable) -> int:
+        """The id of ``loc`` for a per-event access, its epoch reset so
+        the batch kernel's cache stays coherent."""
+        table = self.locations
+        if table is None:
+            table = self.locations = identity_table(len(self.E))
+        lid = table.intern(loc)
+        if lid >= len(self.E):
+            self.grow(lid + 1)
+        self.E[lid] = -1
+        return lid
+
+    def filled(self, lid: int) -> None:
+        """Account for one ``R``/``W`` entry of ``lid`` just filled."""
         self.total += 1
-        n = (self.R[s] >= 0) + (self.W[s] >= 0)
+        n = (self.R[lid] >= 0) + (self.W[lid] >= 0)
         if n > self.peak_entries_per_loc:
             self.peak_entries_per_loc = n
+
+    def cells(self) -> Dict[Hashable, Tuple[int, int, int]]:
+        """``location -> (R, W, E)`` over the touched ids, ascending: an
+        id names itself, or its entry in the per-event table."""
+        R, W = self.R, self.W
+        name = self.locations.location if self.locations is not None else int
+        return {
+            name(lid): (R[lid], W[lid], e)
+            for lid, e in enumerate(self.E) if e != EPOCH_UNTOUCHED
+        }
 
     def items(self) -> Iterator[Tuple[Hashable, Tuple[Optional[int], Optional[int]]]]:
         """``(location, (read_sup, write_sup))`` pairs, ``None`` for an
         empty entry."""
-        R, W = self.R, self.W
-        for loc, s in self.slot.items():
-            yield loc, (R[s] if R[s] >= 0 else None, W[s] if W[s] >= 0 else None)
+        for loc, (r, w, _e) in self.cells().items():
+            yield loc, (r if r >= 0 else None, w if w >= 0 else None)
 
     def total_entries(self) -> int:
         return self.total

@@ -35,8 +35,9 @@ and complete prediction reduces to enumerating those pairs:
   is thus the HB-frontier (an antichain), bounded by the width of the
   task graph rather than the trace length.  Most windows hold one
   epoch, so a window is stored as that bare packed int and only a
-  frontier of two or more becomes a list: a first-touched location
-  costs one dict slot per kind, not a tuple of two lists.
+  frontier of two or more becomes a list.  The windows live in two
+  lists indexed by location id, ``None`` for an empty window, so a
+  first-touched location costs one list store, not a dict insert.
 * An incoming access scans the conflicting window(s) and reports **one
   race per unordered entry** -- the pair enumeration, not a
   first-report summary.  This is where prediction visibly exceeds the
@@ -61,13 +62,17 @@ offending event, same messages as the 2D detector.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.reports import AccessKind, RaceReport
+from repro.core.shadow import identity_table
 from repro.detectors.base import Detector
 from repro.errors import DetectorError
+
+if TYPE_CHECKING:
+    from repro.engine.batch import LocationInterner
 
 __all__ = ["SHBDetector"]
 
@@ -130,15 +135,37 @@ class SHBDetector(Detector):
         # task's final clock is merged into the joiner and never read
         # again).
         self._clock: List[Optional[array]] = []
-        # loc -> the read (write) window: the HB-frontier of packed
-        # epochs for that kind, a bare int when it holds one epoch.  A
-        # location absent from a dict has an empty window of that kind.
-        self._reads: Dict[Hashable, Window] = {}
-        self._writes: Dict[Hashable, Window] = {}
+        # Location id -> the read (write) window: the HB-frontier of
+        # packed epochs for that kind, a bare int when it holds one
+        # epoch, ``None`` when it is empty.  The batch kernel indexes
+        # the lists by the batch's ids; the per-event methods map their
+        # locations to ids through ``locations``, adopted on their first
+        # access (see ``ShadowColumns``: an engine then maps batch ids
+        # through it too).
+        self._reads: List[Optional[Window]] = []
+        self._writes: List[Optional[Window]] = []
+        self.locations: Optional[LocationInterner] = None
         self._peak_window = 0
         self.op_index = 0
 
     # -- bookkeeping ---------------------------------------------------------
+
+    def grow(self, width: int) -> None:
+        """Extend the window lists to ``width`` ids, each window empty."""
+        k = width - len(self._reads)
+        if k > 0:
+            pad = [None] * k
+            self._reads += pad
+            self._writes += pad
+
+    def _lid(self, loc: Hashable) -> int:
+        table = self.locations
+        if table is None:
+            table = self.locations = identity_table(len(self._reads))
+        lid = table.intern(loc)
+        if lid >= len(self._reads):
+            self.grow(lid + 1)
+        return lid
 
     def _check_alive(self, t: int) -> None:
         if t < 0 or t >= len(self._state):
@@ -235,8 +262,9 @@ class SHBDetector(Detector):
         vc = self._clock[t]
         assert vc is not None
         me = (vc[t] << 32) | t
-        reads = self._reads.get(loc)
-        writes = self._writes.get(loc)
+        lid = self._lid(loc)
+        reads = self._reads[lid]
+        writes = self._writes[lid]
         # One report per conflicting unordered window entry: reads race
         # prior writes; writes race prior reads and prior writes.
         for prior_kind, win in ((_READ, reads), (_WRITE, writes)):
@@ -261,7 +289,7 @@ class SHBDetector(Detector):
             own, other, windows = reads, writes, self._reads
         keep = [e for e in _epochs(own) if _unordered(e, vc)]
         keep.append(me)
-        windows[loc] = keep if len(keep) > 1 else me
+        windows[lid] = keep if len(keep) > 1 else me
         size = len(keep) + len(_epochs(other))
         if size > self._peak_window:
             self._peak_window = size
@@ -279,7 +307,7 @@ class SHBDetector(Detector):
         return sum(
             len(_epochs(win))
             for windows in (self._reads, self._writes)
-            for win in windows.values()
+            for win in windows
         )
 
     def metadata_entries(self) -> int:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.batch import (
     OP_FORK,
@@ -12,9 +14,10 @@ from repro.engine.batch import (
     EventBatch,
     LocationInterner,
     batch_from_events,
+    check_batch,
     events_from_batch,
 )
-from repro.errors import ProgramError
+from repro.errors import DetectorError, ProgramError
 from repro.forkjoin.interpreter import run
 from repro.workloads.racegen import bulk_access_program, conflicting_pair_program
 
@@ -66,6 +69,16 @@ class TestEventBatch:
         assert batch.counts()["write"] == 1
         assert batch.access_count() == 2
         assert "unknown" not in batch.counts()
+        # Unknown opcodes count as neither accesses nor known names.
+        for op in (6, 99, 255):
+            batch.append(op, 0, 0)
+        batch.append(OP_WRITE, 0, 1)
+        counts = batch.counts()
+        assert counts["unknown"] == 3
+        assert counts["write"] == 2 and counts["read"] == 1
+        assert sum(counts.values()) == len(batch)
+        assert batch.access_count() == 3
+        assert EventBatch().access_count() == 0
 
     def test_counts_reports_unknown_opcodes_without_crashing(self):
         """A corrupt batch must still be *describable*: the diagnostic
@@ -111,3 +124,40 @@ class TestCaptureAndRoundTrip:
         assert list(builder.batch.a) == list(batch.a)
         assert list(builder.batch.b) == list(batch.b)
         assert builder.interner.locations() == interner.locations()
+
+
+def _check_by_loop(rows, limit):
+    """The per-row reference for ``check_batch``: ``(error, row)`` of the
+    first bad row, else ``(None, width)``."""
+    width = 0
+    for i, (op, _a, b) in enumerate(rows):
+        if op > OP_WRITE:
+            return ProgramError, i
+        if op >= OP_READ:
+            if not 0 <= b < limit:
+                return DetectorError, i
+            width = max(width, b + 1)
+    return None, width
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 9), st.integers(-2, 5),
+            st.integers(-(1 << 31), (1 << 31) - 1) | st.integers(-3, 12),
+        ),
+        max_size=300,
+    ),
+    limit=st.integers(1, 10),
+)
+def test_check_batch_matches_the_row_loop(rows, limit):
+    batch = EventBatch()
+    for row in rows:
+        batch.append(*row)
+    error, value = _check_by_loop(rows, limit)
+    if error is None:
+        assert check_batch(batch, limit) == value
+    else:
+        with pytest.raises(error, match=f"at batch row {value}[ ;]"):
+            check_batch(batch, limit)

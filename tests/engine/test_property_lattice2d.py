@@ -6,10 +6,10 @@ run of accesses by one task.  On the perfbench shapes (spawn-sync bulk
 rounds, random lattices, grids) and at every batch size it must leave
 exactly what the per-event :class:`~repro.core.detector.RaceDetector2D`
 leaves: the same reports down to ``op_index``, the same ``op_index``,
-the same shadow total and peak and the same ``R``/``W`` columns under
-the same slot map, with either union-find ablation knob on or off.  With the epoch
-cache off the union-find counters and the (all-empty) ``E`` column must
-match too.  Besides the perfbench shapes the sweep draws nested
+the same shadow total and peak and the same ``R``/``W`` cells, location
+id by location id, with either union-find ablation knob on or off.
+With the epoch cache off the union-find counters and the (all-empty)
+``E`` cells must match too.  Besides the perfbench shapes the sweep draws nested
 fork/halt/join chains: with link-by-rank off their joins stack a prior
 writer two or more links below its root, so the write that folds it
 walks a deep path (the counters must book the per-event detector's
@@ -183,15 +183,17 @@ def _state(det, exact):
     """Everything the kernel must reproduce; ``exact`` adds what only
     the epoch-cache-free kernel keeps bit-identical."""
     sh = det.shadow
+    cells = sh.cells()
     out = (
         det.races, det.op_index, sh.total, sh.peak_entries_per_loc,
-        sh.slot, sh.R, sh.W, det._visited, det._halted, det._joined,
+        {lid: (r, w) for lid, (r, w, _e) in cells.items()},
+        det._visited, det._halted, det._joined,
         det._uf._rank, det._uf._label,
     )
     if exact:
         uf = det._uf
         out += (
-            sh.E, uf._parent, uf.find_count, uf.union_count, uf.hop_count,
+            cells, uf._parent, uf.find_count, uf.union_count, uf.hop_count,
         )
     return out
 
