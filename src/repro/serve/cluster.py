@@ -16,7 +16,12 @@ hash-sharding accesses by ``lid % N`` across independent detectors is
 :class:`~repro.engine.ingest.ShardedBatchEngine` uses in-process and
 ships whole column slices to the workers -- structural events (fork,
 join, halt) are replicated to every worker so each one holds the full
-series-parallel skeleton.
+series-parallel skeleton.  Worker *k* receives its ids renumbered as
+``lid // N``, so a client that hands out ids densely in first-touch
+order gives every worker a dense stream of its own (within a
+table-less session's location-id bound, with no id-indexed column
+entry wasted); its race reports are mapped back to ``lid`` on the way
+in.
 
 **Migration under kill.**  Each client session opens one *durable*
 worker session per shard, keyed ``gw{nonce}-{sid}-s{k}`` -- that is
@@ -65,11 +70,14 @@ from __future__ import annotations
 import asyncio
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Awaitable, Callable, List, Optional, Set, Tuple
+from typing import Awaitable, Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.batch import EventBatch
+import numpy as _np
+
+from repro.core.reports import RaceReport
+from repro.engine.batch import OP_READ, EventBatch
 from repro.engine.faults import ServerProcess, free_port
 from repro.engine.ingest import split_batch
 from repro.errors import ProtocolError, ServeError, WorkloadError
@@ -134,14 +142,22 @@ class _WorkerLink(ClientCore):
     """
 
     def __init__(
-        self, port: int, token: str, retries: int, backoff: float
+        self, port: int, token: str, retries: int, backoff: float,
+        shard: int, stride: int,
     ) -> None:
         super().__init__(session=token, backend=BACKEND)
         self.port = port
+        #: this link carries the ids ``lid % stride == shard``, to its
+        #: worker as ``lid // stride`` (see :meth:`send_batch`)
+        self.shard = shard
+        self.stride = stride
         self.retries = retries
         self.backoff = backoff
         #: seconds the current slice spent waiting for credit
         self.waited = 0.0
+        #: the worker session's width, and the bound it admits the
+        #: slice being staged under and the width that slice needs
+        self._width = self._admits = self._need = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._task: Optional[asyncio.Task] = None
@@ -292,10 +308,38 @@ class _WorkerLink(ClientCore):
                     raise
                 await asyncio.sleep(self.backoff * 2 ** (attempts - 1))
 
+    def _table_delta(self) -> Sequence[int]:
+        # A worker bounds a session that ships no table by its width
+        # plus the slice's accesses; a slice past that (its client's
+        # ids were not dense in first-touch order, or it ships a
+        # table) makes the link ship the ids themselves as the table,
+        # whose size then bounds the session -- the worker ignores
+        # the entries.
+        start = self._shipped_locations
+        if not start and self._need <= self._admits:
+            return ()
+        self._shipped_locations = max(start, self._need)
+        return range(start, self._shipped_locations)
+
+    def _fold_races(self, seq: int, reports: List[RaceReport]) -> None:
+        n, k = self.stride, self.shard
+        super()._fold_races(
+            seq, [replace(r, loc=r.loc * n + k) for r in reports]
+        )
+
     async def send_batch(self, batch: EventBatch) -> float:
-        """Write one slice, waiting for credit if the link has none;
-        returns the seconds spent waiting for it."""
+        """Renumber one slice for the worker (in place), write it,
+        waiting for credit if the link has none; returns the seconds
+        spent waiting for it."""
+        ops = _np.frombuffer(batch.ops, _np.uint8)
+        lids = _np.frombuffer(batch.b, _np.int32)
+        access = ops >= OP_READ
+        renumbered = lids[access] // self.stride
+        lids[access] = renumbered
+        self._admits = self._width + len(renumbered)
+        self._need = int(renumbered.max()) + 1 if len(renumbered) else 0
         frame = self.stage_batch(batch)
+        self._width = max(self._width, self._need)
         self.waited = 0.0
         await self._with_retry(lambda: self._send_payload(*frame))
         return self.waited
@@ -582,6 +626,7 @@ class RaceCluster(SessionCore):
                 self.workers[k].port,
                 f"gw{self._nonce}-{session.sid}-s{k}",
                 self.config.link_retries, self.config.link_backoff,
+                k, self.config.workers,
             )
             for k in range(self.config.workers)
         ]

@@ -202,8 +202,11 @@ class RaceServer(SessionCore):
         return session.engine
 
     def _apply(self, session: _ServerSession, batch: EventBatch) -> List:
-        """Feed one batch; returns the races it newly detected."""
+        """Feed one batch; returns the races it newly detected.  The
+        engine bounds its ids by the session's width: the session
+        admitted every id below it."""
         engine = self._engine(session)
+        engine.limit = session.width
         engine.ingest(batch)
         races = engine.detector.races
         new = list(races[session.races_seen:])
@@ -359,6 +362,9 @@ class RaceServer(SessionCore):
                 int(meta.get("table_size", 0) or 0)
                 if meta.get("ships_table", False) else None
             )
+            # Every admitted access touched its id, so the restored
+            # columns are as wide as the ids admitted up to ``durable``.
+            session.width = len(engine.detector.shadow.E)
             self._m.restores.inc()
         session.token = token
         await self._send(

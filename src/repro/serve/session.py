@@ -11,7 +11,8 @@ session does on the wire.  :class:`SessionCore` is that session, once:
   the reply with the worker count (its feature word always 0);
 * the read loop: credit accounting, batch-sequence contiguity (and the
   idempotent skip of replayed batches on a durable session), the
-  shipped location-table bound, draining after a failure, and BYE (a
+  location-id bound (``wire.validate_batch_columns``), draining
+  after a failure, and BYE (a
   RELEASE BYE marks the session :attr:`Session.released` once
   answered, for the sink's teardown);
 * the consume loop: one queued batch at a time through the front
@@ -191,7 +192,7 @@ class Session:
     __slots__ = (
         "sid", "writer", "queue", "queued", "credits", "withheld",
         "write_lock", "failed", "draining", "max_frame", "token",
-        "enqueued_seq", "table", "saw_batch", "released",
+        "enqueued_seq", "table", "width", "saw_batch", "released",
     )
 
     def __init__(
@@ -210,6 +211,9 @@ class Session:
         self.token: Optional[str] = None  # durable session id (RESUME)
         self.enqueued_seq = 0  # highest seq accepted off the wire
         self.table: Optional[int] = None  # shipped table size, if any
+        #: one past the largest location id admitted off the wire
+        #: (it runs ahead of the engine, which bounds ids by it)
+        self.width = 0
         self.saw_batch = False
         self.released = False  # a RELEASE BYE was answered
 
@@ -599,7 +603,9 @@ class SessionCore:
         try:
             if new_locs is not None:
                 session.table = (session.table or 0) + len(new_locs)
-            wire.validate_batch_columns(batch, session.table)
+            session.width = max(session.width, wire.validate_batch_columns(
+                batch, session.table, session.width
+            ))
         except ProtocolError as exc:
             raise ProtocolError(
                 str(exc), code=wire.ERR_MALFORMED_BATCH
