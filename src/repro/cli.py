@@ -7,7 +7,7 @@ Usage examples::
     repro-race run prog.py --compare      # all applicable detectors
     repro-race run prog.py --dot out.dot  # export the task graph
     repro-race record prog.py --compact -o t.rtrc   # engine trace format
-    repro-race replay t.rtrc --shards 4   # batched/sharded fast path
+    repro-race replay t.rtrc              # batched fast path
     repro-race diff t.rtrc                # differential detector check
     repro-race bench-engine --accesses 100000       # ingestion throughput
     repro-race stats t.rtrc --format prom # metrics + phase timings
@@ -129,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument("--max-races", type=int, default=20)
     p_rep.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="compact traces only: partition the shadow map across this "
-        "many detector instances (default: 1, unsharded)",
-    )
-    p_rep.add_argument(
         "--batch-size",
         type=int,
         default=8192,
@@ -161,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_be = sub.add_parser(
         "bench-engine",
         help="measure the ingestion paths (replay / per-event / batched / "
-        "predict / sharded) on a racegen bulk workload",
+        "predict) on a racegen bulk workload",
     )
     p_be.add_argument("--accesses", type=int, default=100_000)
     p_be.add_argument("--fanout", type=int, default=8)
@@ -171,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not seed racing rounds into the workload",
     )
-    p_be.add_argument("--shards", type=int, default=4)
     p_be.add_argument("--batch-size", type=int, default=8192)
     p_be.add_argument("--repeats", type=int, default=3)
     p_be.add_argument(
@@ -191,13 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--detector",
         default="lattice2d",
         choices=sorted(DETECTOR_FACTORIES),
-    )
-    p_st.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the shadow map across this many detector "
-        "instances (default: 1, unsharded)",
     )
     p_st.add_argument("--batch-size", type=int, default=8192)
     p_st.add_argument(
@@ -435,12 +420,26 @@ def _load_batch(path: str):
     return batch_from_events(load_events(path))
 
 
+def _batch_engine(detector_name: str, interner, registry=None):
+    """The engine ``replay`` and ``stats`` run a trace through.
+
+    ``lattice2d`` gets the engine's own
+    :class:`~repro.core.detector.RaceDetector2D`, so its batches take
+    the inlined kernel; any other detector takes the generic loop.
+    """
+    from repro.engine.ingest import BatchEngine
+
+    if detector_name == "lattice2d":
+        return BatchEngine(interner=interner, registry=registry)
+    detector = DETECTOR_FACTORIES[detector_name]()
+    detector.on_root(0)
+    return BatchEngine(detector, interner=interner, registry=registry)
+
+
 def _replay_compact(args) -> int:
-    from repro.engine.ingest import BatchEngine, ShardedBatchEngine
+    from repro.engine.ingest import BatchEngine
     from repro.engine.tracefile import read_trace
 
-    if args.shards < 1:
-        raise ReproError(f"need at least one shard, got {args.shards}")
     if args.predict and args.detector != "lattice2d":
         raise ReproError(
             "--predict runs the engine's own shb prediction "
@@ -449,26 +448,11 @@ def _replay_compact(args) -> int:
         )
     batch, interner = read_trace(args.trace)
     if args.predict:
-        if args.shards > 1:
-            engine = ShardedBatchEngine(
-                args.shards, predict=True, interner=interner
-            )
-            name = f"shb predict x{args.shards} shards"
-        else:
-            engine = BatchEngine(predict=True, interner=interner)
-            name = "shb predict"
-    elif args.shards > 1:
-        engine = ShardedBatchEngine(
-            args.shards,
-            detector_factory=DETECTOR_FACTORIES[args.detector],
-            interner=interner,
-        )
-        name = f"{engine.shards[0].name} x{args.shards} shards"
+        engine = BatchEngine(predict=True, interner=interner)
+        name = "shb predict"
     else:
-        detector = DETECTOR_FACTORIES[args.detector]()
-        detector.on_root(0)
-        engine = BatchEngine(detector, interner=interner)
-        name = detector.name
+        engine = _batch_engine(args.detector, interner)
+        name = args.detector
     engine.ingest_all(batch.slices(args.batch_size))
     races = engine.races()
     print(
@@ -496,7 +480,6 @@ def _diff_trace(args) -> int:
 
 
 def _stats(args) -> int:
-    from repro.engine.ingest import BatchEngine, ShardedBatchEngine
     from repro.obs import (
         PhaseTracer,
         bind_detector,
@@ -508,31 +491,14 @@ def _stats(args) -> int:
 
     registry = get_registry()
     batch, interner = _load_batch(args.trace)
-    factory = DETECTOR_FACTORIES[args.detector]
-    if args.shards < 1:
-        raise ReproError(f"need at least one shard, got {args.shards}")
     tracer = PhaseTracer(enabled=True, registry=registry)
     previous_tracer = set_tracer(tracer)
     try:
-        if args.shards > 1:
-            engine = ShardedBatchEngine(
-                args.shards, detector_factory=factory, interner=interner,
-                registry=registry,
-            )
-            for k, det in enumerate(engine.shards):
-                bind_detector(
-                    registry, det,
-                    {"detector": det.name, "shard": str(k)},
-                )
-            engine.ingest_all(batch.slices(args.batch_size))
-        else:
-            detector = factory()
-            detector.on_root(0)
-            engine = BatchEngine(
-                detector, interner=interner, registry=registry
-            )
-            bind_detector(registry, detector, {"detector": detector.name})
-            engine.ingest_all(batch.slices(args.batch_size))
+        engine = _batch_engine(args.detector, interner, registry)
+        bind_detector(
+            registry, engine.detector, {"detector": args.detector}
+        )
+        engine.ingest_all(batch.slices(args.batch_size))
         races = engine.races()
     finally:
         set_tracer(previous_tracer)
@@ -569,7 +535,6 @@ def _bench_engine(args) -> int:
         fanout=args.fanout,
         accesses_per_task=args.accesses_per_task,
         racy=not args.race_free,
-        shards=args.shards,
         batch_size=args.batch_size,
         repeats=args.repeats,
     )
@@ -582,8 +547,7 @@ def _bench_engine(args) -> int:
     print(
         f"batched vs per-event: {record['speedup_batched_vs_per_event']}x; "
         f"differential: {diff['divergences']} divergence(s) across "
-        f"{', '.join(diff['detectors'])}; sharded agrees: "
-        f"{diff['sharded_agrees']}; predict sound: "
+        f"{', '.join(diff['detectors'])}; predict sound: "
         f"{diff['predict_sound']}"
     )
     if args.json:

@@ -7,9 +7,7 @@ Four pieces, layered so each is useful alone:
   :class:`BatchBuilder` observer that captures them from a run;
 * :mod:`repro.engine.ingest` -- :class:`BatchEngine`, the tight
   pre-bound per-batch loop over a detector (the paper's lattice2d
-  detector unless told otherwise; SHB in prediction mode), and
-  :class:`ShardedBatchEngine`, which partitions the shadow map by
-  location id across independent detector instances;
+  detector unless told otherwise; SHB in prediction mode);
 * :mod:`repro.engine.tracefile` -- the compact binary record/replay
   format (capture a workload once, replay it into any detector),
   with ``mmap``-backed zero-copy reads;
@@ -28,7 +26,7 @@ Quickstart::
     engine.ingest(builder.batch)              # batched detection
     print(engine.races())
     assert check_conformance(builder.batch, builder.interner,
-                             ("fasttrack", "sharded:4:lattice2d")).agreed
+                             ("fasttrack", "engine:lattice2d")).agreed
 """
 
 from repro.engine.batch import (
@@ -51,7 +49,7 @@ from repro.engine.differential import (
     Divergence,
     check_conformance,
 )
-from repro.engine.ingest import BatchEngine, ShardedBatchEngine
+from repro.engine.ingest import BatchEngine
 from repro.engine.tracefile import (
     is_tracefile,
     read_trace,
@@ -73,7 +71,6 @@ __all__ = [
     "batch_from_events",
     "events_from_batch",
     "BatchEngine",
-    "ShardedBatchEngine",
     "CONFIGS",
     "DifferentialReport",
     "Divergence",

@@ -23,10 +23,7 @@ The measured contenders, slowest to fastest:
   every feasibly-reorderable racing pair.  Strictly more work per
   access than the observed-order paths; its soundness invariant
   (predicted races include everything the lattice2d referee observes)
-  is checked every run and recorded as ``differential.predict_sound``;
-* ``sharded``   -- :class:`~repro.engine.ingest.ShardedBatchEngine`
-  (measures the lifecycle-replication overhead sharding pays for its
-  partitioning; it is not expected to win on one core).
+  is checked every run and recorded as ``differential.predict_sound``.
 
 Every run also judges the paths and the lattice2d/fasttrack/spbags
 trio against the per-event lattice2d referee before reporting, so
@@ -40,17 +37,12 @@ import gc
 import os
 import statistics
 import time
-from functools import partial
 from typing import Any, Callable, Dict, List, Sequence
 
 from repro.core.detector import RaceDetector2D
 from repro.engine.batch import BatchBuilder
-from repro.engine.differential import (
-    DEFAULT_DETECTORS,
-    Config,
-    check_conformance,
-)
-from repro.engine.ingest import BatchEngine, ShardedBatchEngine
+from repro.engine.differential import DEFAULT_DETECTORS, check_conformance
+from repro.engine.ingest import BatchEngine
 from repro.obs.registry import NULL_REGISTRY
 from repro.events import (
     Event,
@@ -192,7 +184,6 @@ def run_engine_benchmark(
     fanout: int = 8,
     accesses_per_task: int = 250,
     racy: bool = True,
-    shards: int = 4,
     batch_size: int = 8192,
     repeats: int = 3,
     detectors: Sequence[str] = DEFAULT_DETECTORS,
@@ -238,11 +229,6 @@ def run_engine_benchmark(
         engine.ingest_all(batch.slices(batch_size))
         return engine
 
-    def run_sharded():
-        engine = ShardedBatchEngine(shards, interner=interner)
-        engine.ingest_all(batch.slices(batch_size))
-        return engine
-
     def run_predict():
         engine = BatchEngine(interner=interner, predict=True)
         engine.ingest_all(batch.slices(batch_size))
@@ -270,7 +256,6 @@ def run_engine_benchmark(
         "batched": batched_s,
         "batched-noobs": batched_noobs_s,
         "predict": _best_of(repeats, run_predict),
-        "sharded": _best_of(repeats, run_sharded),
     }
 
     n = len(batch)
@@ -289,15 +274,8 @@ def run_engine_benchmark(
             "batched ingestion changed verdicts: "
             f"{len(batched_races)} vs {len(per_event_races)} reports"
         )
-    # The sharded row is built here: ``shards`` may be any count, not
-    # just the table's.
-    sharded = Config(
-        "sharded", "multiset", partial(ShardedBatchEngine, shards), "batches"
-    )
     paths = check_conformance(
-        batch, interner,
-        (sharded, "predict"),
-        batch_size=batch_size,
+        batch, interner, ("predict",), batch_size=batch_size
     )
     diff = check_conformance(batch, interner, detectors)
 
@@ -314,7 +292,6 @@ def run_engine_benchmark(
             "locations": len(interner),
         },
         "batch_size": batch_size,
-        "shards": shards,
         "cpu_count": os.cpu_count(),
         "seconds": {k: round(v, 6) for k, v in timings.items()},
         "events_per_sec": {
@@ -334,13 +311,11 @@ def run_engine_benchmark(
             "per_event": len(per_event_races),
             "batched": len(batched_races),
             "predict": paths.races["predict"],
-            "sharded": paths.races["sharded"],
         },
         "differential": {
             "detectors": list(diff.configs),
             "races": diff.races,
             "divergences": len(diff.divergences),
-            "sharded_agrees": paths.cells["sharded"],
             "predict_sound": paths.cells["predict"],
         },
         "versions": _versions(),

@@ -11,7 +11,7 @@ the relation the row names:
   referee: the same per-access verdict ("did this read/write get
   flagged?") at every access;
 * ``multiset`` -- engine paths: the same multiset of flagged
-  ``(task, loc, kind)`` (sharded streams renumber ``op_index``);
+  ``(task, loc, kind)``;
 * ``covers`` -- prediction: a superset of that multiset, since it also
   reports the pairs a feasible reordering would race.
 
@@ -40,7 +40,7 @@ from repro.engine.batch import (
     EventBatch,
     LocationInterner,
 )
-from repro.engine.ingest import BatchEngine, ShardedBatchEngine
+from repro.engine.ingest import BatchEngine
 from repro.errors import ProgramError
 
 __all__ = [
@@ -88,11 +88,6 @@ def _table() -> Dict[str, Config]:
         for name, factory in DETECTOR_FACTORIES.items()
     ]
     rows.append(Config("engine:lattice2d", "multiset", BatchEngine, "batches"))
-    rows.extend(
-        Config(f"sharded:{n}:lattice2d", "multiset",
-               partial(ShardedBatchEngine, n), "batches")
-        for n in (1, 2, 4)
-    )
     rows.append(Config("predict", "covers",
                        partial(BatchEngine, predict=True), "batches"))
     return {row.name: row for row in rows}

@@ -31,16 +31,9 @@ size, else :data:`~repro.engine.batch.LOCATION_ID_LIMIT`) rejects it
 before any row reaches a detector, which is what lets the kernels
 index their shadow by location id with no further check.
 
-:class:`ShardedBatchEngine` partitions the *shadow map* by location id:
-shard ``k`` owns locations with ``lid % num_shards == k`` and runs its
-own detector instance over the lifecycle stream plus only its own
-accesses.  Lifecycle events (fork/join/halt/step) are replicated to
-every shard -- they carry the happens-before structure all shards need
--- so sharding costs ``O(shards x lifecycle)`` extra work in exchange
-for location ranges that can be processed independently (separate
-processes, machines, or simply bounded working sets).  Verdicts are
-unaffected: an access only ever interacts with its own location's
-history, and every shard sees the full ordering structure.
+:func:`split_batch` partitions a batch by location for the
+:mod:`repro.serve.cluster` gateway, whose workers each run one
+:class:`BatchEngine`.
 """
 
 from __future__ import annotations
@@ -71,7 +64,7 @@ from repro.errors import DetectorError, ProgramError
 from repro.obs.phases import get_tracer
 from repro.obs.registry import MetricsRegistry, get_registry
 
-__all__ = ["BatchEngine", "ShardedBatchEngine"]
+__all__ = ["BatchEngine", "split_batch"]
 
 _READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
@@ -741,15 +734,11 @@ def split_batch(batch: EventBatch, n_shards: int) -> List[EventBatch]:
 
     The shard-index column is computed once, vectorized, and each
     sub-batch is materialized with bulk ``array`` copies -- no
-    per-event Python dispatch.  Tiny batches, where the array overhead
-    loses, take a plain loop instead.  This is both the in-process
-    routing step of :class:`ShardedBatchEngine` and the network-level
-    routing step of the :mod:`repro.serve.cluster` gateway.
+    per-event Python dispatch.  This is the routing step of the
+    :mod:`repro.serve.cluster` gateway.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be positive, got {n_shards}")
-    if len(batch) < 128:
-        return _split_batch_py(batch, n_shards)
     ops_np = _np.frombuffer(batch.ops, dtype=_np.uint8)
     a_np = _np.frombuffer(batch.a, dtype=_np.int32)
     b_np = _np.frombuffer(batch.b, dtype=_np.int32)
@@ -768,183 +757,3 @@ def split_batch(batch: EventBatch, n_shards: int) -> List[EventBatch]:
             )
         )
     return subs
-
-
-def _split_batch_py(batch: EventBatch, n_shards: int) -> List[EventBatch]:
-    """Per-event split for small batches."""
-    subs = [EventBatch() for _ in range(n_shards)]
-    appends = [
-        (sub.ops.append, sub.a.append, sub.b.append) for sub in subs
-    ]
-    read_op, write_op = OP_READ, OP_WRITE
-    for op, a, b in zip(batch.ops, batch.a, batch.b):
-        if op == read_op or op == write_op:
-            ap_op, ap_a, ap_b = appends[b % n_shards]
-            ap_op(op)
-            ap_a(a)
-            ap_b(b)
-        else:
-            for ap_op, ap_a, ap_b in appends:
-                ap_op(op)
-                ap_a(a)
-                ap_b(b)
-    return subs
-
-
-class ShardedBatchEngine:
-    """Shadow-map partitioning over independent detector instances.
-
-    See the module docstring for the model.  ``detector_factory`` must
-    produce observer-protocol detectors that have *not* seen the root
-    yet; the engine announces task 0 to every shard itself.  It
-    defaults to :class:`RaceDetector2D`.
-
-    Each incoming batch is split once into per-shard sub-batches
-    (lifecycle events replicated, accesses routed by ``lid % shards``)
-    and each shard then consumes its sub-batch through the same kernel
-    a :class:`BatchEngine` would use -- the split is the only extra
-    cost, and it is what a multi-process deployment would ship over a
-    queue per shard.
-    """
-
-    __slots__ = (
-        "num_shards",
-        "shards",
-        "interner",
-        "events_ingested",
-        "registry",
-        "_c_events",
-        "_c_batches",
-        "_c_races",
-        "_c_dispatch",
-        "_c_routed",
-        "_c_lifecycle",
-    )
-
-    def __init__(
-        self,
-        num_shards: int,
-        *,
-        detector_factory: Optional[Callable[[], Any]] = None,
-        predict: bool = False,
-        interner: Optional[LocationInterner] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if num_shards < 1:
-            raise ProgramError(f"need at least one shard, got {num_shards}")
-        if predict and detector_factory is not None:
-            raise ProgramError(
-                "predict mode constructs its own shb detectors; drop the "
-                "factory argument or drop predict=True"
-            )
-        if predict:
-            # Sharding composes with prediction unchanged: lifecycle
-            # events replicate to every shard, so each shard's vector
-            # clocks see the full happens-before structure and its
-            # windows cover exactly its own locations.
-            detector_factory = SHBDetector
-        factory = detector_factory or RaceDetector2D
-        self.num_shards = num_shards
-        self.shards: List[Any] = [factory() for _ in range(num_shards)]
-        for det in self.shards:
-            det.on_root(0)
-        self.interner = interner
-        self.events_ingested = 0
-        reg = registry if registry is not None else get_registry()
-        self.registry = reg
-        labels = {"engine": "sharded"}
-        self._c_events = reg.counter(
-            "engine_events_total", "events ingested", labels=labels
-        )
-        self._c_batches = reg.counter(
-            "engine_batches_total", "batches ingested", labels=labels
-        )
-        self._c_races = reg.counter(
-            "engine_races_total", "race reports found during ingestion",
-            labels=labels,
-        )
-        self._c_dispatch = {
-            path: reg.counter(
-                "engine_dispatch_total",
-                "per-shard sub-batches per dispatch loop",
-                labels={**labels, "path": path},
-            )
-            for path in _DISPATCH_PATHS
-        }
-        # The routing counters partition every incoming event exactly
-        # once: an access counts against its owner shard, a lifecycle
-        # event (which split() replicates to every shard) counts once
-        # here.  Their sum is therefore always the ingested length.
-        self._c_routed = [
-            reg.counter(
-                "engine_shard_accesses_total",
-                "accesses routed to this shard (lid % num_shards)",
-                labels={**labels, "shard": str(k)},
-            )
-            for k in range(num_shards)
-        ]
-        self._c_lifecycle = reg.counter(
-            "engine_shard_lifecycle_total",
-            "lifecycle events replicated to every shard (counted once)",
-            labels=labels,
-        )
-
-    def split(self, batch: EventBatch) -> List[EventBatch]:
-        """Partition one batch into per-shard sub-batches (see
-        :func:`split_batch` -- the same routine the cluster gateway
-        uses to route column slices over the network)."""
-        return split_batch(batch, self.num_shards)
-
-    def ingest(self, batch: EventBatch) -> int:
-        """Route one batch: accesses to their shard, lifecycle to all."""
-        tracer = get_tracer()
-        races_before = sum(len(det.races) for det in self.shards)
-        with tracer.span("ingest"):
-            # Admitted once, before the split: every shard indexes the
-            # unsplit ids, shard k owning those congruent to k.
-            width = _admit(batch, self.interner)
-            if self.num_shards == 1:
-                accesses = batch.access_count()
-                self._c_routed[0].inc(accesses)
-                self._c_lifecycle.inc(len(batch) - accesses)
-                with tracer.span("dispatch"):
-                    path = _ingest_batch(self.shards[0], batch, width)
-                self._c_dispatch[path].inc()
-            else:
-                with tracer.span("split"):
-                    subs = self.split(batch)
-                lifecycle = len(batch) - batch.access_count()
-                self._c_lifecycle.inc(lifecycle)
-                for k, (det, sub) in enumerate(zip(self.shards, subs)):
-                    self._c_routed[k].inc(len(sub) - lifecycle)
-                    with tracer.span("dispatch"):
-                        path = _ingest_batch(det, sub, width)
-                    self._c_dispatch[path].inc()
-        n = len(batch)
-        self.events_ingested += n
-        self._c_events.inc(n)
-        self._c_batches.inc()
-        self._c_races.inc(
-            sum(len(det.races) for det in self.shards) - races_before
-        )
-        return n
-
-    def ingest_all(self, batches: Iterable[EventBatch]) -> int:
-        return sum(self.ingest(batch) for batch in batches)
-
-    def races(self) -> List[RaceReport]:
-        """All shards' reports, merged (decoded when possible).
-
-        Shards process disjoint location sets, so reports never overlap;
-        the merge is ordered by shard then detection order.  Note that
-        ``op_index`` values are per-shard stream positions, not global
-        ones -- compare reports by ``(task, loc, kind)`` across engines.
-        """
-        out: List[RaceReport] = []
-        location = self.interner.location if self.interner else None
-        for det in self.shards:
-            for r in det.races:
-                out.append(
-                    r if location is None else replace(r, loc=location(r.loc))
-                )
-        return out

@@ -11,10 +11,9 @@ the client).
 Routing is the per-location argument of the paper lifted to the
 network layer: a race is always witnessed at one memory location, so
 hash-sharding accesses by ``lid % N`` across independent detectors is
-*exact*, not approximate.  The gateway runs the same vectorized
-:func:`~repro.engine.ingest.split_batch` that
-:class:`~repro.engine.ingest.ShardedBatchEngine` uses in-process and
-ships whole column slices to the workers -- structural events (fork,
+*exact*, not approximate.  The gateway runs the vectorized
+:func:`~repro.engine.ingest.split_batch` and ships whole column
+slices to the workers -- structural events (fork,
 join, halt) are replicated to every worker so each one holds the full
 series-parallel skeleton.  Worker *k* receives its ids renumbered as
 ``lid // N``, so a client that hands out ids densely in first-touch
@@ -393,8 +392,8 @@ class _ClusterMetrics(CoreMetrics):
             "batches_total", "BATCH frames routed"
         )
         # The routing counters partition every incoming event exactly
-        # once, mirroring ShardedBatchEngine: an access counts against
-        # its owner worker, a replicated lifecycle event counts once.
+        # once: an access counts against its owner worker, a
+        # replicated lifecycle event counts once.
         self.routed = [
             self.counter(
                 "routed_accesses_total",

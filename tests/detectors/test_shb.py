@@ -35,7 +35,7 @@ from repro.engine.batch import (
     BatchBuilder,
     EventBatch,
 )
-from repro.engine.ingest import BatchEngine, ShardedBatchEngine
+from repro.engine.ingest import BatchEngine
 from repro.errors import DetectorError, ProgramError
 from repro.forkjoin.interpreter import run
 from repro.workloads.access_patterns import uniform_shared
@@ -295,8 +295,6 @@ class TestHostileStreams:
     def test_predict_excludes_detector_and_backend(self):
         with pytest.raises(ProgramError, match="predict"):
             BatchEngine(SHBDetector(), predict=True)
-        with pytest.raises(ProgramError, match="predict"):
-            ShardedBatchEngine(2, detector_factory=SHBDetector, predict=True)
         # No backend knob is left to combine with predict: the engine
         # runs one exact detector per mode.
         with pytest.raises(TypeError):

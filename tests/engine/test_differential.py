@@ -2,13 +2,10 @@
 
 The referee is the engine's acceptance gate: lattice2d, fasttrack and
 spbags must give the same per-access verdict on every spawn-sync trace
-we can generate -- with and without seeded races -- and the sharded
-fast path must flag exactly the same accesses as the unsharded one.
+we can generate -- with and without seeded races.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import pytest
 
@@ -18,7 +15,6 @@ from repro.engine.differential import (
     Config,
     check_conformance,
 )
-from repro.engine.ingest import ShardedBatchEngine
 from repro.errors import ProgramError
 from repro.workloads.racegen import (
     bulk_access_program,
@@ -99,20 +95,3 @@ class TestDivergenceDetection:
         assert div.silent == ("muzzled",)
         assert div.loc == "x"
         assert "flagged" in str(div)
-
-
-class TestShardedCrossCheck:
-    @pytest.mark.parametrize("num_shards", [2, 5])
-    def test_sharded_agrees_on_racy_workload(self, num_shards):
-        batch, interner = capture(
-            bulk_access_program(4, 4, 9, racy_rounds=(1, 2))
-        )
-        row = Config(
-            "sharded",
-            "multiset",
-            partial(ShardedBatchEngine, num_shards),
-            feed="batches",
-        )
-        report = check_conformance(batch, interner, (row,), batch_size=31)
-        assert report.cells["sharded"]
-        assert report.races["lattice2d"] == report.races["sharded"] == 2

@@ -1,4 +1,4 @@
-"""BatchEngine / ShardedBatchEngine: the fast paths change nothing.
+"""BatchEngine: the fast paths change nothing.
 
 The strongest test in this package: the inlined kernel must leave a
 :class:`RaceDetector2D` in *bit-identical* state to driving it event by
@@ -13,7 +13,7 @@ import pytest
 from repro.core.detector import RaceDetector2D
 from repro.detectors.fasttrack import FastTrackDetector
 from repro.engine.batch import BatchBuilder
-from repro.engine.ingest import BatchEngine, ShardedBatchEngine
+from repro.engine.ingest import BatchEngine
 from repro.errors import DetectorError, ProgramError
 from repro.forkjoin.interpreter import run
 from repro.workloads.racegen import bulk_access_program, conflicting_pair_program
@@ -251,43 +251,3 @@ class TestBatchEngine:
         assert [(interner.location(r.loc), r.op_index) for r in det.races] == [
             (r.loc, r.op_index) for r in ref.races
         ]
-
-
-class TestShardedBatchEngine:
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ProgramError):
-            ShardedBatchEngine(0)
-
-    def test_lifecycle_replicated_accesses_partitioned(self):
-        _, batch, interner = capture(BODY)
-        engine = ShardedBatchEngine(3, interner=interner)
-        subs = engine.split(batch)
-        accesses = batch.access_count()
-        lifecycle = len(batch) - accesses
-        assert sum(s.access_count() for s in subs) == accesses
-        for sub in subs:
-            assert len(sub) - sub.access_count() == lifecycle
-        for k, sub in enumerate(subs):
-            from repro.engine.batch import OP_READ, OP_WRITE
-
-            for op, b in zip(sub.ops, sub.b):
-                if op == OP_READ or op == OP_WRITE:
-                    assert b % 3 == k
-
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 8])
-    @pytest.mark.parametrize("batch_size", [None, 17])
-    def test_verdicts_match_unsharded(self, num_shards, batch_size):
-        _, batch, interner = capture(BODY)
-        ref = BatchEngine(interner=interner)
-        ref.ingest(batch)
-        engine = ShardedBatchEngine(num_shards, interner=interner)
-        if batch_size is None:
-            engine.ingest(batch)
-        else:
-            engine.ingest_all(batch.slices(batch_size))
-        assert engine.events_ingested == len(batch)
-        key = lambda r: (r.task, r.loc, r.kind)  # noqa: E731
-        assert sorted(map(key, engine.races())) == sorted(
-            map(key, ref.races())
-        )
-        assert len(ref.races()) > 0

@@ -2,11 +2,11 @@
 
 Random spawn-sync programs ingested through ``BatchEngine(predict=True)``
 must *cover* what the per-event lattice2d referee flags: every
-``covers`` row of the conformance matrix passes on every program,
-serially and sharded.  Prediction must also be
+``covers`` row of the conformance matrix passes on every program.
+Prediction must also be
 schedule-of-ingest independent -- the predicted race set (down to the
 partner task of each pair) is identical across batch sizes 1, 7, 64 and
-10k, and across 1/2/4 shards.  The invariance sweep also draws
+10k.  The invariance sweep also draws
 non-SP shapes: wavefronts, blocked wavefronts and pipelines built from
 a :class:`~repro.forkjoin.pipeline.PipelineSpec` (with and without
 parallel stages), and random synthetic lattices with leftover joins.
@@ -28,15 +28,14 @@ flags at all (see ``tests/detectors/test_shb.py`` and
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detectors.shb import SHBDetector
-from repro.engine.differential import CONFIGS, Config, check_conformance
-from repro.engine.ingest import BatchEngine, ShardedBatchEngine
+from repro.engine.differential import CONFIGS, check_conformance
+from repro.engine.ingest import BatchEngine
 from repro.forkjoin.pipeline import PipelineSpec, pipeline_body
 from repro.forkjoin.program import read, write
 from repro.forkjoin.spawn_sync import cilk
@@ -167,34 +166,6 @@ def test_predicted_covers_observed(case, size):
     )
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    case=spawn_sync_cases(max_leaves=8),
-    shards=st.sampled_from((1, 2, 4)),
-)
-def test_sharded_predict_equals_serial_and_covers_observed(case, shards):
-    """Lifecycle replication keeps every shard's vector clocks exact:
-    sharded prediction reports the very same pairs as serial, and the
-    union still covers the observed engine."""
-    batch = _capture(case)
-    serial = BatchEngine(predict=True, registry=MetricsRegistry())
-    serial.ingest(batch)
-
-    sharded = ShardedBatchEngine(
-        shards, predict=True, registry=MetricsRegistry()
-    )
-    sharded.ingest_all(batch.slices(64))
-    assert _pair_multiset(sharded.races()) == _pair_multiset(serial.races())
-
-    row = Config(
-        "sharded-predict",
-        "covers",
-        partial(ShardedBatchEngine, shards, predict=True),
-        feed="batches",
-    )
-    assert check_conformance(batch, None, (row,), batch_size=64).agreed
-
-
 @settings(max_examples=25, deadline=None)
 @given(case=spawn_sync_cases(max_leaves=8))
 def test_predicted_set_is_batch_size_invariant(case):
@@ -211,10 +182,10 @@ def test_predicted_set_is_batch_size_invariant(case):
 
 @settings(max_examples=40, deadline=None)
 @given(body=non_sp_bodies)
-def test_non_sp_pairs_are_batch_size_and_shard_invariant(body):
+def test_non_sp_pairs_are_batch_size_invariant(body):
     """Grid and random lattices exercise joins of non-parent tasks and
-    leftover absorption: slicing the stream anywhere and splitting it
-    over any shard count yields the identical pair multiset."""
+    leftover absorption: slicing the stream anywhere yields the
+    identical pair multiset."""
     batch = capture(body)[0]
     serial = BatchEngine(predict=True, registry=MetricsRegistry())
     serial.ingest(batch)
@@ -223,12 +194,6 @@ def test_non_sp_pairs_are_batch_size_and_shard_invariant(body):
         engine = BatchEngine(predict=True, registry=MetricsRegistry())
         engine.ingest_all(batch.slices(size))
         assert _pair_multiset(engine.races()) == expected, size
-    for shards in (1, 2, 4):
-        sharded = ShardedBatchEngine(
-            shards, predict=True, registry=MetricsRegistry()
-        )
-        sharded.ingest_all(batch.slices(64))
-        assert _pair_multiset(sharded.races()) == expected, shards
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -25,7 +25,7 @@ from repro.engine.batch import (
     EventBatch,
     LocationInterner,
 )
-from repro.engine.ingest import BatchEngine, ShardedBatchEngine
+from repro.engine.ingest import BatchEngine
 from repro.engine.snapshot import state_digest
 from repro.errors import DetectorError
 from repro.obs.registry import MetricsRegistry
@@ -88,11 +88,6 @@ def _table(size: int) -> LocationInterner:
 
 def _state(engine):
     """Everything a rejected batch must leave as it was."""
-    if isinstance(engine, ShardedBatchEngine):
-        return [
-            (det.op_index, list(det.races), dict(det.shadow.items()))
-            for det in engine.shards
-        ]
     det = engine.detector
     if isinstance(det, RaceDetector2D):
         return state_digest(engine)
@@ -104,9 +99,6 @@ ENGINES = {
     "lattice2d": lambda **kw: BatchEngine(registry=MetricsRegistry(), **kw),
     "predict": lambda **kw: BatchEngine(
         predict=True, registry=MetricsRegistry(), **kw
-    ),
-    "sharded:2": lambda **kw: ShardedBatchEngine(
-        2, registry=MetricsRegistry(), **kw
     ),
 }
 

@@ -84,20 +84,23 @@ class TestCommands:
             )
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, name",
         [
-            ["replay", "t.rtrc"],
-            ["stats", "t.rtrc"],
-            ["serve"],
-            ["bench-engine"],
+            pytest.param(["replay", "t.rtrc"], "jobs", id="replay"),
+            pytest.param(["stats", "t.rtrc"], "jobs", id="stats"),
+            pytest.param(["serve"], "jobs", id="serve"),
+            pytest.param(["bench-engine"], "jobs", id="bench-engine"),
+            pytest.param(["replay", "t.rtrc"], "shards", id="replay-shards"),
+            pytest.param(["stats", "t.rtrc"], "shards", id="stats-shards"),
+            pytest.param(["bench-engine"], "shards", id="bench-engine-shards"),
         ],
-        ids=lambda argv: argv[0],
     )
-    def test_process_pool_option_is_gone(self, argv, capsys):
-        """There is no process-pool tier: its ``jobs`` option is unknown
-        to every command (``serve --workers`` is the one multi-process
-        path)."""
-        option = "--" + "jobs"
+    def test_process_pool_option_is_gone(self, argv, name, capsys):
+        """There is no process-pool tier and no in-process sharded
+        engine: their ``jobs`` and ``shards`` options are unknown to
+        every command (``serve --workers`` is the one location-sharded,
+        multi-process path)."""
+        option = "--" + name
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([*argv, option, "2"])
         assert exc.value.code == 2
@@ -130,12 +133,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "batched" in out and "1 race(s)" in out and "'x'" in out
 
-    def test_replay_compact_sharded(self, program_file, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["replay", "stats"])
+    def test_lattice2d_takes_the_kernel(
+        self, command, program_file, tmp_path, capsys
+    ):
+        """The default detector runs the lattice2d batch kernel, not the
+        generic per-event loop, and keeps its printed name."""
+        import json
+
         trace = str(tmp_path / "run.rtrc")
+        metrics = tmp_path / "m.json"
         main(["record", program_file, "--compact", "-o", trace])
         capsys.readouterr()
-        assert main(["replay", trace, "--shards", "3"]) == 1
-        assert "x3 shards" in capsys.readouterr().out
+        assert main(["--metrics", str(metrics), command, trace]) == 1
+        out = capsys.readouterr().out
+        assert "1 race(s)" in out
+        counters = json.loads(metrics.read_text())["counters"]
+        series = 'engine_dispatch_total{engine="batch",path="%s"}'
+        assert counters[series % "kernel"] == 1
+        assert counters[series % "generic"] == 0
+        if command == "replay":
+            assert out.startswith("lattice2d: replayed")
+        else:
+            assert 'detector_races{detector="lattice2d"}' in out
 
     def test_replay_backend_misuse_errors(self, program_file, tmp_path, capsys):
         # The engine has one exact detector per mode: there is no
@@ -159,9 +179,6 @@ class TestCommands:
         assert main(["replay", trace, "--predict"]) == 1
         out = capsys.readouterr().out
         assert "shb predict" in out and "1 race(s)" in out and "'x'" in out
-        assert main(["replay", trace, "--predict", "--shards", "2"]) == 1
-        out = capsys.readouterr().out
-        assert "shb predict" in out and "x2 shards" in out
 
     def test_replay_predict_jsonl(self, program_file, tmp_path, capsys):
         trace = str(tmp_path / "run.jsonl")
@@ -199,6 +216,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "lattice2d=1" in out and "vectorclock=1" in out
 
+    def test_diff_sharded_row_is_unknown(self, program_file, tmp_path, capsys):
+        """The in-process sharded engine's rows left the matrix."""
+        trace = str(tmp_path / "run.rtrc")
+        main(["record", program_file, "--compact", "-o", trace])
+        capsys.readouterr()
+        assert main(
+            ["diff", trace, "--detectors", "lattice2d,sharded:2:lattice2d"]
+        ) == 2
+        assert "unknown detector" in capsys.readouterr().err
+
     def test_bench_engine_smoke(self, tmp_path, capsys):
         out_json = tmp_path / "rec.json"
         assert main(
@@ -208,7 +235,6 @@ class TestCommands:
                 "--fanout", "2",
                 "--accesses-per-task", "30",
                 "--repeats", "1",
-                "--shards", "2",
                 "--json", str(out_json),
             ]
         ) == 0
