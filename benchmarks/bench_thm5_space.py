@@ -64,9 +64,10 @@ def shadow_bytes_per_location(
     """``tracemalloc`` bytes the batch engine's shadow state holds per
     location after ``task`` (forked after ``task`` forks) writes and
     then reads ``locations`` distinct locations in one batch: the
-    lattice2d columns, or with ``predict`` the SHB candidate windows.
+    lattice2d columns, or with ``predict`` the candidate windows.
     The forks are ingested before the count starts, so per-thread
-    state (the union-find nodes, SHB's vector clocks) stays out of it."""
+    state (the union-find nodes, the predictor's stack and line) stays
+    out of it (see :func:`task_bytes_per_task`)."""
     import gc
     import tracemalloc
 
@@ -101,7 +102,7 @@ def test_shadow_bytes_per_location():
     """The two conceptual words per location in real bytes: three int
     columns indexed by location id (no location map), flat in the
     acting task's id -- the kernel stores one int object per access
-    run, not one per location.  The SHB candidate windows, two
+    run, not one per location.  The predictor's candidate windows, two
     id-indexed lists, are reported alongside."""
     rows = [
         {
@@ -117,6 +118,55 @@ def test_shadow_bytes_per_location():
     for row in rows:
         assert row["lattice2d bytes/loc"] <= 32
         assert row["shb windows bytes/loc"] <= 32
+
+
+def task_bytes_per_task(tasks: int, predict: bool = False) -> float:
+    """``tracemalloc`` bytes the batch engine's task state holds per
+    task after a chain of ``tasks`` forks (each child forks the next),
+    ingested in one batch: the union-find nodes and flags, and with
+    ``predict`` the running-task stack and the line too."""
+    import gc
+    import tracemalloc
+
+    from repro.engine.batch import OP_FORK, EventBatch
+    from repro.engine.ingest import BatchEngine
+    from repro.obs.registry import NULL_REGISTRY
+
+    forks = EventBatch()
+    for t in range(1, tasks + 1):
+        forks.append(OP_FORK, t - 1, t)
+    engine = BatchEngine(registry=NULL_REGISTRY, predict=predict)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine.ingest(forks)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / tasks
+
+
+def test_task_bytes_per_task():
+    """Θ(1) per thread in real bytes, in both engine modes: a chain of
+    forks costs the same per task at 1,000 and 4,000 tasks.  Prediction
+    answers its window queries on the same union-find task state, so it
+    keeps no per-task vector clock."""
+    rows = [
+        {
+            "tasks": tasks,
+            "lattice2d bytes/task": round(task_bytes_per_task(tasks), 1),
+            "predict bytes/task": round(
+                task_bytes_per_task(tasks, predict=True), 1
+            ),
+        }
+        for tasks in (1000, 4000)
+    ]
+    print_table(rows, title="Theorem 5: tracemalloc bytes per task")
+    for row in rows:
+        assert row["lattice2d bytes/task"] <= 128
+        assert row["predict bytes/task"] <= 128
 
 
 def test_metadata_per_thread_constant():

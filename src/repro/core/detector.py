@@ -335,3 +335,7 @@ class RaceDetector2D:
         """Word entries per thread: parent + rank + label + visited +
         halted + joined = 6, independent of anything (Θ(1))."""
         return 6
+
+    def metadata_entries(self) -> int:
+        """Per-thread word entries over all threads ever created."""
+        return self.thread_count * self.space_per_thread()

@@ -52,4 +52,4 @@ class Lattice2DDetector(Detector):
         self.engine.on_write(task, loc, label)
 
     def metadata_entries(self) -> int:
-        return self.engine.thread_count * self.engine.space_per_thread()
+        return self.engine.metadata_entries()

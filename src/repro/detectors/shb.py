@@ -57,6 +57,16 @@ accepts any structured fork/halt/join stream, not just serial
 fork-first ones.  Hostile streams get the family's typed posture:
 :class:`~repro.errors.DetectorError` at the exact ``op_index`` of the
 offending event, same messages as the 2D detector.
+
+The batch engine does not run this detector.  ``BatchEngine(predict=
+True)`` makes the same reports, over the same windows read as task
+ids, with :class:`~repro.core.predict.PredictDetector2D`: on a serial
+fork-first stream the 2D detector's ``Sup`` query answers each window
+test from Θ(1) state per task, where the clocks here cost O(tasks).
+This detector stays the per-event referee (the tests, perfbench's
+``shb`` references, ``--detector shb``) and the predictor for streams
+that are not fork-first.  A ``BatchEngine`` built around one by hand
+drives it through the generic loop.
 """
 
 from __future__ import annotations

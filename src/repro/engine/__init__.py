@@ -7,7 +7,8 @@ Four pieces, layered so each is useful alone:
   :class:`BatchBuilder` observer that captures them from a run;
 * :mod:`repro.engine.ingest` -- :class:`BatchEngine`, the tight
   pre-bound per-batch loop over a detector (the paper's lattice2d
-  detector unless told otherwise; SHB in prediction mode);
+  detector unless told otherwise; in prediction mode SHB's windows
+  answered by the same detector's ``Sup`` query);
 * :mod:`repro.engine.tracefile` -- the compact binary record/replay
   format (capture a workload once, replay it into any detector),
   with ``mmap``-backed zero-copy reads;

@@ -18,9 +18,10 @@ The measured contenders, slowest to fastest:
   :data:`~repro.obs.registry.NULL_REGISTRY`, isolating what the
   per-batch counters cost (the gate keeps the ratio within 5%);
 * ``predict``   -- :class:`~repro.engine.ingest.BatchEngine` in sound
-  race-prediction mode (:class:`~repro.detectors.shb.SHBDetector`):
-  vector-clock epochs plus per-location candidate windows, reporting
-  every feasibly-reorderable racing pair.  Strictly more work per
+  race-prediction mode (:class:`~repro.core.predict.PredictDetector2D`):
+  per-location candidate windows of task ids, each entry tested with
+  the lattice2d ``Sup`` query, reporting every feasibly-reorderable
+  racing pair.  Strictly more work per
   access than the observed-order paths; its soundness invariant
   (predicted races include everything the lattice2d referee observes)
   is checked every run and recorded as ``differential.predict_sound``.

@@ -19,10 +19,14 @@
   (including ``op_index``), same op counters, same shadow columns and
   accounting -- which :mod:`repro.engine.differential` cross-checks on
   every benchmark run;
-* a **predict kernel** for :class:`SHBDetector` that answers accesses
-  in place over the detector's packed candidate windows, one hoisted
-  thread check per run of accesses by one task (see
-  :func:`_ingest_predict`).
+* a **predict kernel** for :class:`~repro.core.predict.PredictDetector2D`
+  (``predict=True``): the lattice2d kernel's structural loop over the
+  same union-find task state, plus the running-task stack and the
+  left-neighbour array, with an access step that scans and prunes the
+  detector's candidate windows of task ids, one inlined ``find`` per
+  window entry; no vector clocks (see :func:`_ingest_predict`).  A
+  per-event :class:`~repro.detectors.shb.SHBDetector` passed in by
+  hand takes the generic loop.
 
 Every batch is first admitted whole by
 :func:`~repro.engine.batch.check_batch`: an unknown opcode or an access
@@ -45,9 +49,13 @@ from typing import Any, Callable, Iterable, List, Optional
 import numpy as _np
 
 from repro.core.detector import RaceDetector2D
+from repro.core.predict import (
+    PredictDetector2D,
+    not_left_neighbour,
+    not_running,
+)
 from repro.core.reports import AccessKind, RaceReport
 from repro.core.shadow import EPOCH_DIRTY, EPOCH_UNTOUCHED
-from repro.detectors.shb import TASK_MASK, SHBDetector
 from repro.engine.batch import (
     OP_FORK,
     OP_HALT,
@@ -389,133 +397,243 @@ def _ingest_fast(det: RaceDetector2D, batch: EventBatch) -> None:
         shadow.peak_entries_per_loc = peak
 
 
-def _ingest_predict(det: SHBDetector, batch: EventBatch) -> None:
-    """The predict-mode kernel: an inlined access loop over the SHB
-    detector's packed windows.
+def _ingest_predict(det: PredictDetector2D, batch: EventBatch) -> None:
+    """The predict-mode kernel over :class:`PredictDetector2D`.
 
-    The engine has admitted the batch whole (:func:`check_batch`): no
-    unknown opcode, every access id inside the window lists.  Bad
-    *thread ids* are still per-event conditions and raise
-    :class:`~repro.errors.DetectorError` mid-stream at the exact
-    ``op_index``, like every other detector.
+    Its structural branch is :func:`_ingest_fast`'s, plus the running-
+    task stack and the left-neighbour array that the detector checks on
+    every event (fork-first order, left-neighbour joins).  Its access
+    step is the detector's window rule, answered in place over the
+    id-indexed ``_reads``/``_writes`` lists with one inlined union-find
+    ``find`` per window entry: an entry ``u`` is unordered with the
+    running task iff the label of ``u``'s set is not visited.  No clock,
+    no epoch, no method call.
 
-    Accesses are answered in place, mirroring
-    :meth:`SHBDetector._access` over the same id-indexed ``_reads``/
-    ``_writes`` lists: same reports in the same order, same
-    ``op_index`` and peak window.  The thread-id checks, the task's
-    clock and its packed epoch are hoisted once per *run* of
-    consecutive accesses by one task -- only a structural event can
-    change them, and every structural event ends the run.  Structural
-    events go to the detector's own ``on_*`` methods, so the clock
-    algebra has one copy.
+    The thread checks and ``visited[t] = True`` are hoisted once per run
+    of accesses by one task; only a structural event can change them,
+    and each one ends the run (``cur`` back to ``None``: any int can
+    arrive as a hostile thread id).  The windows store ``cur``, one int
+    object per run, not the row's own copy of the task id.  The kernel
+    leaves the detector in exactly the state the per-event methods
+    would: the same reports in the same order, ``op_index``, windows,
+    peak, task state and union-find counters.
     """
-    on_fork = det.on_fork
-    on_join = det.on_join
-    on_halt = det.on_halt
-    on_step = det.on_step
-    state = det._state
-    clocks = det._clock
+    uf = det._uf
+    parent = uf._parent
+    rank = uf._rank
+    label = uf._label
+    compress = uf.path_compression
+    by_rank = uf.link_by_rank
+    finds = 0
+    hops = 0
+    unions = 0
+
+    visited = det._visited
+    halted = det._halted
+    joined_flags = det._joined
+    stack = det._stack
+    left = det._left
     reads = det._reads
     writes = det._writes
     report = det.races.append
-    mask = TASK_MASK
-    R, W = _READ, _WRITE
     Report = RaceReport
+    R, W = _READ, _WRITE
     read_op, write_op = OP_READ, OP_WRITE
     fork_op, join_op, halt_op = OP_FORK, OP_JOIN, OP_HALT
     op_index = det.op_index
     peak = det._peak_window
-    # the task whose run is hoisted; None after a structural event (no
-    # int sentinel: any int can arrive as a hostile thread id)
+    n_threads = len(visited)
+    # every live task is on the stack; -1 once the root has halted
+    top = stack[-1] if stack else -1
+    # the task of the current access run; None after a structural event
     cur: Optional[int] = None
-    vc: Any = None
-    n = me = 0
+
     try:
         for op, t, loc in zip(batch.ops, batch.a, batch.b):
-            if op < read_op:
-                cur = None
-                det.op_index = op_index
-                try:
-                    if op == fork_op:
-                        on_fork(t, loc)
-                    elif op == join_op:
-                        on_join(t, loc)
-                    elif op == halt_op:
-                        on_halt(t)
-                    else:
-                        on_step(t)
-                finally:
-                    op_index = det.op_index
-                continue
-            if t != cur:
-                if t < 0 or t >= len(state):
-                    raise DetectorError(f"unknown thread id {t}")
-                if state[t]:
-                    raise DetectorError(f"thread {t} already halted")
-                vc = clocks[t]
-                n = len(vc)
-                me = (vc[t] << 32) | t
-                cur = t
-            op_index += 1
-            if op == write_op:
-                kind = W
-                prior = R
-                own_map = writes
-                own = writes[loc]
-                other = reads[loc]
-            else:
-                kind = R
-                prior = W
-                own_map = reads
-                own = reads[loc]
-                other = writes[loc]
-            # Reads race prior writes, writes race prior reads: every
-            # unordered entry of the other kind's window is a pair.
-            if other is not None:
-                if type(other) is int:
-                    u = other & mask
-                    if u >= n or vc[u] < other >> 32:
-                        report(Report(loc, t, kind, prior, u, op_index))
+            if op >= read_op:  # check_batch admits no opcode past OP_WRITE
+                if t != cur:
+                    if t >= n_threads or t < 0:
+                        raise DetectorError(f"unknown thread id {t}")
+                    if halted[t]:
+                        raise DetectorError(f"thread {t} already halted")
+                    if t != top:
+                        raise not_running(t, top)
+                    visited[t] = True
+                    cur = t
+                op_index += 1
+                if op == write_op:
+                    kind = W
+                    prior = R
+                    own_map = writes
+                    own = writes[loc]
+                    other = reads[loc]
                 else:
-                    for e in other:
-                        u = e & mask
-                        if u >= n or vc[u] < e >> 32:
+                    kind = R
+                    prior = W
+                    own_map = reads
+                    own = reads[loc]
+                    other = writes[loc]
+                # Reads race prior writes, writes race prior reads: every
+                # unordered entry of the other kind's window is a pair.
+                if other is not None:
+                    for u in (other,) if type(other) is int else other:
+                        if u == t:
+                            continue
+                        finds += 1
+                        x = u
+                        while parent[x] != x:
+                            x = parent[x]
+                            hops += 1
+                        if compress:
+                            i = u
+                            while parent[i] != x:
+                                parent[i], i = x, parent[i]
+                        if not visited[label[x]]:
                             report(Report(loc, t, kind, prior, u, op_index))
-            # Fold into the own kind's window; a write also races each
-            # unordered prior write it keeps.
-            if type(own) is int:
-                u = own & mask
-                if u == t or not (u >= n or vc[u] < own >> 32):
-                    own_map[loc] = me  # own or dominated epoch: same size
-                    continue
-                if kind is W:
-                    report(Report(loc, t, W, W, u, op_index))
-                own_map[loc] = [own, me]
-                size = 2
-            elif own is None:
-                own_map[loc] = me
-                size = 1
+                # Fold into the own kind's window, keeping its unordered
+                # entries; a write also races each one it keeps.
+                if own is None:
+                    own_map[loc] = cur
+                    size = 1
+                elif type(own) is int:
+                    if own == t:
+                        continue
+                    finds += 1
+                    x = own
+                    while parent[x] != x:
+                        x = parent[x]
+                        hops += 1
+                    if compress:
+                        i = own
+                        while parent[i] != x:
+                            parent[i], i = x, parent[i]
+                    if visited[label[x]]:
+                        own_map[loc] = cur  # a dominated entry: same size
+                        continue
+                    if kind is W:
+                        report(Report(loc, t, W, W, own, op_index))
+                    own_map[loc] = [own, cur]
+                    size = 2
+                else:
+                    keep = []
+                    for u in own:
+                        if u == t:
+                            continue
+                        finds += 1
+                        x = u
+                        while parent[x] != x:
+                            x = parent[x]
+                            hops += 1
+                        if compress:
+                            i = u
+                            while parent[i] != x:
+                                parent[i], i = x, parent[i]
+                        if not visited[label[x]]:
+                            if kind is W:
+                                report(Report(loc, t, W, W, u, op_index))
+                            keep.append(u)
+                    if not keep:
+                        own_map[loc] = cur  # the frontier shrank to one
+                        continue
+                    keep.append(cur)
+                    own_map[loc] = keep
+                    size = len(keep)
+                if other is not None:
+                    size += 1 if type(other) is int else len(other)
+                if size > peak:
+                    peak = size
+                continue
+            # A structural event ends the access run.  The family's
+            # checks come first, then the running task and the line.
+            cur = None
+            if t >= n_threads or t < 0:
+                raise DetectorError(f"unknown thread id {t}")
+            if halted[t]:
+                raise DetectorError(f"thread {t} already halted")
+            if op == fork_op:
+                if t != top:
+                    raise not_running(t, top)
+                tid = n_threads
+                left.append(left[t])
+                left[t] = tid
+                stack.append(tid)
+                top = tid
+                op_index += 1
+                visited[t] = True
+                parent.append(tid)
+                rank.append(0)
+                label.append(tid)
+                visited.append(False)
+                halted.append(False)
+                joined_flags.append(False)
+                n_threads += 1
+                if loc != tid:
+                    raise DetectorError(
+                        f"fork id mismatch: interpreter says {loc}, "
+                        f"detector allocated {tid}"
+                    )
+            elif op == join_op:
+                b = loc
+                if b >= n_threads or b < 0:
+                    raise DetectorError(f"unknown thread id {b}")
+                if not halted[b]:
+                    raise DetectorError(f"joining running thread {b}")
+                if joined_flags[b]:
+                    raise DetectorError(f"thread {b} joined twice")
+                if t != top:
+                    raise not_running(t, top)
+                if left[t] != b:
+                    raise not_left_neighbour(t, left[t], b)
+                left[t] = left[b]
+                joined_flags[b] = True
+                op_index += 1
+                # Union(joiner, joined) under the joiner's set label.
+                unions += 1
+                rt = t
+                while parent[rt] != rt:
+                    rt = parent[rt]
+                    hops += 1
+                if compress:
+                    i = t
+                    while parent[i] != rt:
+                        parent[i], i = rt, parent[i]
+                rs = b
+                while parent[rs] != rs:
+                    rs = parent[rs]
+                    hops += 1
+                if compress:
+                    i = b
+                    while parent[i] != rs:
+                        parent[i], i = rs, parent[i]
+                lab = label[rt]
+                if rt != rs:
+                    if by_rank:
+                        if rank[rt] < rank[rs]:
+                            rt, rs = rs, rt
+                        elif rank[rt] == rank[rs]:
+                            rank[rt] += 1
+                    parent[rs] = rt
+                    label[rt] = lab
+                visited[t] = True
+            elif t != top:
+                raise not_running(t, top)
+            elif op == halt_op:
+                op_index += 1
+                halted[t] = True
+                visited[t] = False
+                stack.pop()
+                top = stack[-1] if stack else -1
             else:
-                keep = []
-                for e in own:
-                    u = e & mask
-                    if u >= n or vc[u] < e >> 32:
-                        if kind is W:
-                            report(Report(loc, t, W, W, u, op_index))
-                        keep.append(e)
-                if not keep:
-                    own_map[loc] = me  # the frontier shrank to one
-                    continue
-                keep.append(me)
-                own_map[loc] = keep
-                size = len(keep)
-            if other is not None:
-                size += 1 if type(other) is int else len(other)
-            if size > peak:
-                peak = size
+                op_index += 1
+                visited[t] = True
     finally:
+        # Reconcile the deferred bookkeeping even on error, so partially
+        # ingested state stays consistent with the per-event semantics.
         det.op_index = op_index
         det._peak_window = peak
+        uf.find_count += finds
+        uf.hop_count += hops
+        uf.union_count += unions
 
 
 def _run_kernel(
@@ -564,7 +682,7 @@ def _ingest_batch(det: Any, batch: EventBatch, width: int) -> str:
     if type(det) is RaceDetector2D and not det._literal:
         _run_kernel(_ingest_fast, det, det.shadow, batch, width)
         return "kernel"
-    if isinstance(det, SHBDetector):
+    if type(det) is PredictDetector2D:
         _run_kernel(_ingest_predict, det, det, batch, width)
         return "predict"
     _ingest_generic(det, batch)
@@ -609,13 +727,15 @@ class BatchEngine:
         already spawned.  A detector you pass in must already know task
         0 (call ``on_root(0)`` / ``spawn_root`` yourself).  Plain
         :class:`RaceDetector2D` instances (without the Figure-6-literal
-        erratum knob) get the inlined kernel; everything else gets the
-        generic pre-bound loop.
+        erratum knob) get the inlined kernel, a
+        :class:`~repro.core.predict.PredictDetector2D` the predict
+        kernel; everything else gets the generic pre-bound loop.
     predict:
         Alternative to ``detector``: run the engine in sound race-*prediction*
-        mode over a fresh :class:`~repro.detectors.shb.SHBDetector`
+        mode over a fresh :class:`~repro.core.predict.PredictDetector2D`
         (one report per feasibly-reorderable racing pair rather than
-        one per flagged access; see ``docs/PREDICTION.md``).  Mutually
+        one per flagged access; see ``docs/PREDICTION.md``).  Like
+        lattice2d it needs a serial fork-first stream.  Mutually
         exclusive with ``detector``.
     interner:
         The :class:`LocationInterner` the batches were built with; only
@@ -653,8 +773,8 @@ class BatchEngine:
                 "detector argument or drop predict=True"
             )
         if predict:
-            detector = SHBDetector()
-            detector.on_root(0)
+            detector = PredictDetector2D()
+            detector.spawn_root()
         if detector is None:
             detector = _default_detector()
         self.detector = detector

@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from repro.core.detector import RaceDetector2D
+from repro.core.predict import PredictDetector2D
 from repro.core.reports import AccessKind, RaceReport
 from repro.core.shadow import EPOCH_DIRTY, EPOCH_UNTOUCHED, ShadowColumns
 from repro.engine.batch import LOCATION_ID_LIMIT, LocationInterner
@@ -274,7 +275,11 @@ def read_checkpoint_file(path: str) -> bytes:
 
 
 def _check_detector(det: Any) -> RaceDetector2D:
-    if not isinstance(det, RaceDetector2D):
+    # A PredictDetector2D is a RaceDetector2D too, but its windows,
+    # stack and line have no section in the format.
+    if not isinstance(det, RaceDetector2D) or isinstance(
+        det, PredictDetector2D
+    ):
         raise CheckpointError(
             f"only RaceDetector2D state can be checkpointed, got "
             f"{type(det).__name__}"

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.detectors.shb import SHBDetector
+from repro.core.predict import PredictDetector2D
 from repro.engine.batch import EventBatch
 from repro.engine.ingest import BatchEngine
 from repro.engine.snapshot import load_checkpoint, save_checkpoint
@@ -179,7 +179,7 @@ class RaceServer(SessionCore):
     @property
     def backend(self) -> str:  # type: ignore[override]
         """The engine the sessions run, the one name HELLO grants."""
-        return SHBDetector.name if self.config.predict else BACKEND
+        return PredictDetector2D.name if self.config.predict else BACKEND
 
     def _make_metrics(self) -> _Metrics:
         return _Metrics(self.registry, self.backend)

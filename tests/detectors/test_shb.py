@@ -13,7 +13,13 @@ Three fronts, matching the three ways prediction goes wrong:
   errors at the exact ``op_index``, and a batch carrying an unknown
   opcode is rejected *whole* before any row reaches the candidate-pair
   window (the ``counts()``/``access_count()`` reconciliation in the
-  predict ingest path).
+  predict ingest path).  The engine's predictor,
+  :class:`~repro.core.predict.PredictDetector2D`, also refuses a stream
+  that is not serial fork-first or joins past a left neighbour, with
+  the same message at the same row per event and batched.
+
+The completeness traces are not fork-first, so they run on the
+per-event :class:`SHBDetector`, which accepts any structured stream.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.predict import PredictDetector2D
 from repro.core.reports import AccessKind
 from repro.detectors.fasttrack import FastTrackDetector
 from repro.detectors.shb import SHBDetector
@@ -370,14 +377,18 @@ class TestAccounting:
         assert seen == LATTICE_ACCOUNTING
 
     def test_pinned_on_the_batch_path(self):
-        """The predict kernel keeps the very same accounting, batch by
-        batch."""
+        """The predict kernel keeps the very same window accounting and
+        reports, batch by batch; its metadata is the 2D predictor's
+        eight words per task, not clock components."""
         engine = BatchEngine(predict=True)
         seen = []
         for piece in _lattice_batch().slices(25):
             engine.ingest(piece)
             seen.append(self._snapshot(engine.detector))
-        assert seen == LATTICE_ACCOUNTING
+        assert seen == [
+            (ops, tasks, 8 * tasks, peak, total, races)
+            for ops, tasks, _clocks, peak, total, races in LATTICE_ACCOUNTING
+        ]
 
     def test_hostile_events_mid_lattice(self):
         """After 100 events of the lattice (tasks joined, halted and
@@ -412,7 +423,8 @@ class TestAccounting:
 
 #: (rows appended after 100 lattice events, the error both paths
 #: raise).  At that point task 1 is joined, task 10 halted and
-#: unjoined, task 16 live and task 17 unknown.
+#: unjoined, task 16 running (its left neighbour is 15, halted), task
+#: 14 suspended under it and task 17 unknown.
 HOSTILE_ROWS = {
     "unknown task opens a run": (
         [(OP_WRITE, 16, X), (OP_READ, 17, X)], "unknown thread id 17"),
@@ -433,28 +445,50 @@ HOSTILE_ROWS = {
         [(OP_WRITE, 16, X), (OP_FORK, 16, 99)],
         "fork id mismatch: interpreter says 99, detector allocated 17"),
     "join of an unknown task": (
-        [(OP_READ, 0, X), (OP_JOIN, 0, 17)], "unknown thread id 17"),
+        [(OP_READ, 16, X), (OP_JOIN, 16, 17)], "unknown thread id 17"),
     "join of a joined task": (
         [(OP_READ, 16, X), (OP_JOIN, 16, 1)], "thread 1 joined twice"),
     "join of a running task": (
-        [(OP_WRITE, 0, X), (OP_JOIN, 0, 16)], "joining running thread 16"),
+        [(OP_WRITE, 16, X), (OP_JOIN, 16, 14)], "joining running thread 14"),
     "join by a halted task": (
         [(OP_JOIN, 10, 1)], "thread 10 already halted"),
     "halt of a joined task": (
         [(OP_HALT, 1, -1)], "thread 1 already halted"),
+    "suspended task opens a run": (
+        [(OP_READ, 16, X), (OP_WRITE, 14, X)],
+        "thread 14 is not the running thread 16 (the stream is not "
+        "serial fork-first)"),
+    "suspended task forks": (
+        [(OP_FORK, 0, 17)],
+        "thread 0 is not the running thread 16 (the stream is not "
+        "serial fork-first)"),
+    "suspended task halts": (
+        [(OP_READ, 16, X), (OP_HALT, 14, -1)],
+        "thread 14 is not the running thread 16 (the stream is not "
+        "serial fork-first)"),
+    "join past the left neighbour": (
+        [(OP_READ, 16, X), (OP_JOIN, 16, 10)],
+        "thread 16 may only join its left neighbour (15), not 10"),
 }
+
+
+def _task_state(det):
+    """The 2D predictor's task state: flags, stack, line and forest."""
+    return (det._visited, det._halted, det._joined, det._stack, det._left,
+            det._uf._parent, det._uf._label, det._reads, det._writes)
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
 def test_hostile_rows_on_both_paths(case):
     """The predict kernel hoists the thread checks once per access run;
     every hostile row must still raise the per-event path's message
-    and leave the identical accounting and reports behind."""
+    and leave the identical accounting, reports and task state
+    behind."""
     rows, message = HOSTILE_ROWS[case]
     batch = _lattice_batch()
     prefix = list(zip(batch.ops[:100], batch.a[:100], batch.b[:100]))
 
-    referee = SHBDetector()
+    referee = PredictDetector2D()
     referee.on_root(0)
     with pytest.raises(DetectorError) as per_event:
         drive(referee, prefix + rows)
@@ -467,3 +501,54 @@ def test_hostile_rows_on_both_paths(case):
     det = engine.detector
     assert snapshot(det) == snapshot(referee)
     assert det.races == referee.races
+    assert _task_state(det) == _task_state(referee)
+
+
+#: ROADMAP's non-conforming streams: (rows, the error every predict
+#: path raises, the op_index it stops at)
+INPUT_MODEL_CASES = {
+    # a join that skips the left neighbour 2
+    "A": (
+        [(OP_FORK, 0, 1), (OP_HALT, 1, -1), (OP_FORK, 0, 2),
+         (OP_HALT, 2, -1), (OP_JOIN, 0, 1)],
+        "thread 0 may only join its left neighbour (2), not 1", 4),
+    # the parent acts while its child is live
+    "B": (
+        [(OP_FORK, 0, 1), (OP_WRITE, 0, X), (OP_WRITE, 1, X),
+         (OP_HALT, 1, -1), (OP_JOIN, 0, 1)],
+        "thread 0 is not the running thread 1 (the stream is not serial "
+        "fork-first)", 1),
+    # a grandparent writes while a grandchild is live
+    "C": (
+        [(OP_FORK, 0, 1), (OP_FORK, 1, 2), (OP_WRITE, 2, X),
+         (OP_WRITE, 0, X), (OP_HALT, 2, -1), (OP_HALT, 1, -1),
+         (OP_JOIN, 0, 1), (OP_JOIN, 0, 2)],
+        "thread 0 is not the running thread 2 (the stream is not serial "
+        "fork-first)", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_MODEL_CASES))
+def test_non_conforming_streams_refused_per_event_and_batched(case):
+    """Each case raises one message at one ``op_index`` on the
+    per-event predictor and on the engine, whatever the slicing.  The
+    per-event SHB detector, which needs no fork-first order, accepts
+    cases B and C and reports their race."""
+    rows, message, op_index = INPUT_MODEL_CASES[case]
+    per_event = PredictDetector2D()
+    per_event.on_root(0)
+    with pytest.raises(DetectorError) as info:
+        drive(per_event, rows)
+    assert (str(info.value), per_event.op_index) == (message, op_index)
+    for size in (1, 2, len(rows)):
+        engine = BatchEngine(predict=True)
+        with pytest.raises(DetectorError) as info:
+            engine.ingest_all(make_batch(rows).slices(size))
+        assert (str(info.value), engine.detector.op_index) == (
+            message, op_index
+        )
+    if case != "A":
+        shb = SHBDetector()
+        shb.on_root(0)
+        drive(shb, rows)
+        assert len(shb.races) == 1

@@ -15,14 +15,19 @@ The kernel sweep holds the batch path to the per-event
 :class:`~repro.detectors.shb.SHBDetector` referee exactly: on the
 perfbench shapes (spawn-sync bulk rounds, random lattices, grids) and
 at every batch size, the predict kernel emits the identical report list
--- every field, same order -- and identical accounting.
+-- every field, same order -- the same accounting, and the same windows
+read as task ids.  It also leaves the identical task state and
+union-find counters behind as the per-event
+:class:`~repro.core.predict.PredictDetector2D`.  The lockstep sweep
+checks the claim the kernel rests on: at every access, each window
+entry's vector-clock order test and its ``Sup`` query agree.
 
 The deterministic tests at the bottom pin the *strictness* of the
 superset: one program where prediction reports strictly more pairs than
 the observed multiset (pair enumeration vs supremum folding), and the
-reordering trace where it reports a pair *no* observed-order detector
-flags at all (see ``tests/detectors/test_shb.py`` and
-``docs/PREDICTION.md``).
+reordering trace, not fork-first, where per-event SHB reports a pair
+*no* observed-order detector flags at all and the engine refuses the
+stream (see ``tests/detectors/test_shb.py`` and ``docs/PREDICTION.md``).
 """
 
 from __future__ import annotations
@@ -33,12 +38,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.detectors.shb import SHBDetector
+from repro.core.predict import PredictDetector2D
+from repro.detectors.shb import TASK_MASK, SHBDetector, _unordered
+from repro.engine.batch import OP_READ, OP_WRITE
 from repro.engine.differential import CONFIGS, check_conformance
 from repro.engine.ingest import BatchEngine
 from repro.forkjoin.pipeline import PipelineSpec, pipeline_body
 from repro.forkjoin.program import read, write
 from repro.forkjoin.spawn_sync import cilk
+from repro.errors import DetectorError
 from repro.obs.registry import MetricsRegistry
 from repro.workloads.access_patterns import uniform_shared
 from repro.workloads.pipelines import (
@@ -144,13 +152,37 @@ SHAPES = {
 }
 
 
+def _tasks(windows):
+    """Windows as task ids, shape kept (a one-entry window is a bare
+    int on every path): SHB's packed epochs lose their tick, task ids
+    stay as they are."""
+    return [
+        win & TASK_MASK if type(win) is int
+        else None if win is None
+        else [e & TASK_MASK for e in win]
+        for win in windows
+    ]
+
+
 def _accounting(det):
-    """Everything the kernel must reproduce, down to the packed windows
-    themselves (a one-epoch window is a bare int on both paths)."""
+    """What the kernel must reproduce of the per-event SHB detector:
+    the reports, the accounting and the windows as task ids."""
     return (
-        det.races, det.op_index, det.thread_count, det.metadata_entries(),
+        det.races, det.op_index, det.thread_count,
         det.shadow_peak_per_location(), det.shadow_total_entries(),
-        det._reads, det._writes,
+        _tasks(det._reads), _tasks(det._writes),
+    )
+
+
+def _task_state(det):
+    """The per-event 2D predictor's state beyond :func:`_accounting`:
+    task flags, stack, line, the union-find forest and its counters."""
+    uf = det._uf
+    return (
+        det._visited, det._halted, det._joined, det._stack, det._left,
+        uf._parent, uf._rank, uf._label,
+        (uf.find_count, uf.union_count, uf.hop_count),
+        det.metadata_entries(), det._reads, det._writes,
     )
 
 
@@ -208,10 +240,54 @@ def test_kernel_equals_per_event_shb(shape, data):
     referee.on_root(0)
     drive(referee, zip(batch.ops, batch.a, batch.b))
     expected = _accounting(referee)
+    per_event = PredictDetector2D()
+    per_event.on_root(0)
+    drive(per_event, zip(batch.ops, batch.a, batch.b))
+    assert _accounting(per_event) == expected
     for size in BATCH_SIZES:
         engine = BatchEngine(predict=True, registry=MetricsRegistry())
         engine.ingest_all(batch.slices(size))
         assert _accounting(engine.detector) == expected, size
+        assert _task_state(engine.detector) == _task_state(per_event), size
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sup_query_answers_as_the_clocks_do(shape, data):
+    """The soundness argument of :mod:`repro.core.predict`, tested: the
+    two detectors run in lockstep, and before every access each entry
+    of the location's windows is asked both ways -- SHB's clock compare
+    against its packed epoch, ``ordered(u, t)`` against the task id.
+    The windows agree as task ids, so every entry is asked both ways,
+    and no answer differs."""
+    batch = capture(data.draw(SHAPES[shape]))[0]
+    shb = SHBDetector()
+    shb.on_root(0)
+    sup = PredictDetector2D()
+    sup.on_root(0)
+    queries = disagreements = 0
+    for row in zip(batch.ops, batch.a, batch.b):
+        op, t, loc = row
+        if op in (OP_READ, OP_WRITE):
+            lid = shb._lid(loc)  # the access would intern it first too
+            assert sup._lid(loc) == lid
+            clock = shb._clock[t]
+            for epochs, tasks in ((shb._reads[lid], sup._reads[lid]),
+                                  (shb._writes[lid], sup._writes[lid])):
+                assert _tasks([epochs]) == [tasks]
+                for e in () if epochs is None else (
+                    (epochs,) if type(epochs) is int else epochs
+                ):
+                    queries += 1
+                    u = e & TASK_MASK
+                    disagreements += (
+                        _unordered(e, clock) != (not sup.ordered(u, t))
+                    )
+        drive(shb, [row])
+        drive(sup, [row])
+    assert disagreements == 0, f"{disagreements} of {queries} queries"
+    assert shb.races == sup.races
 
 
 def test_strictly_more_pairs_than_observed_multiset():
@@ -237,14 +313,25 @@ def test_strictly_more_pairs_than_observed_multiset():
 
 def test_reordering_trace_beats_every_observed_detector():
     """Set-level strictness: the REORDERING_TRACE carries a racing
-    pair invisible to the observed-order detectors."""
-    report = check_conformance(
-        make_batch(REORDERING_TRACE), None, ("predict",)
-    )
+    pair invisible to the observed-order detectors.  It is not
+    fork-first (task 0 forks task 2 while task 1 is live), so only the
+    per-event SHB detector predicts over it; the engine refuses it at
+    row 1."""
+    batch = make_batch(REORDERING_TRACE)
+    report = check_conformance(batch, None, ("shb",))
     assert report.agreed
 
     def flags(name):
         return {(r.task, r.loc, r.kind) for r in report.reports[name]}
 
     # a flag no observed detector produced
-    assert flags("predict") - flags("lattice2d")
+    assert flags("shb") - flags("lattice2d")
+
+    engine = BatchEngine(predict=True, registry=MetricsRegistry())
+    with pytest.raises(DetectorError) as info:
+        engine.ingest(batch)
+    assert str(info.value) == (
+        "thread 0 is not the running thread 1 (the stream is not serial "
+        "fork-first)"
+    )
+    assert engine.detector.op_index == 1

@@ -164,6 +164,18 @@ class TestCorruptionRefusal:
                 with pytest.raises(CheckpointError):
                     snap.engine_from_blob(bytes(damaged))
 
+    @pytest.mark.parametrize("call", ["engine_to_blob", "state_digest"])
+    def test_predict_engine_refused(self, call):
+        """The predict detector subclasses RaceDetector2D but has no
+        section in the format: both entry points refuse it by name."""
+        engine = BatchEngine(predict=True)
+        with pytest.raises(
+            CheckpointError,
+            match="only RaceDetector2D state can be checkpointed, got "
+            "PredictDetector2D",
+        ):
+            getattr(snap, call)(engine)
+
     def test_trailing_garbage_rejected(self, small_blob):
         with pytest.raises(CheckpointError, match="payload"):
             snap.engine_from_blob(small_blob + b"\x00")

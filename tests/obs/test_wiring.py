@@ -55,6 +55,8 @@ EXPECTED_COUNTERS = {
 }
 
 EXPECTED_GAUGES = {
+    # Theorem 5's six words per task, over the trace's two tasks
+    'detector_metadata_entries{detector="2d"}': 12,
     'detector_ops{detector="2d"}': 6,
     'detector_races{detector="2d"}': 1,
     'detector_shadow_entries{detector="2d"}': 1,

@@ -87,11 +87,15 @@ def _table(size: int) -> LocationInterner:
 
 
 def _state(engine):
-    """Everything a rejected batch must leave as it was."""
+    """Everything a rejected batch must leave as it was.  The predict
+    detector subclasses RaceDetector2D, but ``state_digest`` refuses
+    it, so its task state is listed here."""
     det = engine.detector
-    if isinstance(det, RaceDetector2D):
+    if type(det) is RaceDetector2D:
         return state_digest(engine)
     return (det.op_index, list(det.races), det.thread_count,
+            list(det._visited), list(det._halted), list(det._stack),
+            list(det._left), list(det._uf._parent),
             list(det._reads), list(det._writes))
 
 

@@ -38,6 +38,8 @@ from repro.serve import protocol as wire
 from repro.serve.server import RaceServer, _ServerSession, start_metrics_http
 from repro.serve.session import _BYE
 
+from tests.detectors.test_shb import INPUT_MODEL_CASES, make_batch
+
 from .conftest import RawConn, local_race_multiset, race_multiset
 
 pytestmark = pytest.mark.serve
@@ -999,6 +1001,35 @@ class TestPredictMode:
             (r.task, r.loc, r.kind) for r in summary.reports
         )
         assert observed <= predicted
+
+    @pytest.mark.parametrize("case", sorted(INPUT_MODEL_CASES))
+    def test_non_conforming_stream_fails_the_session(self, case, monkeypatch):
+        """A stream that is not serial fork-first, or joins past its
+        left neighbour, fails a ``serve --predict`` session with
+        ERR_DETECTOR, the per-event message, and the session's engine
+        stopped at the per-event ``op_index``; no RACES frame first."""
+        rows, message, op_index = INPUT_MODEL_CASES[case]
+        stopped = []
+        apply = RaceServer._apply
+
+        def spy(self, session, batch):
+            try:
+                return apply(self, session, batch)
+            finally:
+                stopped.append(self._engine(session).detector.op_index)
+
+        monkeypatch.setattr(RaceServer, "_apply", spy)
+        with make_server(predict=True) as srv, RawConn(srv.port) as conn:
+            conn.send_frame(
+                wire.FRAME_BATCH, wire.encode_batch_payload(make_batch(rows))
+            )
+            while True:
+                ftype, payload = conn.recv_frame()
+                assert ftype != wire.FRAME_RACES
+                if ftype == wire.FRAME_ERROR:
+                    break
+        assert wire.decode_error(payload) == (wire.ERR_DETECTOR, message)
+        assert stopped == [op_index]
 
     def test_predict_rejects_checkpointing(self, tmp_path):
         with pytest.raises(ServeError, match="checkpoint"):
